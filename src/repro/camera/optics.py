@@ -3,6 +3,9 @@
 The PSF is modelled as an isotropic Gaussian whose sigma is expressed in
 *display* pixels, because what matters for decoding is how much of a
 chessboard cell (``p`` display pixels on a side) the lens smears together.
+Both stages are fixed per field shape: the blur is a pair of cached banded
+operators and the vignette a cached mask, both from
+:mod:`repro.camera.operators`.
 """
 
 from __future__ import annotations
@@ -10,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from repro._util import check_in_range
+from repro.camera.operators import apply_separable, blur_operators, vignette_mask
 
 
 @dataclass(frozen=True)
@@ -38,15 +41,10 @@ class OpticsModel:
     def apply(self, image: np.ndarray) -> np.ndarray:
         """Apply PSF blur and vignetting to a linear-luminance image."""
         out = np.asarray(image, dtype=np.float32)
+        height, width = out.shape
         if self.blur_sigma_px > 0.0:
-            out = ndimage.gaussian_filter(out, sigma=self.blur_sigma_px, mode="nearest")
+            rows, cols = blur_operators(self.blur_sigma_px, height, width)
+            out = apply_separable(rows, cols, out)
         if self.vignetting > 0.0:
-            out = out * self._vignette_mask(out.shape)
-        return out.astype(np.float32)
-
-    def _vignette_mask(self, shape: tuple[int, ...]) -> np.ndarray:
-        height, width = shape[:2]
-        rows = np.linspace(-1.0, 1.0, height, dtype=np.float32)[:, None]
-        cols = np.linspace(-1.0, 1.0, width, dtype=np.float32)[None, :]
-        radius2 = (rows**2 + cols**2) / 2.0  # 1.0 at the corners
-        return (1.0 - np.float32(self.vignetting) * radius2).astype(np.float32)
+            out = out * vignette_mask(self.vignetting, height, width)
+        return out

@@ -125,10 +125,11 @@ class DisplayTimeline:
             liquid-crystal recursion stays exact).
         """
         index = self.frame_index_at(t)
-        target = self._frame_luminance(index)
         if self.panel.response_time_s <= 0.0:
-            return self._crop(target, rect)
+            return self._crop(self._frame_luminance(index), rect)
+        # State first; see _frame_luminance.
         previous_state = self._state_before(index)
+        target = self._frame_luminance(index)
         elapsed = max(t - self.latch_time(index), 0.0)
         decay = np.float32(np.exp(-elapsed / self.panel.response_time_s))
         field = target + (previous_state - target) * decay
@@ -160,10 +161,13 @@ class DisplayTimeline:
             seg_len = seg_end - seg_start
             if seg_len <= 0:
                 continue
+            # State first; see _frame_luminance.
+            previous_state = (
+                self._crop(self._state_before(index), rect) if tau > 0.0 else None
+            )
             target = self._crop(self._frame_luminance(index), rect)
             piece = target * np.float32(seg_len)
-            if tau > 0.0:
-                previous_state = self._crop(self._state_before(index), rect)
+            if previous_state is not None:
                 a = max(seg_start - self.latch_time(index), 0.0)
                 b = max(seg_end - self.latch_time(index), 0.0)
                 weight = np.float32(tau * (np.exp(-a / tau) - np.exp(-b / tau)))
@@ -233,6 +237,9 @@ class DisplayTimeline:
         return field[row0:row1, col0:col1]
 
     def _frame_luminance(self, index: int) -> np.ndarray:
+        # Sources may cache only their latest frame (FunctionVideoSource),
+        # so callers fetch frames in playback order: walk the LC state up
+        # to a frame before fetching the frame itself.
         cached = self._lum_cache.get(index)
         if cached is not None:
             return cached

@@ -2,17 +2,25 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
+from repro.analysis.experiments import ExperimentScale
+from repro.camera import operators
 from repro.camera.capture import CameraModel
 from repro.camera.optics import OpticsModel
 from repro.camera.rolling_shutter import RollingShutter
 from repro.camera.sensor import SensorModel
 from repro.display.panel import DisplayPanel
+from repro.core.pipeline import run_link
 from repro.display.scheduler import DisplayTimeline
+from repro.serve import BroadcastSession, deterministic_payload, parse_cohorts, run_fleet
 from repro.video.source import ArrayVideoSource
 
 
@@ -241,3 +249,177 @@ class TestScreenFill:
             CameraModel(screen_fill=0.0)
         with _pytest.raises(ValueError):
             CameraModel(screen_fill=1.5)
+
+
+# ----------------------------------------------------------------------
+# The lens and resample stages against the SciPy filters they replace
+# ----------------------------------------------------------------------
+def reference_optics(optics: OpticsModel, image: np.ndarray) -> np.ndarray:
+    """``OpticsModel.apply`` as a chain of SciPy filters (the test oracle)."""
+    out = np.asarray(image, dtype=np.float32)
+    if optics.blur_sigma_px > 0.0:
+        out = ndimage.gaussian_filter(out, sigma=optics.blur_sigma_px, mode="nearest")
+    if optics.vignetting > 0.0:
+        rows = np.linspace(-1.0, 1.0, out.shape[0], dtype=np.float32)[:, None]
+        cols = np.linspace(-1.0, 1.0, out.shape[1], dtype=np.float32)[None, :]
+        radius2 = (rows**2 + cols**2) / 2.0
+        out = out * (1.0 - np.float32(optics.vignetting) * radius2).astype(np.float32)
+    return out.astype(np.float32)
+
+
+def reference_resample(
+    camera: CameraModel, image: np.ndarray, target: tuple[int, int] | None = None
+) -> np.ndarray:
+    """``CameraModel._resample`` as a chain of SciPy filters (the test oracle)."""
+    target_h, target_w = target if target is not None else (camera.height, camera.width)
+    src_h, src_w = image.shape
+    if (src_h, src_w) == (target_h, target_w):
+        return image
+    zoom = (target_h / src_h, target_w / src_w)
+    sigma = tuple(max(0.0, 0.35 / z - 0.3) for z in zoom)
+    if any(s > 0 for s in sigma):
+        image = ndimage.gaussian_filter(image, sigma=sigma, mode="nearest")
+    out = ndimage.zoom(image, zoom, order=1, mode="nearest", grid_mode=True)
+    if out.shape != (target_h, target_w):
+        fixed = np.empty((target_h, target_w), dtype=out.dtype)
+        h = min(target_h, out.shape[0])
+        w = min(target_w, out.shape[1])
+        fixed[:h, :w] = out[:h, :w]
+        if h < target_h:
+            fixed[h:, :w] = out[h - 1, :w]
+        if w < target_w:
+            fixed[:, w:] = fixed[:, w - 1 : w]
+        out = fixed
+    return out.astype(np.float32)
+
+
+def _far_cohort_size() -> tuple[int, int]:
+    camera = CameraModel(width=320, height=180, screen_fill=1 / 1.3)
+    row0, row1, col0, col1 = camera.screen_rect()
+    return (row1 - row0, col1 - col0)
+
+
+#: (display field, camera target) pairs: bench and quick scale, the
+#: fleet's far cohort, odd sizes, upsampling.
+GEOMETRIES = [
+    ((540, 960), (360, 640)),
+    ((270, 480), (180, 320)),
+    ((270, 480), _far_cohort_size()),
+    ((37, 53), (21, 30)),
+    ((30, 40), (45, 61)),
+]
+LENSES = [
+    OpticsModel(),
+    OpticsModel(blur_sigma_px=0.0),
+    OpticsModel(vignetting=0.0),
+    OpticsModel(blur_sigma_px=1.5, vignetting=0.2),
+]
+
+
+def _max_relative_error(got: np.ndarray, want: np.ndarray) -> float:
+    assert got.shape == want.shape and got.dtype == np.float32
+    return float(np.max(np.abs(got - want) / np.abs(want)))
+
+
+class TestOperatorOracle:
+    @pytest.mark.parametrize("source, target", GEOMETRIES)
+    @pytest.mark.parametrize("optics", LENSES, ids=repr)
+    def test_matches_the_scipy_chain(self, source, target, optics):
+        # Blur without vignette returns a Fortran-ordered field, so across
+        # these lenses the resample sees both memory layouts.
+        image = np.random.default_rng(3).uniform(5.0, 250.0, source).astype(np.float32)
+        camera = CameraModel(width=target[1], height=target[0], optics=optics)
+        focused = optics.apply(image)
+        assert _max_relative_error(focused, reference_optics(optics, image)) <= 1e-6
+        got = camera._resample(focused)
+        want = reference_resample(camera, reference_optics(optics, image))
+        assert _max_relative_error(got, want) <= 1e-6
+
+
+def _decoded_bits(run) -> list[bytes]:
+    return [np.packbits(frame.bits).tobytes() for frame in run.decoded]
+
+
+def _quick_fleet():
+    quick = ExperimentScale.quick()
+    with BroadcastSession(
+        quick.config(), quick.video("gray"), deterministic_payload(32, seed=2)
+    ) as session:
+        cohorts = parse_cohorts("near:n=1,dwell=1.5|far:n=1,distance=1.3,dwell=1.5", seed=2)
+        return run_fleet(session, cohorts, base_camera=quick.camera(), seed=2)
+
+
+class TestOperatorEndToEnd:
+    """The SciPy chain swapped back in decodes exactly the same bits."""
+
+    @pytest.fixture
+    def reference_chain(self, monkeypatch):
+        def swap():
+            monkeypatch.setattr(OpticsModel, "apply", reference_optics)
+            monkeypatch.setattr(CameraModel, "_resample", reference_resample)
+
+        return swap
+
+    def test_quick_link(self, reference_chain):
+        quick = replace(ExperimentScale.quick(), n_video_frames=12)
+        config = quick.config()
+
+        def link():
+            return run_link(config, quick.video("video"), camera=quick.camera(), seed=5)
+
+        fast = link()
+        reference_chain()
+        slow = link()
+        assert _decoded_bits(fast) == _decoded_bits(slow)
+        assert fast.stats == slow.stats
+
+    def test_two_receiver_fleet(self, reference_chain):
+        fast = _quick_fleet()
+        reference_chain()
+        slow = _quick_fleet()
+        assert fast.report.work_json() == slow.report.work_json()
+
+
+class TestOperatorCache:
+    def test_same_geometry_reuses_the_operators(self):
+        assert operators.blur_operators(0.5, 270, 480) is operators.blur_operators(0.5, 270, 480)
+        assert operators.vignette_mask(0.08, 270, 480) is operators.vignette_mask(0.08, 270, 480)
+        assert not operators.vignette_mask(0.08, 270, 480).flags.writeable
+        pair = operators.resample_operators(270, 480, 180, 320)
+        assert pair is operators.resample_operators(270, 480, 180, 320)
+        assert [m.shape for m in pair] == [(180, 270), (320, 480)]
+
+    def test_cohorts_with_different_screen_fill_get_distinct_operators(self):
+        near = CameraModel(width=40, height=30, timing_jitter_s=0.0)
+        far = replace(near, screen_fill=0.5)
+        timeline = _timeline(h=36, w=48)
+        operators.resample_operators.cache_clear()
+        for camera in (near, far, near, far):
+            camera.capture_frame(timeline, 0)
+        info = operators.resample_operators.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+        assert operators.resample_operators(36, 48, 30, 40) is not operators.resample_operators(
+            36, 48, 15, 20
+        )
+
+    def test_caches_are_bounded(self):
+        for size in range(4, 4 + operators.CACHE_SIZE + 3):
+            operators.blur_operators(0.5, size, size + 1)
+            operators.resample_operators(size, size + 1, 3, 4)
+        for size in range(4, 4 + operators.MASK_CACHE_SIZE + 3):
+            operators.vignette_mask(0.1, size, size)
+        assert operators.blur_operators.cache_info().currsize == operators.CACHE_SIZE
+        assert operators.resample_operators.cache_info().currsize == operators.CACHE_SIZE
+        assert operators.vignette_mask.cache_info().currsize == operators.MASK_CACHE_SIZE
+
+    def test_building_never_allocates_a_dense_square(self):
+        n = 4096
+        tracemalloc.start()
+        try:
+            blur = operators.gaussian_operator(0.5, n)
+            resample = operators.resample_operator(n, 2731)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert blur.shape == (n, n) and resample.shape == (2731, n)
+        assert peak < n * n * 4 / 8  # an eighth of one dense float32 matrix

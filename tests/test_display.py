@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.experiments import ExperimentScale
+from repro.core.pipeline import run_link
 from repro.display.gamma import GammaCurve
 from repro.display.panel import DisplayPanel
 from repro.display.scheduler import DisplayTimeline
@@ -228,3 +233,23 @@ class TestDisplayTimeline:
         panel = DisplayPanel(width=6, height=4)
         with pytest.raises(ValueError):
             DisplayTimeline(panel, ArrayVideoSource(frames, fps=120.0), cache_frames=-1)
+
+
+class TestPlaybackOrder:
+    def test_link_run_renders_each_content_frame_once(self):
+        # The camera skips display frames between captures; the LC state
+        # walk over them must not send a one-frame source back and forth.
+        quick = replace(ExperimentScale.quick(), n_video_frames=12)
+        video = quick.video("video")
+        renders: Counter[int] = Counter()
+        render = video._render
+
+        def counted(index: int) -> np.ndarray:
+            renders[index] += 1
+            return render(index)
+
+        video._render = counted
+        run_link(quick.config(), video, camera=quick.camera(), seed=5)
+        assert sorted(renders) == list(range(max(renders) + 1))
+        assert set(renders.values()) == {1}
+        assert len(renders) >= video.n_frames - 1
