@@ -131,11 +131,12 @@ def measure_telemetry_overhead(
     """Serial-link wall clock with telemetry collection off vs on.
 
     Uses best-of-*repeats* timings (the standard noise filter for
-    micro-overheads) after one warmup run; the ratio is the cost of the
-    ``repro.obs`` spans, counters and histogram fills along the
-    pipeline.  The "on" leg also runs a 1 Hz live snapshot collector
+    micro-overheads) after one warmup run.  Stage spans run in both legs
+    (they are the run's stage timings), so the ratio is the cost of the
+    ``repro.obs`` counters and histogram fills along the pipeline plus
+    live telemetry: the "on" leg also runs a 1 Hz live snapshot collector
     streaming to disk -- the full observability stack a ``--snapshot-out``
-    run pays for -- so the budget covers live telemetry too.
+    run pays for.
     """
     scale = replace(
         getattr(ExperimentScale, scale_name)(), n_video_frames=n_video_frames

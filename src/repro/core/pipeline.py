@@ -15,7 +15,6 @@ benchmarks use.
 from __future__ import annotations
 
 import time
-from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, replace as dataclass_replace
 from typing import TYPE_CHECKING
 
@@ -35,11 +34,11 @@ from repro.core.metrics import LinkStats, summarize_link
 from repro.core.multiplexer import DataFrameSchedule, MultiplexedStream
 from repro.display.panel import DisplayPanel
 from repro.display.scheduler import DisplayTimeline
-from repro.obs import RunTelemetry, Telemetry
+from repro.obs import RunTelemetry, SpanTracer, Telemetry, stage_totals
 from repro.obs.live import live_collector
 from repro.obs.metrics import WORK
 from repro.runtime.link_exec import CaptureSource, execute_link_captures
-from repro.runtime.profiler import RuntimeReport
+from repro.runtime.profiler import LINK_STAGES, RuntimeReport
 from repro.video.source import VideoSource
 
 if TYPE_CHECKING:  # imported lazily at run time to keep layering acyclic
@@ -216,9 +215,11 @@ def run_link(
     collect_telemetry:
         Collect :mod:`repro.obs` metrics and spans for this run into
         ``LinkRun.telemetry``.  Work-scoped telemetry is bit-identical
-        across worker counts; pass False to measure the raw pipeline
-        (the toggle ``benchmarks/bench_runtime.py`` uses to price the
-        instrumentation).
+        across worker counts.  Pass False to skip the metrics and leave
+        ``LinkRun.telemetry`` as None; the stage spans behind
+        ``LinkRun.runtime`` are recorded either way, so the overhead
+        ``benchmarks/bench_runtime.py`` measures with this toggle is
+        that of the metrics and live telemetry, not of the spans.
     """
     wall0 = time.perf_counter()
     sender = InFrameSender(config, video, schedule=schedule, panel=panel)
@@ -272,8 +273,8 @@ def run_link(
         )
     heal_on = heal if heal is not None else compiled is not None
     healing: HealingReport | None = None
-    timers = execution.timers
-    with timers.stage("decide"), _maybe_span(telemetry, "decide"):
+    tracer = execution.tracer
+    with tracer.span("decide"):
         if heal_on:
             decoded_all, healing = receiver.decoder.decide_observations_healed(
                 observations
@@ -292,7 +293,7 @@ def run_link(
         raise ValueError(
             "no fully covered data frames; lengthen the video or reduce warmup"
         )
-    with timers.stage("score"), _maybe_span(telemetry, "score"):
+    with tracer.span("score"):
         truths = [sender.stream.ground_truth(d.index) for d in decoded]
         stats = summarize_link(truths, decoded, config)
     run_telemetry: RunTelemetry | None = None
@@ -323,7 +324,7 @@ def run_link(
         bits=stats.n_data_frames * config.bits_per_frame,
         elapsed_s=time.perf_counter() - wall0,
         retries=execution.retries,
-        stages=timers.as_dict(),
+        stages=stage_totals(s for s in tracer.records if s.name in LINK_STAGES),
         crashed_chunks=execution.crashed_chunks,
         serial_fallback=execution.serial_fallback,
     )
@@ -343,13 +344,6 @@ def run_link(
         degradation=degradation,
         telemetry=run_telemetry,
     )
-
-
-def _maybe_span(telemetry: Telemetry | None, name: str) -> AbstractContextManager[None]:
-    """A work span on the parent track, or a no-op when telemetry is off."""
-    if telemetry is None:
-        return nullcontext()
-    return telemetry.tracer.span(name)
 
 
 # ----------------------------------------------------------------------
@@ -529,6 +523,7 @@ def run_transport_link(
         "blackout_rounds": 0,
     }
     telemetry = Telemetry(track="transport") if collect_telemetry else None
+    tracer = telemetry.tracer if telemetry is not None else SpanTracer(track="transport")
     live = live_collector()
     if telemetry is not None and live is not None:
         live.attach(telemetry.metrics, prefix="transport.")
@@ -541,14 +536,7 @@ def run_transport_link(
             faults.for_round(counters["rounds"]) if faults is not None else None
         )
         schedule = PacketSchedule(config, codec, packets)
-        span: AbstractContextManager[None] = (
-            telemetry.tracer.span(
-                "transport.round", round=counters["rounds"], packets=len(packets)
-            )
-            if telemetry is not None
-            else nullcontext()
-        )
-        with span:
+        with tracer.span("transport.round", round=counters["rounds"], packets=len(packets)):
             run = run_link(
                 config,
                 video,

@@ -43,7 +43,7 @@ from repro.obs.live import (
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.profile import ProfileReport, SamplingProfiler
 from repro.obs.telemetry import RunTelemetry, Telemetry
-from repro.obs.trace import SpanRecord, SpanTracer, chrome_trace
+from repro.obs.trace import SpanRecord, SpanTracer, chrome_trace, stage_totals
 
 __all__ = [
     "Counter",
@@ -64,4 +64,5 @@ __all__ = [
     "parse_prometheus",
     "record_live",
     "render_prometheus",
+    "stage_totals",
 ]

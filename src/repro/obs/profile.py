@@ -1,15 +1,16 @@
 """A lightweight sampling profiler with per-stage aggregation.
 
-The deterministic timers in :mod:`repro.runtime.profiler` answer "how
-long did each stage take"; they cannot answer "where *inside* render is
-the time going" without instrumenting every function.  This sampler
-answers that statistically: a daemon thread (or, opt-in, a SIGPROF
-timer) captures the target thread's Python stack every few
-milliseconds, aggregates identical stacks, and buckets every sample by
-the innermost pipeline stage on the stack -- so one profile shows both
-the stage split and the hot call paths, exportable as collapsed stacks
-for any flamegraph renderer (``stackcollapse`` format: one
-``frame;frame;frame count`` line per unique stack).
+The stage spans of :mod:`repro.obs.trace` answer "how long did each
+stage take" (``RuntimeReport.stages``); they cannot answer "where
+*inside* render is the time going" without instrumenting every
+function.  This sampler answers that statistically: a daemon thread (or,
+opt-in, a SIGPROF timer) captures the target thread's Python stack every
+few milliseconds, aggregates identical stacks, and buckets every sample
+by the innermost pipeline stage on the stack.  The buckets carry the
+span names, so the sampled split and the timed split line up.  One
+profile shows both the stage split and the hot call paths, exportable
+as collapsed stacks for any flamegraph renderer (``stackcollapse``
+format: one ``frame;frame;frame count`` line per unique stack).
 
 Sampling is exec-scoped by nature (which samples land depends on
 scheduling, never on the work), so the profiler lives entirely outside
@@ -37,23 +38,24 @@ import types
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
-#: Function names that mark a pipeline stage when seen on the stack.
-#: The innermost match wins, so helper frames under ``render`` still
-#: bucket as render.  Mirrors the stage taxonomy of
-#: :class:`repro.runtime.profiler.StageTimers` and the campaign layer.
+#: ``module:function`` stack labels that mark a pipeline stage.  The
+#: innermost match wins, so helper frames under ``render`` still bucket
+#: as render.  Each link stage is named after the span
+#: (``repro.runtime.profiler.LINK_STAGES``) its function runs inside.
 STAGE_FUNCTIONS: Mapping[str, str] = {
     # link pipeline stages
-    "render_frame": "render",
-    "prepare_stream": "render",
-    "capture_frame": "observe",
-    "observe": "observe",
-    "decide_observations": "decide",
-    "decide_observations_healed": "decide",
-    "summarize_link": "score",
+    "repro.camera.capture:capture_frame": "render",
+    "repro.faults.inject:capture_frame": "render",
+    "repro.core.decoder:observe": "observe",
+    "repro.runtime.shm:write": "transfer",
+    "repro.runtime.shm:read": "transfer",
+    "repro.core.decoder:decide_observations": "decide",
+    "repro.core.decoder:decide_observations_healed": "decide",
+    "repro.core.metrics:summarize_link": "score",
     # transport / serve / campaign layers
-    "run_transport_link": "transport",
-    "_simulate_receiver": "serve",
-    "execute_unit": "campaign",
+    "repro.core.pipeline:run_transport_link": "transport",
+    "repro.serve.fanout:_simulate_receiver": "serve",
+    "repro.campaign.units:execute_unit": "campaign",
 }
 
 #: Default sampling period: 5 ms ~ 200 Hz, cheap enough to leave on.
@@ -75,8 +77,7 @@ def _frame_labels(frame: types.FrameType | None) -> tuple[str, ...]:
 def stage_of(stack: tuple[str, ...]) -> str:
     """The stage bucket of one sampled stack (innermost marker wins)."""
     for label in reversed(stack):
-        name = label.rsplit(":", 1)[-1]
-        stage = STAGE_FUNCTIONS.get(name)
+        stage = STAGE_FUNCTIONS.get(label)
         if stage is not None:
             return stage
     return "other"

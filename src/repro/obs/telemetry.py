@@ -4,9 +4,10 @@
 metrics registry plus one span tracer.  Workers build their own (with a
 deterministic track name from the chunk plan), :meth:`Telemetry.export`
 it into plain JSON-ready data that rides back with each chunk result,
-and the parent folds exports in with :meth:`Telemetry.merge_export` --
-exactly the pattern :mod:`repro.runtime.profiler` established for stage
-timers, and exact for the same reason (integer adds, max-combines).
+and the parent folds exports in with :meth:`Telemetry.merge_export`.
+Metric merges are exact (integer adds, max-combines); the merged spans
+are also the run's stage timings, rolled up by
+:func:`~repro.obs.trace.stage_totals`.
 
 :meth:`Telemetry.finish` freezes the collection into a
 :class:`RunTelemetry`, the record attached to
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import cast
 
 from repro.obs.metrics import MetricDict, MetricsRegistry
-from repro.obs.trace import SpanRecord, SpanTracer, chrome_trace, sort_spans
+from repro.obs.trace import SpanRecord, SpanTracer, chrome_trace, sort_spans, stage_totals
 
 #: Serialized Telemetry/RunTelemetry payload.
 TelemetryDict = dict[str, object]
@@ -183,13 +184,15 @@ class RunTelemetry:
                 lines.append(f"    {name:<{width}s} {text:>10s}{mark}")
         for name in sorted(histograms):
             lines.append("  " + _histogram_block(name, histograms[name]))
-        span_stats = self._span_rollup()
+        span_stats = stage_totals(self.spans)
         if span_stats:
             lines.append("  spans:")
             width = max(len(n) for n in span_stats)
-            for name, (count, total) in span_stats.items():
+            for name in sorted(span_stats):
+                entry = span_stats[name]
                 lines.append(
-                    f"    {name:<{width}s} count={count:<6d} total={total:8.3f} s"
+                    f"    {name:<{width}s} count={entry['calls']:<6d} "
+                    f"total={entry['wall_s']:8.3f} s"
                 )
         events = [span for span in self.spans if span.dur_s is None]
         if events:
@@ -202,15 +205,6 @@ class RunTelemetry:
                     + (f"  ({attrs})" if attrs else "")
                 )
         return "\n".join(lines)
-
-    def _span_rollup(self) -> dict[str, tuple[int, float]]:
-        stats: dict[str, tuple[int, float]] = {}
-        for span in self.spans:
-            if span.dur_s is None:
-                continue
-            count, total = stats.get(span.name, (0, 0.0))
-            stats[span.name] = (count + 1, total + span.dur_s)
-        return dict(sorted(stats.items()))
 
 
 def _histogram_block(name: str, payload: MetricDict) -> str:

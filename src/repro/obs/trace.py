@@ -15,6 +15,11 @@ back with the chunk result; the parent folds them in with
 part of the determinism contract for ``category="work"`` spans; span
 timestamps, of course, are not.
 
+Each span also records the process CPU time it took, so
+:func:`stage_totals` can roll any span collection up into per-name
+``{wall_s, cpu_s, calls}`` totals -- the one source of the run's stage
+timings (``RuntimeReport.stages``) and of the report's span table.
+
 :func:`chrome_trace` renders any span collection as Chrome
 ``trace_event`` JSON loadable in Perfetto or ``chrome://tracing``.
 """
@@ -22,7 +27,7 @@ timestamps, of course, are not.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import cast
@@ -42,6 +47,8 @@ class SpanRecord:
 
     ``start_s`` is a raw :func:`time.perf_counter` reading; consumers
     subtract the collection's minimum to get a run-relative timeline.
+    ``cpu_s`` is the :func:`time.process_time` the span took -- None for
+    instant events and for records written before spans carried it.
     """
 
     name: str
@@ -52,6 +59,7 @@ class SpanRecord:
     start_s: float
     dur_s: float | None
     attrs: dict[str, AttrValue]
+    cpu_s: float | None = None
 
     def as_dict(self) -> dict[str, object]:
         """JSON-ready form."""
@@ -63,6 +71,7 @@ class SpanRecord:
             "parent_id": self.parent_id,
             "start_s": self.start_s,
             "dur_s": self.dur_s,
+            "cpu_s": self.cpu_s,
             "attrs": dict(self.attrs),
         }
 
@@ -71,6 +80,7 @@ class SpanRecord:
         """Rebuild a record from :meth:`as_dict` output."""
         parent = cast("int | None", payload["parent_id"])
         dur = cast("float | None", payload["dur_s"])
+        cpu = cast("float | None", payload.get("cpu_s"))
         attrs = cast("dict[str, AttrValue]", payload.get("attrs") or {})
         return SpanRecord(
             name=str(payload["name"]),
@@ -81,6 +91,7 @@ class SpanRecord:
             start_s=float(cast(float, payload["start_s"])),
             dur_s=None if dur is None else float(dur),
             attrs=dict(attrs),
+            cpu_s=None if cpu is None else float(cpu),
         )
 
 
@@ -100,16 +111,18 @@ class SpanTracer:
 
     @contextmanager
     def span(self, name: str, category: str = WORK, **attrs: AttrValue) -> Iterator[None]:
-        """Time a ``with`` block as one span under the current parent."""
+        """Time a ``with`` block (wall and CPU) as one span under the current parent."""
         span_id = self._next_id
         self._next_id += 1
         parent = self._stack[-1] if self._stack else None
         self._stack.append(span_id)
         start = time.perf_counter()
+        cpu0 = time.process_time()
         try:
             yield
         finally:
             dur = time.perf_counter() - start
+            cpu = time.process_time() - cpu0
             self._stack.pop()
             self._records.append(
                 SpanRecord(
@@ -121,6 +134,7 @@ class SpanTracer:
                     start_s=start,
                     dur_s=dur,
                     attrs=attrs,
+                    cpu_s=cpu,
                 )
             )
 
@@ -158,6 +172,23 @@ class SpanTracer:
 def sort_spans(records: Sequence[SpanRecord]) -> list[SpanRecord]:
     """Records in canonical display order: by start time, then track/id."""
     return sorted(records, key=lambda r: (r.start_s, r.track, r.span_id))
+
+
+def stage_totals(records: Iterable[SpanRecord]) -> dict[str, dict[str, float | int]]:
+    """Per-name ``{wall_s, cpu_s, calls}`` totals of the completed spans.
+
+    Instant events are skipped, and a span without a CPU reading adds no
+    CPU time.  Names appear in the order their first span completed.
+    """
+    totals: dict[str, dict[str, float | int]] = {}
+    for record in records:
+        if record.dur_s is None:
+            continue
+        entry = totals.setdefault(record.name, {"wall_s": 0.0, "cpu_s": 0.0, "calls": 0})
+        entry["wall_s"] += record.dur_s
+        entry["cpu_s"] += record.cpu_s or 0.0
+        entry["calls"] += 1
+    return totals
 
 
 def chrome_trace(records: Sequence[SpanRecord]) -> dict[str, object]:

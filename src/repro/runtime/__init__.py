@@ -11,8 +11,8 @@ bit:
   frames between processes without pickling them;
 * :mod:`~repro.runtime.engine` -- a crash-tolerant process-pool mapper
   with windowed dispatch, bounded retry and serial fallback;
-* :mod:`~repro.runtime.profiler` -- per-stage wall/CPU timers merged into
-  a :class:`RuntimeReport` (frames/sec, bits/sec, stage breakdown);
+* :mod:`~repro.runtime.profiler` -- the :class:`RuntimeReport`
+  (frames/sec, bits/sec, and the stage breakdown rolled up from spans);
 * :mod:`~repro.runtime.link_exec` -- the capture+observe job that
   ``run_link(..., workers=N)`` dispatches.
 
@@ -26,7 +26,7 @@ from repro.runtime.engine import (
     resolve_start_method,
 )
 from repro.runtime.link_exec import LinkExecution, execute_link_captures
-from repro.runtime.profiler import RuntimeReport, StageTimers, StageTiming
+from repro.runtime.profiler import RuntimeReport
 from repro.runtime.scheduler import WorkChunk, plan_chunks, spawn_rng
 from repro.runtime.shm import SharedFramePool, SlotRef, shared_memory_available
 
@@ -37,8 +37,6 @@ __all__ = [
     "RuntimeReport",
     "SharedFramePool",
     "SlotRef",
-    "StageTimers",
-    "StageTiming",
     "WorkChunk",
     "default_workers",
     "execute_link_captures",

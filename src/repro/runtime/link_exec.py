@@ -4,8 +4,8 @@ One work item is a :class:`~repro.runtime.scheduler.WorkChunk` of camera
 frame indices.  A worker renders each capture from the display timeline
 (with the capture's own spawn-keyed RNG), extracts the decoder's noise
 observation, parks the pixels in a shared-memory slot, and sends back
-only slot handles, observations and timings.  The parent drains slots as
-chunks complete and reassembles the ordered capture/observation lists --
+only slot handles, observations and its stage spans.  The parent drains
+slots as chunks complete and reassembles the ordered capture/observation lists --
 bit-identical to serial execution, because no randomness is shared
 across captures (see ``docs/runtime.md`` for the contract).
 
@@ -16,8 +16,6 @@ consecutive captures overlap only at chunk boundaries.
 
 from __future__ import annotations
 
-import time
-from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Protocol
 
@@ -25,10 +23,10 @@ import numpy as np
 
 from repro.camera.capture import CapturedFrame, TimelineLike
 from repro.display.scheduler import DisplayTimeline
-from repro.obs import Telemetry
+from repro.obs import SpanTracer, Telemetry
+from repro.obs.telemetry import TelemetryDict
 from repro.obs.trace import EXEC
 from repro.runtime.engine import ExecutionEngine
-from repro.runtime.profiler import StageTimers
 from repro.runtime.scheduler import WorkChunk, plan_chunks
 from repro.runtime.shm import SharedFramePool, SlotRef, shared_memory_available
 
@@ -92,13 +90,17 @@ class _CaptureRecord:
 @dataclass(frozen=True)
 class _ChunkResult:
     records: tuple[_CaptureRecord, ...]
-    timings: dict
-    telemetry: dict[str, object] | None = None
+    telemetry: TelemetryDict  # the chunk's spans, plus metrics when collected
 
 
 @dataclass(frozen=True)
 class LinkExecution:
-    """Ordered outputs of the capture+observe stages, plus accounting."""
+    """Ordered outputs of the capture+observe stages, plus accounting.
+
+    ``tracer`` holds every stage span of the run so far (the caller's
+    telemetry tracer when one was given); the caller adds its own stages
+    and rolls them up into ``RuntimeReport.stages``.
+    """
 
     captures: list[CapturedFrame]
     observations: list[BlockObservation]
@@ -106,7 +108,7 @@ class LinkExecution:
     workers: int
     chunks: int
     retries: int
-    timers: StageTimers
+    tracer: SpanTracer
     crashed_chunks: tuple[int, ...] = ()
     serial_fallback: bool = False
 
@@ -115,23 +117,21 @@ def _capture_chunk(task: _ChunkTask, ctx: _LinkContext) -> _ChunkResult:
     """Render, film and observe every capture of one chunk (worker side)."""
     from repro.core.decoder import record_observation_telemetry
 
-    timers = StageTimers()
-    telemetry = None
-    if ctx.collect_telemetry:
-        # A deterministic track name from the chunk plan keeps (track,
-        # span_id) unique after the parent merges all chunk exports.
-        telemetry = Telemetry(track=f"chunk-{task.chunk.index:03d}")
+    # A deterministic track name from the chunk plan keeps (track,
+    # span_id) unique after the parent merges all chunk exports.
+    telemetry = Telemetry(track=f"chunk-{task.chunk.index:03d}")
+    tracer = telemetry.tracer
     records = []
     for position, index in enumerate(task.chunk.items):
         rng = task.chunk.item_rng(index)
-        with timers.stage("render"), _maybe_span(telemetry, "render", index):
+        with tracer.span("render", capture=index):
             capture = ctx.camera.capture_frame(ctx.timeline, index, rng=rng)
-        with timers.stage("observe"), _maybe_span(telemetry, "observe", index):
+        with tracer.span("observe", capture=index):
             observation = ctx.decoder.observe(capture)
-        if telemetry is not None:
+        if ctx.collect_telemetry:
             record_observation_telemetry(observation, telemetry)
         if task.slots is not None:
-            with timers.stage("transfer"):
+            with tracer.span("transfer", category=EXEC):
                 slot = ctx.pool.write(task.slots[position], capture.pixels)
             pixels = None
         else:
@@ -146,20 +146,7 @@ def _capture_chunk(task: _ChunkTask, ctx: _LinkContext) -> _ChunkResult:
                 observation=observation,
             )
         )
-    return _ChunkResult(
-        records=tuple(records),
-        timings=timers.as_dict(),
-        telemetry=telemetry.export() if telemetry is not None else None,
-    )
-
-
-def _maybe_span(
-    telemetry: Telemetry | None, name: str, capture: int
-) -> AbstractContextManager[None]:
-    """A telemetry span for one pipeline stage, or a no-op when disabled."""
-    if telemetry is None:
-        return nullcontext()
-    return telemetry.tracer.span(name, capture=capture)
+    return _ChunkResult(records=tuple(records), telemetry=telemetry.export())
 
 
 def execute_link_captures(
@@ -179,10 +166,11 @@ def execute_link_captures(
     memory) but on the same per-capture RNG streams and the same code
     path, so the results are identical either way.
 
-    When *telemetry* is given, workers collect per-capture metrics and
-    spans locally (on ``chunk-NNN`` tracks) and their exports are folded
-    into it as chunks drain; scheduling and shared-memory accounting land
-    in exec-scoped metrics on the parent side.
+    Workers always record ``render``/``observe``/``transfer`` spans on
+    ``chunk-NNN`` tracks, folded into ``LinkExecution.tracer`` as chunks
+    drain.  When *telemetry* is given, that tracer is its own, workers
+    also collect per-capture metrics, and scheduling and shared-memory
+    accounting land in exec-scoped metrics on the parent side.
     """
     serial = workers is None or int(workers) <= 1
     engine = ExecutionEngine(workers=1 if serial else int(workers),
@@ -211,7 +199,9 @@ def execute_link_captures(
         pool=pool,
         collect_telemetry=telemetry is not None,
     )
-    timers = StageTimers()
+    # Chunk exports fold into a throwaway collector when the caller takes
+    # no telemetry: their spans are still the run's stage timings.
+    sink = telemetry if telemetry is not None else Telemetry(track="main")
     by_index: dict[int, tuple[CapturedFrame, BlockObservation]] = {}
     if telemetry is not None:
         telemetry.metrics.counter("exec.chunks", scope=EXEC).inc(len(chunks))
@@ -231,10 +221,8 @@ def execute_link_captures(
         return prepared
 
     def drain(_i: int, result: _ChunkResult) -> None:
-        timers.merge(result.timings)
-        if telemetry is not None and result.telemetry is not None:
-            telemetry.merge_export(result.telemetry)
-        with timers.stage("transfer"):
+        sink.merge_export(result.telemetry)
+        with sink.tracer.span("transfer", category=EXEC):
             for record in result.records:
                 if record.slot is not None:
                     pixels = pool.read(record.slot, copy=True)
@@ -277,12 +265,7 @@ def execute_link_captures(
         workers=engine.workers,
         chunks=len(chunks),
         retries=engine.stats.retries,
-        timers=timers,
+        tracer=sink.tracer,
         crashed_chunks=tuple(engine.stats.crashed_items),
         serial_fallback=engine.stats.mode == "serial-fallback",
     )
-
-
-def wall_clock() -> float:
-    """The parent-side wall clock the reports are stamped with."""
-    return time.perf_counter()

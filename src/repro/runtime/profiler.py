@@ -1,87 +1,22 @@
-"""Lightweight observability: per-stage timers and the run report.
+"""The run report: throughput plus where the time went, per stage.
 
-Workers time their stages locally (wall clock and CPU clock), the
-timings ride back with each chunk's result, and the parent merges them
-into one :class:`RuntimeReport` -- frames/sec, bits/sec and a per-stage
+:class:`RuntimeReport` carries frames/sec, bits/sec and a per-stage
 breakdown that :func:`repro.core.pipeline.run_link`, the CLIs and the
-benchmarks surface.  The timers are plain counters, cheap enough to stay
-on unconditionally.
+benchmarks surface.  The breakdown is not timed here: every stage runs
+inside a :mod:`repro.obs.trace` span (workers' spans ride back with
+their chunk results), and the report's ``stages`` are those spans rolled
+up by :func:`~repro.obs.trace.stage_totals` -- so ``--profile``, the
+telemetry trace and the sampling profiler's buckets share one set of
+stage names.
 """
 
 from __future__ import annotations
 
-import time
-from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-
-@dataclass
-class StageTiming:
-    """Accumulated cost of one pipeline stage."""
-
-    wall_s: float = 0.0
-    cpu_s: float = 0.0
-    calls: int = 0
-
-    def add(self, wall_s: float, cpu_s: float, calls: int = 1) -> None:
-        self.wall_s += wall_s
-        self.cpu_s += cpu_s
-        self.calls += calls
-
-    def as_dict(self) -> dict[str, float | int]:
-        return {"wall_s": self.wall_s, "cpu_s": self.cpu_s, "calls": self.calls}
-
-
-class StageTimers:
-    """A named collection of :class:`StageTiming` counters."""
-
-    def __init__(self) -> None:
-        self._stages: dict[str, StageTiming] = {}
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Time a ``with`` block under *name* (wall + CPU)."""
-        wall0 = time.perf_counter()
-        cpu0 = time.process_time()
-        try:
-            yield
-        finally:
-            self._timing(name).add(
-                time.perf_counter() - wall0, time.process_time() - cpu0
-            )
-
-    def _timing(self, name: str) -> StageTiming:
-        timing = self._stages.get(name)
-        if timing is None:
-            timing = self._stages[name] = StageTiming()
-        return timing
-
-    def merge(self, other: "StageTimers | dict[str, dict[str, float | int]]") -> None:
-        """Fold another timer set (or its serialized form) into this one.
-
-        The dict form accepts any ``as_dict``-shaped payload: missing
-        fields default to zero and extra keys are ignored, so timings
-        recorded by a newer (or older) serializer still merge instead of
-        raising ``TypeError``.
-        """
-        if isinstance(other, StageTimers):
-            items = [(k, t.wall_s, t.cpu_s, t.calls) for k, t in other._stages.items()]
-        else:
-            items = [
-                (
-                    k,
-                    float(v.get("wall_s", 0.0)),
-                    float(v.get("cpu_s", 0.0)),
-                    int(v.get("calls", 0)),
-                )
-                for k, v in other.items()
-            ]
-        for name, wall_s, cpu_s, calls in items:
-            self._timing(name).add(wall_s, cpu_s, calls)
-
-    def as_dict(self) -> dict[str, dict[str, float | int]]:
-        return {name: timing.as_dict() for name, timing in self._stages.items()}
+#: The link pipeline's stage spans, in pipeline order: the keys of
+#: :attr:`RuntimeReport.stages` for a ``run_link`` run.
+LINK_STAGES = ("render", "observe", "transfer", "decide", "score")
 
 
 @dataclass(frozen=True)
@@ -183,9 +118,12 @@ class RuntimeReport:
         reports = [r for r in reports if r is not None]
         if not reports:
             return None
-        timers = StageTimers()
+        stages: dict[str, dict[str, float | int]] = {}
         for report in reports:
-            timers.merge(report.stages)
+            for name, entry in report.stages.items():
+                total = stages.setdefault(name, {"wall_s": 0.0, "cpu_s": 0.0, "calls": 0})
+                for key in total:
+                    total[key] += entry[key]
         modes = {r.mode for r in reports}
         return RuntimeReport(
             mode=modes.pop() if len(modes) == 1 else "mixed",
@@ -195,7 +133,7 @@ class RuntimeReport:
             bits=sum(r.bits for r in reports),
             elapsed_s=sum(r.elapsed_s for r in reports),
             retries=sum(r.retries for r in reports),
-            stages=timers.as_dict(),
+            stages=stages,
             crashed_chunks=tuple(i for r in reports for i in r.crashed_chunks),
             serial_fallback=any(r.serial_fallback for r in reports),
         )

@@ -19,11 +19,13 @@ spans the repo's whole bench history.
 ``ingest`` appends one run per result file to the trajectory
 (:data:`PERF_FORMAT`, committed at :data:`DEFAULT_TRAJECTORY`);
 ``check`` compares the current results against a rolling baseline (the
-mean of the last ``--window`` ingested runs per bench) and exits 1 when
+mean of the last ``--window`` ingested runs per bench, on the result's
+``usable_cpus`` when the trajectory has such runs) and exits 1 when
 any *directional* metric regressed past its threshold.  Direction is
 inferred from the metric name -- ``elapsed_s``-style timings regress
 upward, ``frames_per_s``-style rates regress downward; metrics with no
-inferable direction are tracked but never gated.
+inferable direction are tracked but never gated, and so are timings
+under :data:`NOISE_FLOOR_S` on both sides.
 """
 
 from __future__ import annotations
@@ -50,6 +52,12 @@ DEFAULT_THRESHOLD = 0.2
 #: Rolling-baseline window: how many most-recent ingested runs average
 #: into the baseline a ``check`` compares against.
 DEFAULT_WINDOW = 5
+
+#: Seconds-valued timings below this in both baseline and current are
+#: tracked but not gated: a stage that takes tens of milliseconds (a
+#: run's ``score`` or ``decide``) moves by more than the budget with host
+#: load and CPU count alone.
+NOISE_FLOOR_S = 0.1
 
 #: Envelope keys that are identity/bookkeeping, not performance leaves.
 _ENVELOPE_KEYS = ("schema", "bench", "quick", "metrics")
@@ -258,8 +266,9 @@ def compare(
 
     Each row carries the metric, both values, the signed relative delta,
     the inferred direction, and whether it regressed past its threshold.
-    Metrics missing from either side, zero baselines, and undirected
-    metrics are tracked as rows but never flagged.
+    Metrics missing from either side and zero baselines are skipped;
+    undirected metrics and timings under :data:`NOISE_FLOOR_S` on both
+    sides are tracked as rows but never flagged.
     """
     rows: list[dict[str, object]] = []
     overrides = metric_thresholds or {}
@@ -270,12 +279,18 @@ def compare(
             continue
         delta = (cur - base) / abs(base)
         direction = metric_direction(name)
-        budget = overrides.get(name.rsplit(".", 1)[-1], overrides.get(name, threshold))
+        leaf = name.rsplit(".", 1)[-1]
+        budget = overrides.get(leaf, overrides.get(name, threshold))
+        tiny = (
+            leaf.endswith("_s")
+            and not leaf.endswith("_per_s")
+            and max(base, cur) < NOISE_FLOOR_S
+        )
         regressed = False
         if direction == "lower":
-            regressed = delta > budget
+            regressed = delta > budget and not tiny
         elif direction == "higher":
-            regressed = delta < -budget
+            regressed = delta < -budget and not tiny
         rows.append(
             {
                 "metric": name,
@@ -399,10 +414,21 @@ def _cmd_check(args: argparse.Namespace) -> int:
     results = load_results(args.results)
     report: list[dict[str, object]] = []
     regressions = 0
+    runs = trajectory["runs"]
+    assert isinstance(runs, list)
     for record in results:
         bench = str(record["bench"])
         quick = bool(record["quick"])
-        baseline = baseline_for(trajectory, bench, quick, window=args.window)
+        # Timings from hosts with other CPU counts are not comparable:
+        # baseline on same-count runs, falling back to every run only
+        # when the trajectory has none.
+        cpus = record.get("usable_cpus")
+        same_cpus: dict[str, object] = {
+            "runs": [r for r in runs if isinstance(r, dict) and r.get("usable_cpus") == cpus]
+        }
+        baseline = baseline_for(same_cpus, bench, quick, window=args.window) or baseline_for(
+            trajectory, bench, quick, window=args.window
+        )
         metrics = record["metrics"]
         assert isinstance(metrics, dict)
         rows = compare(

@@ -9,12 +9,15 @@ profiler -- must leave the exact-merge artifact (``metrics_json()`` /
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import io
 import json
 import time
 
 import pytest
 
+from repro.analysis.experiments import ExperimentScale
 from repro.camera.capture import CameraModel
 from repro.campaign.supervise import JournalTail, LeaseHealth, SupervisePolicy
 from repro.core.pipeline import run_link
@@ -31,7 +34,7 @@ from repro.obs.live import (
     record_live,
     render_prometheus,
 )
-from repro.obs.profile import ProfileReport, SamplingProfiler, stage_of
+from repro.obs.profile import STAGE_FUNCTIONS, ProfileReport, SamplingProfiler, stage_of
 from repro.tools import perf as perf_tool
 from repro.tools import watch as watch_tool
 from repro.tools.perf import (
@@ -255,9 +258,40 @@ class TestSamplingProfiler:
         assert path.read_text() == "m:f 1\n"
 
     def test_stage_bucketing_innermost_wins(self):
-        assert stage_of(("mod:main", "pipeline:render_frame")) == "render"
-        assert stage_of(("pipeline:render_frame", "camera:capture_frame")) == "observe"
+        capture = "repro.camera.capture:capture_frame"
+        assert stage_of(("mod:main", capture, "mod:helper")) == "render"
+        assert stage_of(("repro.core.pipeline:run_transport_link", capture)) == "render"
         assert stage_of(("mod:main", "mod:helper")) == "other"
+        # Same function name, other module: not a pipeline stage.
+        assert stage_of(("mod:main", "repro.obs.metrics:observe")) == "other"
+
+    def test_stage_table_names_real_functions_and_span_stages(self):
+        for label in STAGE_FUNCTIONS:
+            module_name, function = label.split(":")
+            module = importlib.import_module(module_name)
+            defined = set()
+            for obj in vars(module).values():
+                if getattr(obj, "__module__", None) != module_name:
+                    continue
+                if inspect.isfunction(obj):
+                    defined.add(obj.__name__)
+                elif inspect.isclass(obj):
+                    defined.update(n for n, f in vars(obj).items() if inspect.isfunction(f))
+            assert function in defined, label
+        # The link-stage buckets are the span names RuntimeReport.stages
+        # reports, and capture dominates a quick run's samples as it does
+        # its timed stages.
+        scale = ExperimentScale.quick()
+        profiler = SamplingProfiler()
+        with profiler:
+            run = run_link(
+                scale.config(amplitude=20.0, tau=12), scale.video("gray"),
+                camera=scale.camera(), seed=1,
+            )
+        link_stages = set(STAGE_FUNCTIONS.values()) - {"transport", "serve", "campaign"}
+        assert link_stages <= set(run.runtime.stages)
+        by_stage = profiler.report().by_stage
+        assert max(by_stage, key=by_stage.__getitem__) == "render"
 
     def test_empty_report_summary(self):
         profiler = SamplingProfiler()
@@ -694,6 +728,35 @@ class TestPerfGate:
         ) == 0
         capsys.readouterr()
 
+    def test_check_baselines_on_runs_with_the_same_cpu_count(self, tmp_path, capsys):
+        results = tmp_path / "results"
+        results.mkdir()
+        trajectory = tmp_path / "perf_trajectory.json"
+
+        def write(elapsed, cpus):
+            record = {"runs": [{"elapsed_s": elapsed}], "usable_cpus": cpus}
+            record = bench_envelope(record, bench="runtime", quick=True)
+            (results / "bench_runtime_quick.json").write_text(json.dumps(record))
+
+        def check():
+            return self._cli(
+                "check", "--results", str(results), "--trajectory", str(trajectory)
+            )
+
+        # A slow 1-CPU run, then a fast 2-CPU one: their mean (6 s) would
+        # hide a 30% slowdown on the 2-CPU host.
+        for elapsed, cpus in ((10.0, 1), (2.0, 2)):
+            write(elapsed, cpus)
+            self._cli("ingest", "--results", str(results), "--trajectory", str(trajectory))
+        write(2.0 * 1.3, 2)
+        assert check() == 1
+        # No run on this CPU count: the baseline falls back to every run.
+        write(6.0 * 1.3, 4)
+        assert check() == 1
+        write(6.0, 4)
+        assert check() == 0
+        capsys.readouterr()
+
     def test_check_without_baseline_passes(self, tmp_path, capsys):
         results = self._results_dir(tmp_path)
         trajectory = tmp_path / "perf_trajectory.json"
@@ -751,3 +814,15 @@ class TestPerfGate:
         assert by_metric["elapsed_s"]["regressed"] is True
         assert by_metric["workers"]["regressed"] is False
         assert by_metric["workers"]["direction"] is None
+
+    def test_compare_tracks_but_does_not_gate_tiny_timings(self):
+        rows = compare(
+            {"stages.score.wall_s": 0.034, "elapsed_s": 0.2, "overhead_ratio": 0.05},
+            {"stages.score.wall_s": 0.0283, "elapsed_s": 0.09, "overhead_ratio": 0.02},
+            threshold=0.2,
+        )
+        by_metric = {row["metric"]: row for row in rows}
+        assert by_metric["stages.score.wall_s"]["regressed"] is False
+        # Above the floor on either side, and ratios at any size, stay gated.
+        assert by_metric["elapsed_s"]["regressed"] is True
+        assert by_metric["overhead_ratio"]["regressed"] is True

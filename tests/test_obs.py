@@ -359,6 +359,28 @@ class TestLinkTelemetry:
         )
         assert run.telemetry is None
 
+    def test_runtime_stages_are_the_stage_spans(self, small_config, small_video):
+        def run(**kwargs):
+            camera = CameraModel(width=75, height=54)
+            return run_link(small_config, small_video, camera=camera, seed=4, **kwargs)
+
+        def calls(link_run):
+            return {name: entry["calls"] for name, entry in link_run.runtime.stages.items()}
+
+        on, off = run(), run(collect_telemetry=False)
+        assert off.telemetry is None
+        assert calls(on) == calls(off)
+        assert set(calls(on)) == {"render", "observe", "transfer", "decide", "score"}
+        assert all(set(e) == {"wall_s", "cpu_s", "calls"} for e in on.runtime.stages.values())
+        spans = on.telemetry.span_counts()
+        for name in ("render", "observe", "decide", "score"):
+            assert calls(on)[name] == spans[name]
+        # The engine's exec.pool_pass span stays out of the stage table.
+        parallel = run(workers=2)
+        assert set(calls(parallel)) == set(calls(on))
+        if parallel.runtime.mode == "parallel":
+            assert "exec.pool_pass" in parallel.telemetry.span_counts()
+
     def test_meta_records_execution_shape(self, small_config, small_video):
         run = self._run(small_config, small_video, 4)
         meta = run.telemetry.meta

@@ -23,17 +23,16 @@ import pytest
 
 from repro.analysis.experiments import ExperimentScale
 from repro.core.pipeline import run_link
+from repro.obs import SpanRecord, SpanTracer, stage_totals
 from repro.runtime import (
     ExecutionEngine,
     RuntimeReport,
     SharedFramePool,
-    StageTimers,
     plan_chunks,
     shared_memory_available,
     spawn_rng,
 )
 from repro.runtime.engine import resolve_start_method
-from repro.runtime.profiler import StageTiming
 
 
 # ----------------------------------------------------------------------
@@ -369,19 +368,59 @@ class TestExecutionEngine:
 # ----------------------------------------------------------------------
 # Profiler
 # ----------------------------------------------------------------------
+def _span(name: str, dur_s: float | None, cpu_s: float | None) -> SpanRecord:
+    return SpanRecord(
+        name=name,
+        category="work",
+        track="main",
+        span_id=1,
+        parent_id=None,
+        start_s=0.0,
+        dur_s=dur_s,
+        attrs={},
+        cpu_s=cpu_s,
+    )
+
+
 class TestProfiler:
-    def test_stage_timers_merge(self):
-        a, b = StageTimers(), StageTimers()
-        with a.stage("render"):
+    def test_stage_totals_count_calls_per_name(self):
+        tracer = SpanTracer()
+        with tracer.span("render"):
             pass
-        with b.stage("render"):
+        with tracer.span("render"):
             pass
-        with b.stage("decide"):
+        with tracer.span("decide"):
             pass
-        a.merge(b)
-        merged = a.as_dict()
-        assert merged["render"]["calls"] == 2
-        assert merged["decide"]["calls"] == 1
+        totals = stage_totals(tracer.records)
+        assert list(totals) == ["render", "decide"]
+        assert totals["render"]["calls"] == 2
+        assert totals["decide"]["calls"] == 1
+        assert set(totals["render"]) == {"wall_s", "cpu_s", "calls"}
+        assert totals["render"]["cpu_s"] >= 0.0
+
+    def test_stage_totals_skip_instant_events(self):
+        tracer = SpanTracer()
+        with tracer.span("decide"):
+            tracer.event("heal.resync", capture=3)
+        assert set(stage_totals(tracer.records)) == {"decide"}
+
+    def test_stage_totals_sum_wall_and_cpu(self):
+        totals = stage_totals(
+            [_span("render", 1.5, 0.5), _span("render", 0.5, 0.25), _span("score", 2.0, None)]
+        )
+        assert totals["render"] == {"wall_s": 2.0, "cpu_s": 0.75, "calls": 2}
+        # A record without a CPU reading (an old repro.obs/1 file) adds 0 CPU.
+        assert totals["score"] == {"wall_s": 2.0, "cpu_s": 0.0, "calls": 1}
+
+    def test_report_merge_sums_stage_dicts(self):
+        def report(wall_s, calls):
+            return RuntimeReport(
+                mode="serial", workers=1, chunks=1, frames=calls, bits=0, elapsed_s=wall_s,
+                stages={"render": {"wall_s": wall_s, "cpu_s": wall_s / 2, "calls": calls}},
+            )
+
+        merged = RuntimeReport.merge([report(1.0, 3), None, report(0.5, 2)])
+        assert merged.stages == {"render": {"wall_s": 1.5, "cpu_s": 0.75, "calls": 5}}
 
     def test_report_rates_and_merge(self):
         r1 = RuntimeReport(
@@ -400,30 +439,6 @@ class TestProfiler:
 
     def test_merge_empty_is_none(self):
         assert RuntimeReport.merge([]) is None
-
-    def test_stage_timing_add_accumulates(self):
-        timing = StageTiming()
-        timing.add(1.5, 0.5)
-        timing.add(0.5, 0.25, calls=3)
-        assert timing.wall_s == pytest.approx(2.0)
-        assert timing.cpu_s == pytest.approx(0.75)
-        assert timing.calls == 4
-        assert timing.as_dict() == {"wall_s": 2.0, "cpu_s": 0.75, "calls": 4}
-
-    def test_merge_dict_form_tolerates_partial_entries(self):
-        timers = StageTimers()
-        timers.merge(
-            {
-                "render": {"wall_s": 1.0, "cpu_s": 0.5, "calls": 2},
-                "observe": {"wall_s": 0.25},  # cpu_s and calls default to zero
-                "decide": {"calls": 1, "queue_depth": 7},  # extra keys ignored
-            }
-        )
-        merged = timers.as_dict()
-        assert merged["render"] == {"wall_s": 1.0, "cpu_s": 0.5, "calls": 2}
-        assert merged["observe"] == {"wall_s": 0.25, "cpu_s": 0.0, "calls": 0}
-        assert merged["decide"] == {"wall_s": 0.0, "cpu_s": 0.0, "calls": 1}
-        assert "queue_depth" not in merged["decide"]
 
 
 # ----------------------------------------------------------------------
