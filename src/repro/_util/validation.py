@@ -63,9 +63,10 @@ def check_frame(frame: np.ndarray, name: str = "frame") -> np.ndarray:
     if not np.issubdtype(arr.dtype, np.number):
         raise TypeError(f"{name} must be numeric, got dtype {arr.dtype}")
     arr = arr.astype(np.float32, copy=False)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
+    # min/max propagate NaN and surface +/-inf, so two passes check both.
     lo, hi = float(arr.min()), float(arr.max())
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"{name} contains non-finite values")
     if lo < -1e-3 or hi > 255.0 + 1e-3:
         raise ValueError(f"{name} values must be in [0, 255], got [{lo}, {hi}]")
     return arr

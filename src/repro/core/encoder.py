@@ -71,7 +71,8 @@ class DataFrameEncoder:
         self.gamma_curve = gamma_curve if gamma_curve is not None else GammaCurve()
         self.pattern = pattern_field(config, geometry)
         self.waveform = SmoothingWaveform(config.tau, config.waveform)
-        self._texture_cache: tuple[int, np.ndarray] | None = None
+        # (frame, deltas): holding the frame keeps its identity from being reused.
+        self._texture_cache: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Static data frames (paper Fig. 4 uses these directly)
@@ -128,15 +129,17 @@ class DataFrameEncoder:
             )
         if bits_next is None:
             bits_next = bits_now
-        envelope = self.envelope_grid(bits_now, bits_next, step)
-        envelope_field = self.geometry.expand_block_grid(envelope)
+        # Envelope times delta is per Block, so it is formed on the Block
+        # grid and expanded once; the steps after that work in place.
+        amplitude = self.envelope_grid(bits_now, bits_next, step)
         if self.config.adaptive_amplitude:
-            delta_field = self.geometry.expand_block_grid(self._adaptive_delta(video))
-            amplitude = envelope_field * delta_field
+            amplitude *= self._adaptive_delta(video)
         else:
-            amplitude = envelope_field * np.float32(self.config.amplitude)
-        headroom = self._headroom(video)
-        return (np.minimum(amplitude, headroom) * self.pattern).astype(np.float32)
+            amplitude *= np.float32(self.config.amplitude)
+        field = self.geometry.expand_block_grid(amplitude)
+        np.minimum(field, self._headroom(video), out=field)
+        field *= self.pattern
+        return field
 
     def multiplexed_pair(
         self,
@@ -147,21 +150,49 @@ class DataFrameEncoder:
     ) -> tuple[np.ndarray, np.ndarray]:
         """The complementary pair ``(V + M, V - M)`` for one iteration.
 
-        With gamma compensation on, the pair is ``(V + c + M, V + c - M)``
+        With gamma compensation on, the pair is ``(V + (M + c), V + (c - M))``
         where ``c`` cancels the fused-luminance brightening.  RGB frames
         receive the same modulation on every channel (a gray chessboard),
         which is how the paper's prototype treats colour content.
         """
         video = check_frame(video_frame, "video_frame")
         modulation = self.modulation_field(video, bits_now, bits_next, step)
-        offset = modulation + self.compensation_field(video, modulation)
-        negative = -modulation + self.compensation_field(video, modulation)
+        compensation = (
+            self.compensation_field(video, modulation)
+            if self.config.gamma_compensation
+            else None
+        )
+        return (
+            self.displayed(video, modulation, compensation, +1),
+            self.displayed(video, modulation, compensation, -1),
+        )
+
+    @staticmethod
+    def displayed(
+        video: np.ndarray,
+        modulation: np.ndarray,
+        compensation: np.ndarray | None,
+        sign: int,
+    ) -> np.ndarray:
+        """One frame of a pair: ``clip(V + (±M + c))``, or ``clip(V ± M)`` without ``c``.
+
+        *sign* is +1 for the even frame and -1 for the odd one.  Neither
+        field is written to, so both frames of a pair can share them.
+        """
+        if compensation is None:
+            offset, combine = modulation, np.add if sign > 0 else np.subtract
+        else:
+            offset = (
+                np.add(modulation, compensation)
+                if sign > 0
+                else np.subtract(compensation, modulation)
+            )
+            combine = np.add
         if video.ndim == 3:
             offset = offset[..., None]
-            negative = negative[..., None]
-        plus = np.clip(video + offset, 0.0, 255.0).astype(np.float32)
-        minus = np.clip(video + negative, 0.0, 255.0).astype(np.float32)
-        return plus, minus
+        frame = combine(video, offset)
+        np.clip(frame, 0.0, 255.0, out=frame)
+        return frame.astype(np.float32, copy=False)
 
     def compensation_field(
         self, video: np.ndarray, modulation: np.ndarray
@@ -192,7 +223,7 @@ class DataFrameEncoder:
     def _adaptive_delta(self, video: np.ndarray) -> np.ndarray:
         """Per-Block amplitude raised where content texture masks it."""
         cached = self._texture_cache
-        if cached is not None and cached[0] == id(video):
+        if cached is not None and cached[0] is video:
             return cached[1]
         rows, cols = self.geometry.data_area_slices()
         flat = video.mean(axis=2) if video.ndim == 3 else video
@@ -209,7 +240,7 @@ class DataFrameEncoder:
             np.float32(self.config.amplitude) + block_texture.astype(np.float32),
             np.float32(cap),
         )
-        self._texture_cache = (id(video), delta)
+        self._texture_cache = (video, delta)
         return delta
 
     # ------------------------------------------------------------------
@@ -222,12 +253,9 @@ class DataFrameEncoder:
         either end of the range, since the gray chessboard moves all
         channels together.
         """
-        if video.ndim == 3:
-            per_pixel = np.minimum(video.min(axis=2), 255.0 - video.max(axis=2)).astype(
-                np.float32
-            )
-        else:
-            per_pixel = np.minimum(video, 255.0 - video).astype(np.float32)
+        low, high = (video.min(axis=2), video.max(axis=2)) if video.ndim == 3 else (video, video)
+        per_pixel = np.subtract(255.0, high)
+        np.minimum(low, per_pixel, out=per_pixel)
         if self.config.clip_mode == "pixel":
             return per_pixel
         # Block mode: the minimum headroom of the Block's *modulated* pixels.
@@ -242,6 +270,4 @@ class DataFrameEncoder:
         tiled = masked.reshape(h_blocks, side, w_blocks, side)
         block_min = tiled.min(axis=(1, 3))
         block_min = np.where(np.isfinite(block_min), block_min, 0.0).astype(np.float32)
-        field = np.zeros_like(per_pixel)
-        field[rows, cols] = np.kron(block_min, np.ones((side, side), dtype=np.float32))
-        return field
+        return self.geometry.expand_block_grid(block_min)

@@ -96,9 +96,8 @@ class FrameGeometry:
             )
         side = self.config.block_side_px
         field = np.zeros((self.frame_height, self.frame_width), dtype=np.float32)
-        expanded = np.kron(grid.astype(np.float32), np.ones((side, side), dtype=np.float32))
         rows, cols = self.data_area_slices()
-        field[rows, cols] = expanded
+        field[rows, cols] = np.repeat(np.repeat(grid, side, axis=0), side, axis=1)
         return field
 
     # ------------------------------------------------------------------

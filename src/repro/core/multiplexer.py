@@ -18,11 +18,17 @@ from typing import Protocol
 
 import numpy as np
 
+from repro._util import check_frame
 from repro.core.config import InFrameConfig
 from repro.core.encoder import DataFrameEncoder
 from repro.display.gamma import GammaCurve
 from repro.core.geometry import FrameGeometry
 from repro.video.source import VideoSource
+
+
+#: What a modulation field is a pure function of: (video frame index,
+#: data frame index, envelope factors).
+FieldsKey = tuple[int, int, tuple[float, float]]
 
 
 class DataFrameSchedule(Protocol):
@@ -78,6 +84,7 @@ class MultiplexedStream:
             )
         self._n_frames = int(n_display_frames)
         self._bits_cache: dict[int, np.ndarray] = {}
+        self._fields_memo: tuple[FieldsKey, np.ndarray, np.ndarray | None] | None = None
 
     # ------------------------------------------------------------------
     # FrameSource protocol
@@ -91,16 +98,12 @@ class MultiplexedStream:
         """Render displayed frame *index* (pixel values, float32)."""
         if not (0 <= index < self._n_frames):
             raise IndexError(f"frame index {index} outside [0, {self._n_frames})")
-        video_frame = self.video.frame(index // self.config.frame_duplication)
+        video_index = index // self.config.frame_duplication
+        video_frame = check_frame(self.video.frame(video_index), "video_frame")
         data_index, step = divmod(index, self.config.tau)
-        bits_now = self._bits(data_index)
-        bits_next = self._bits(data_index + 1)
-        modulation = self.encoder.modulation_field(video_frame, bits_now, bits_next, step)
-        sign = np.float32(1.0 if index % 2 == 0 else -1.0)
-        offset = sign * modulation + self.encoder.compensation_field(video_frame, modulation)
-        if video_frame.ndim == 3:
-            offset = offset[..., None]
-        return np.clip(video_frame + offset, 0.0, 255.0).astype(np.float32)
+        modulation, compensation = self._fields(video_index, video_frame, data_index, step)
+        sign = 1 if index % 2 == 0 else -1
+        return self.encoder.displayed(video_frame, modulation, compensation, sign)
 
     # ------------------------------------------------------------------
     # Introspection used by experiments and tests
@@ -113,6 +116,34 @@ class MultiplexedStream:
     def ground_truth(self, data_index: int) -> np.ndarray:
         """The Block grid actually transmitted for data frame *data_index*."""
         return self._bits(data_index).copy()
+
+    def _fields(
+        self, video_index: int, video_frame: np.ndarray, data_index: int, step: int
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The modulation field and gamma compensation (None when off) for a frame.
+
+        Both are pure functions of the video frame, the data frames
+        ``data_index`` and ``data_index + 1``, and the envelope factors at
+        *step*.  The envelope advances once per pair, and stays flat over
+        the first half of each cycle, so consecutive frames share the
+        fields: they are kept as one read-only entry keyed on those inputs.
+        """
+        key = (video_index, data_index, self.encoder.waveform.factors(step))
+        if self._fields_memo is not None and self._fields_memo[0] == key:
+            return self._fields_memo[1], self._fields_memo[2]
+        modulation = self.encoder.modulation_field(
+            video_frame, self._bits(data_index), self._bits(data_index + 1), step
+        )
+        compensation = (
+            self.encoder.compensation_field(video_frame, modulation)
+            if self.config.gamma_compensation
+            else None
+        )
+        for field in (modulation, compensation):
+            if field is not None:
+                field.flags.writeable = False
+        self._fields_memo = (key, modulation, compensation)
+        return modulation, compensation
 
     def _bits(self, data_index: int) -> np.ndarray:
         cached = self._bits_cache.get(data_index)

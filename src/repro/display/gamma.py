@@ -49,10 +49,14 @@ class GammaCurve:
 
     def to_luminance(self, pixel_values: np.ndarray | float) -> np.ndarray:
         """Map pixel values in [0, 255] to luminance in cd/m^2."""
-        values = np.clip(np.asarray(pixel_values, dtype=np.float32), 0.0, 255.0)
-        normalized = values / np.float32(255.0)
-        span = self.peak_luminance - self.black_level
-        return (self.black_level + span * normalized**self.gamma).astype(np.float32)
+        # np.clip returns a fresh array, so the steps below work in place;
+        # for 0-d input it returns a NumPy scalar and they stay scalar math.
+        lum = np.clip(np.asarray(pixel_values, dtype=np.float32), 0.0, 255.0)
+        lum /= np.float32(255.0)
+        lum **= self.gamma
+        lum *= self.peak_luminance - self.black_level
+        lum += self.black_level
+        return lum
 
     def to_pixel(self, luminance: np.ndarray | float) -> np.ndarray:
         """Map luminance in cd/m^2 back to pixel values in [0, 255]."""

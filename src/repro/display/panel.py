@@ -86,14 +86,13 @@ class DisplayPanel:
         sensing receiver (and the flicker-fusion eye model) responds to.
         """
         frame = np.asarray(frame)
+        # to_luminance returns a fresh array, so it is weighted and scaled in place.
+        lum = self.gamma_curve.to_luminance(frame)
         if frame.ndim == 3:
-            weights = np.array([0.2126, 0.7152, 0.0722], dtype=np.float32)
-            channels = self.gamma_curve.to_luminance(frame)
-            lum = (channels * weights).sum(axis=2)
-            return (lum * np.float32(self.brightness)).astype(np.float32)
-        return (self.gamma_curve.to_luminance(frame) * np.float32(self.brightness)).astype(
-            np.float32
-        )
+            lum *= np.array([0.2126, 0.7152, 0.0722], dtype=np.float32)
+            lum = lum.sum(axis=2)
+        lum *= np.float32(self.brightness)
+        return lum
 
     def scaled(self, scale: float) -> "DisplayPanel":
         """A panel with the same optics but spatial resolution scaled by *scale*.

@@ -132,7 +132,9 @@ class DisplayTimeline:
         target = self._frame_luminance(index)
         elapsed = max(t - self.latch_time(index), 0.0)
         decay = np.float32(np.exp(-elapsed / self.panel.response_time_s))
-        field = target + (previous_state - target) * decay
+        field = previous_state - target
+        field *= decay
+        field += target
         return self._crop(field, rect)
 
     def integrate(
@@ -166,15 +168,22 @@ class DisplayTimeline:
                 self._crop(self._state_before(index), rect) if tau > 0.0 else None
             )
             target = self._crop(self._frame_luminance(index), rect)
+            # Fresh arrays from here on, so the sums below work in place.
             piece = target * np.float32(seg_len)
             if previous_state is not None:
                 a = max(seg_start - self.latch_time(index), 0.0)
                 b = max(seg_end - self.latch_time(index), 0.0)
                 weight = np.float32(tau * (np.exp(-a / tau) - np.exp(-b / tau)))
-                piece = piece + (previous_state - target) * weight
-            total = piece if total is None else total + piece
+                lag = previous_state - target
+                lag *= weight
+                piece += lag
+            if total is None:
+                total = piece
+            else:
+                total += piece
         assert total is not None  # guaranteed: t1 > t0 yields >= 1 segment
-        return (total / np.float32(t1 - t0)).astype(np.float32)
+        total /= np.float32(t1 - t0)
+        return total
 
     def frame_average_luminance(self, index: int) -> np.ndarray:
         """Mean luminance field over the full refresh interval of frame *index*.
@@ -256,17 +265,22 @@ class DisplayTimeline:
         if self._state is None or self._state_index > index or self._state_index < index - 64:
             # (Re)warm the recursion from a settled approximation.
             start = max(index - self._WARMUP_FRAMES, 0)
-            state = self._frame_luminance(start).copy()
+            state = self._frame_luminance(start)
             self._state_index = start + 1
         else:
             state = self._state
         decay = np.float32(
             np.exp(-self.panel.frame_interval_s / self.panel.response_time_s)
         )
-        for i in range(self._state_index, index):
+        first = self._state_index
+        for i in range(first, index):
             # State at the latch of frame i+1: relaxed toward frame i's target.
+            # The first step writes a fresh array (the state it starts from is
+            # cached or already handed out); later steps update it in place.
             target = self._frame_luminance(i)
-            state = target + (state - target) * decay
+            state = np.subtract(state, target, out=None if i == first else state)
+            state *= decay
+            state += target
         self._state = state
         self._state_index = index
         return state

@@ -102,6 +102,28 @@ class TestAdaptiveAmplitude:
         assert float(delta.max()) > 25.0
         assert float(delta.max()) <= config.adaptive_amplitude_max + 1e-5
 
+    def test_texture_cache_never_serves_a_freed_frames_deltas(self):
+        # A freed frame's identity can be handed to the next allocation, so
+        # the cache must hold the frame it describes, not its id().
+        config = InFrameConfig(
+            element_pixels=2, pixels_per_block=6, block_rows=12, block_cols=20,
+            amplitude=20.0, tau=12, adaptive_amplitude=True,
+        )
+        geometry = FrameGeometry(config, 162, 288)
+        bits = np.ones((12, 20), bool)
+        video = sunrise_video(162, 288, n_frames=1)
+        for _ in range(20):
+            encoder = DataFrameEncoder(config, geometry)
+            flat = np.full((162, 288), 127.0, dtype=np.float32)
+            encoder.modulation_field(flat, bits)
+            del flat
+            textured = video.frame(0).copy()
+            fresh = DataFrameEncoder(config, geometry)
+            assert float(fresh._adaptive_delta(textured).max()) > 30.0
+            assert np.array_equal(
+                encoder.modulation_field(textured, bits), fresh.modulation_field(textured, bits)
+            )
+
     def test_adaptive_improves_textured_link(self):
         camera = CameraModel(width=192, height=108)
         video = sunrise_video(162, 288, n_frames=24, grain_std=10.0)

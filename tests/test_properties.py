@@ -21,7 +21,9 @@ from repro.core.config import InFrameConfig
 from repro.core.framing import PseudoRandomSchedule
 from repro.core.multiplexer import MultiplexedStream
 from repro.core.parity import data_bits_to_grid, grid_to_data_bits
-from repro.video.synthetic import pure_color_video
+from repro.display.panel import DisplayPanel
+from repro.display.scheduler import DisplayTimeline
+from repro.video.synthetic import noise_video, pure_color_video
 
 
 @st.composite
@@ -118,6 +120,44 @@ class TestCodecInvariants:
         decoded = decoder.decode([capture])
         assert len(decoded) == 1
         assert np.array_equal(decoded[0].bits, stream.ground_truth(0))
+
+
+class TestAccessOrder:
+    @given(
+        config=small_configs(),
+        # tau=2 is the one cycle in which a video frame spans two data
+        # frames with equal envelope factors.
+        tau=st.sampled_from([2, 4, 6, 10, 12, 14]),
+        adaptive=st.booleans(),
+        clip_mode=st.sampled_from(["pixel", "block"]),
+        seed=st.integers(0, 10**6),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_outputs_do_not_depend_on_access_order(
+        self, config, tau, adaptive, clip_mode, seed, data
+    ):
+        """A memo key that misses an input, or an in-place write into a
+        cached array, makes a frame depend on what was read before it."""
+        config = config.with_updates(tau=tau, adaptive_amplitude=adaptive, clip_mode=clip_mode)
+        height = config.data_height_px + 4
+        width = config.data_width_px + 6
+        video = noise_video(height, width, n_frames=6, seed=seed)
+
+        def fresh_stream():
+            return MultiplexedStream(config, video, PseudoRandomSchedule(config, seed=seed))
+
+        stream = fresh_stream()
+        timeline = DisplayTimeline(DisplayPanel(width=width, height=height), stream)
+        order = data.draw(st.lists(st.integers(0, stream.n_frames - 1), min_size=1, max_size=40))
+        handed_out = []
+        for index in order:
+            frame = stream.frame(index)
+            assert np.array_equal(frame, fresh_stream().frame(index))
+            field = timeline.frame_average_luminance(index)
+            handed_out += [(frame, frame.copy()), (field, field.copy())]
+        for array, snapshot in handed_out:
+            assert np.array_equal(array, snapshot)
 
 
 class TestFailureInjection:

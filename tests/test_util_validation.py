@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,30 @@ class TestCheckFrame:
     def test_float_rounding_tolerance(self):
         # Values a hair outside [0, 255] from float arithmetic are fine.
         assert check_frame(np.full((2, 2), 255.0005)).max() > 255.0 - 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_non_finite_pixel_is_named_as_such(self, bad):
+        frame = np.full((3, 5), 100.0, dtype=np.float32)
+        frame[1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                check_frame(frame)
+
+    @pytest.mark.parametrize("bad", [255.5, -0.5])
+    def test_range_error_names_the_range(self, bad):
+        frame = np.full((3, 5), 100.0, dtype=np.float32)
+        frame[2, 4] = bad
+        with pytest.raises(ValueError, match=r"must be in \[0, 255\]"):
+            check_frame(frame)
+
+    def test_accepts_the_tolerance_edge_uint8_and_rgb(self):
+        # 255 + 1e-3 itself rounds up in float32; the float32 below it is the edge.
+        edge = np.nextafter(np.float32(255.0 + 1e-3), np.float32(0.0))
+        assert check_frame(np.full((2, 2), edge, dtype=np.float32)).max() == edge
+        uint8 = check_frame(np.arange(256, dtype=np.uint8).reshape(16, 16))
+        assert uint8.dtype == np.float32 and uint8.max() == 255.0
+        assert check_frame(np.full((2, 3, 3), 7.0)).shape == (2, 3, 3)
 
 
 class TestStableSeed:
