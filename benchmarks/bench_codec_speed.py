@@ -12,10 +12,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.experiments import ExperimentScale
-from repro.camera.capture import CameraModel
 from repro.core.decoder import InFrameDecoder
-from repro.core.framing import PseudoRandomSchedule
-from repro.core.multiplexer import MultiplexedStream
 from repro.core.pipeline import InFrameSender
 from repro.ecc.reed_solomon import ReedSolomonCodec
 from repro.hvs.flicker import FlickerPredictor

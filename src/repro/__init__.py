@@ -16,8 +16,7 @@ Quickstart::
 
 Subpackages: :mod:`repro.core` (the InFrame codec), :mod:`repro.display`,
 :mod:`repro.camera`, :mod:`repro.hvs`, :mod:`repro.video`,
-:mod:`repro.channel`, :mod:`repro.ecc`, :mod:`repro.baselines`,
-:mod:`repro.analysis`.
+:mod:`repro.ecc`, :mod:`repro.baselines`, :mod:`repro.analysis`.
 """
 
 from repro.camera import CameraModel, CapturedFrame, PerspectiveView

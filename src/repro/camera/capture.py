@@ -45,6 +45,10 @@ from repro.camera.rolling_shutter import RollingShutter
 from repro.camera.sensor import SensorModel
 from repro.display.panel import DisplayPanel
 
+#: Legal ``CameraModel.screen_fill`` range.
+_MIN_SCREEN_FILL = 0.05
+_MAX_SCREEN_FILL = 1.0
+
 
 class TimelineLike(Protocol):
     """The display-timeline surface the capture pipeline consumes.
@@ -154,7 +158,7 @@ class CameraModel:
         check_in_range(self.readout_s, "readout_s", 0.0, 0.5)
         check_in_range(self.clock_drift, "clock_drift", -0.01, 0.01)
         check_in_range(self.timing_jitter_s, "timing_jitter_s", 0.0, 0.01)
-        check_in_range(self.screen_fill, "screen_fill", 0.05, 1.0)
+        check_in_range(self.screen_fill, "screen_fill", _MIN_SCREEN_FILL, _MAX_SCREEN_FILL)
         check_in_range(self.background_luminance, "background_luminance", 0.0, 1e4)
 
     @property
@@ -179,6 +183,16 @@ class CameraModel:
         row0 = (self.height - screen_h) // 2
         col0 = (self.width - screen_w) // 2
         return (row0, row0 + screen_h, col0, col0 + screen_w)
+
+    def at_distance(self, distance: float) -> "CameraModel":
+        """Copy viewing the screen from *distance* times as far away.
+
+        The screen's extent shrinks as ``1 / distance``, clamped to the
+        legal ``screen_fill`` range.
+        """
+        check_positive(distance, "distance")
+        fill = min(max(self.screen_fill / distance, _MIN_SCREEN_FILL), _MAX_SCREEN_FILL)
+        return replace(self, screen_fill=fill)
 
     def auto_exposed(self, peak_luminance: float, target_level: float = 210.0) -> "CameraModel":
         """Copy with the sensor gain calibrated to the display's peak luminance."""
@@ -249,14 +263,10 @@ class CameraModel:
         timeline: TimelineLike,
         n_frames: int,
         rng: np.random.Generator | None = None,
-        start_index: int = 0,
     ) -> list[CapturedFrame]:
-        """Capture *n_frames* consecutive camera frames."""
+        """Capture camera frames ``0 .. n_frames - 1``."""
         check_positive_int(n_frames, "n_frames")
-        return [
-            self.capture_frame(timeline, start_index + i, rng=rng)
-            for i in range(n_frames)
-        ]
+        return [self.capture_frame(timeline, i, rng=rng) for i in range(n_frames)]
 
     def frames_covering(self, timeline: TimelineLike) -> int:
         """How many camera frames fit inside the display stream's duration."""

@@ -39,10 +39,6 @@ WORKLOADS = ("link", "transport", "fleet")
 #: Transport schemes the ``transport`` workload accepts.
 TRANSPORT_MODES = ("plain", "fountain", "arq", "carousel")
 
-#: The camera model's legal screen-fill range (mirrors ``serve.cohort``).
-_MIN_FILL = 0.05
-_MAX_FILL = 1.0
-
 #: Fleet-workload defaults when the spec gives no parameters.
 _FLEET_DEFAULTS = {"n": 4.0, "distance": 1.0, "dwell": 2.5}
 #: Transport-workload default forward-pass bound.
@@ -226,8 +222,7 @@ def _run_replicate(
         if name == "exposure_s":
             camera = replace(camera, exposure_s=float(value))
         elif name == "distance":
-            fill = min(max(camera.screen_fill / float(value), _MIN_FILL), _MAX_FILL)
-            camera = replace(camera, screen_fill=fill)
+            camera = camera.at_distance(float(value))
     faults = (
         FaultPlan.parse(unit.faults_spec, seed=fault_seed)
         if unit.faults_spec

@@ -399,8 +399,3 @@ class ModuleAnalysis:
                 frontier.append(callee)
         self._worker = evidence
         return evidence
-
-    def is_exec_scoped(self, node: ast.AST) -> bool:
-        """Whether a ``def`` node carries the ``exec-scope`` pragma."""
-        info = self.by_node.get(node)
-        return info is not None and "exec-scope" in info.pragmas

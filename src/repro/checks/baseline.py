@@ -65,11 +65,6 @@ class Baseline:
             counts[fingerprint] = counts.get(fingerprint, 0) + int(entry.get("count", 1))
         return cls(counts=counts)
 
-    @classmethod
-    def from_findings(cls, findings: list[Finding]) -> "Baseline":
-        """A baseline accepting exactly *findings*."""
-        return cls(counts=dict(Counter(f.fingerprint for f in findings)))
-
     def save(self, path: Path, findings: list[Finding]) -> None:
         """Write *findings* as the new baseline (sorted, one entry per fingerprint)."""
         grouped: dict[str, Finding] = {}

@@ -92,11 +92,6 @@ class FileContext:
             self._analysis = ModuleAnalysis(self.tree, self.lines)
         return self._analysis
 
-    @property
-    def package_parts(self) -> tuple[str, ...]:
-        """Path components of the file, POSIX-style."""
-        return tuple(Path(self.relpath).parts)
-
     def suppressed(self, finding: Finding) -> bool:
         """Whether an inline ``# checks: ignore`` pragma covers *finding*."""
         table = self._suppression_table()

@@ -194,6 +194,22 @@ class HealingReport:
         )
 
 
+# Tuning of the self-healing decode
+# (:meth:`InFrameDecoder.decide_observations_healed`).
+#: Phase-tracking window length, in data-frame cycles.
+_HEAL_WINDOW_DATA_FRAMES = 3
+#: A window scoring below this fraction of the running baseline re-locks.
+_HEAL_RELOCK_TRIGGER = 0.85
+#: A window scoring below this outright re-locks.
+_HEAL_SCORE_FLOOR = 0.2
+#: Relative jump of mean capture level that starts a new gain segment.
+_HEAL_GAIN_STEP = 0.12
+#: Segments darker than this fraction of the reference level are occluded.
+_HEAL_BLACKOUT_GAIN = 0.35
+#: Most phase re-locks one pass adopts.
+_HEAL_MAX_RESYNCS = 8
+
+
 class InFrameDecoder:
     """Recovers data frames from camera captures.
 
@@ -406,15 +422,7 @@ class InFrameDecoder:
         return self.decide_observations_healed([self.observe(c) for c in captures])
 
     def decide_observations_healed(
-        self,
-        observations: list[BlockObservation],
-        *,
-        window_data_frames: int = 3,
-        relock_trigger: float = 0.85,
-        score_floor: float = 0.2,
-        gain_step: float = 0.12,
-        blackout_gain: float = 0.35,
-        max_resyncs: int = 8,
+        self, observations: list[BlockObservation]
     ) -> tuple[list[DecodedDataFrame], HealingReport]:
         """Decode with continuous pair-phase tracking and gain re-estimation.
 
@@ -424,17 +432,19 @@ class InFrameDecoder:
         is the self-healing variant:
 
         1. **Gain segmentation.**  Captures are split into segments at
-           >``gain_step`` jumps of mean pixel level (exposure or ambient
-           steps).  Each segment's noise maps are re-normalised to the
-           dominant segment's level so per-frame thresholds stay bimodal
-           across a step; segments darker than ``blackout_gain`` of the
-           reference (occlusions) are dropped from evidence entirely.
+           >``_HEAL_GAIN_STEP`` jumps of mean pixel level (exposure or
+           ambient steps).  Each segment's noise maps are re-normalised to
+           the dominant segment's level so per-frame thresholds stay
+           bimodal across a step; segments darker than
+           ``_HEAL_BLACKOUT_GAIN`` of the reference (occlusions) are
+           dropped from evidence entirely.
         2. **Windowed phase tracking.**  The stream is walked in windows of
-           ``window_data_frames`` cycles.  Each window is scored by decode
-           quality (mean fraction of GOBs available *and* parity-clean).  A
-           score collapse below ``relock_trigger`` of the running baseline
-           (or below ``score_floor`` outright) marks desynchronisation; the
-           pass then re-locks by scoring candidate phases -- every
+           ``_HEAL_WINDOW_DATA_FRAMES`` cycles.  Each window is scored by
+           decode quality (mean fraction of GOBs available *and*
+           parity-clean).  A score collapse below ``_HEAL_RELOCK_TRIGGER``
+           of the running baseline (or below ``_HEAL_SCORE_FLOOR``
+           outright) marks desynchronisation; the pass then re-locks by
+           scoring candidate phases -- every
            whole-display-frame slip within half a cycle, plus the blind
            energy estimate over the window (the sliding-window form of
            :func:`estimate_cycle_phase`) -- and adopts the best candidate
@@ -456,7 +466,7 @@ class InFrameDecoder:
         start = 0
         for i in range(1, len(obs)):
             ref = float(np.median(levels[start:i]))
-            if ref > 1e-6 and abs(levels[i] / ref - 1.0) > gain_step:
+            if ref > 1e-6 and abs(levels[i] / ref - 1.0) > _HEAL_GAIN_STEP:
                 spans.append((start, i))
                 start = i
         spans.append((start, len(obs)))
@@ -469,7 +479,7 @@ class InFrameDecoder:
         for s0, s1 in spans:
             med = float(np.median(levels[s0:s1]))
             gain = med / ref_level if ref_level > 1e-6 else 1.0
-            blackout = gain < blackout_gain
+            blackout = gain < _HEAL_BLACKOUT_GAIN
             segments.append(
                 GainSegment(
                     start_capture=obs[s0].capture_index,
@@ -502,7 +512,7 @@ class InFrameDecoder:
         # offsets from the current phase: re-locks cannot walk the phase
         # beyond the model's slip bound by accumulating adoptions.
         slips = [k * slip_s for k in range(-max_k, max_k + 1)]
-        window_s = window_data_frames * cycle_s
+        window_s = _HEAL_WINDOW_DATA_FRAMES * cycle_s
 
         phases = [0.0] * len(active)
         resyncs: list[ResyncEvent] = []
@@ -524,10 +534,10 @@ class InFrameDecoder:
             score = self._phase_score(win, phase)
             triggered = (
                 len(win) >= 3
-                and len(resyncs) < max_resyncs
+                and len(resyncs) < _HEAL_MAX_RESYNCS
                 and (
-                    score < score_floor
-                    or (baseline is not None and score < relock_trigger * baseline)
+                    score < _HEAL_SCORE_FLOOR
+                    or (baseline is not None and score < _HEAL_RELOCK_TRIGGER * baseline)
                 )
             )
             # A re-lock adopted on an onset-straddling window is often a
@@ -563,7 +573,7 @@ class InFrameDecoder:
                     )
                     phase = best_phase
                     score = best_score
-                    refine = triggered and len(resyncs) < max_resyncs
+                    refine = triggered and len(resyncs) < _HEAL_MAX_RESYNCS
             baseline = score if baseline is None else 0.6 * baseline + 0.4 * score
             for k in range(pos, end):
                 phases[k] = phase
@@ -720,7 +730,12 @@ class InFrameDecoder:
         return tiled.all(axis=(1, 3))
 
 
-def two_means_threshold(values: np.ndarray, max_iterations: int = 50) -> float:
+#: Lloyd iterations :func:`two_means_threshold` runs before giving up on
+#: convergence.
+_TWO_MEANS_MAX_ITERATIONS = 50
+
+
+def two_means_threshold(values: np.ndarray) -> float:
     """Midpoint threshold from 1-D 2-means clustering.
 
     The default when ``config.threshold`` is None.  More stable than Otsu
@@ -735,7 +750,7 @@ def two_means_threshold(values: np.ndarray, max_iterations: int = 50) -> float:
     center0, center1 = np.percentile(samples, [20.0, 80.0])
     if center1 - center0 < 1e-12:
         return float((lo + hi) / 2.0)
-    for _ in range(max_iterations):
+    for _ in range(_TWO_MEANS_MAX_ITERATIONS):
         cut = (center0 + center1) / 2.0
         low = samples[samples <= cut]
         high = samples[samples > cut]
@@ -747,36 +762,6 @@ def two_means_threshold(values: np.ndarray, max_iterations: int = 50) -> float:
             break
         center0, center1 = new0, new1
     return float((center0 + center1) / 2.0)
-
-
-def otsu_threshold(values: np.ndarray, bins: int = 128) -> float:
-    """Otsu's bimodal threshold over a 1-D sample.
-
-    Used when ``config.threshold`` is None: the pseudo-random data keeps
-    both bit populations present, so the noise histogram is bimodal and
-    the maximal between-class variance split recovers the paper's ``T``
-    without manual tuning.
-    """
-    samples = np.asarray(values, dtype=np.float64).ravel()
-    lo, hi = float(samples.min()), float(samples.max())
-    if hi - lo < 1e-12:
-        return lo
-    hist, edges = np.histogram(samples, bins=bins, range=(lo, hi))
-    centers = (edges[:-1] + edges[1:]) / 2.0
-    weights = hist.astype(np.float64) / hist.sum()
-    cum_w = np.cumsum(weights)
-    cum_mean = np.cumsum(weights * centers)
-    total_mean = cum_mean[-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        between = (total_mean * cum_w - cum_mean) ** 2 / (cum_w * (1.0 - cum_w))
-    # Splits that leave (almost) everything on one side are degenerate.
-    between[~np.isfinite(between)] = -1.0
-    between[(cum_w < 1e-3) | (cum_w > 1.0 - 1e-3)] = -1.0
-    # Well-separated clusters leave a plateau of equally good cuts across
-    # the empty gap; take its middle.
-    best = between.max()
-    plateau = np.flatnonzero(between >= best - 1e-12)
-    return float(centers[plateau[len(plateau) // 2]])
 
 
 def estimate_cycle_phase(

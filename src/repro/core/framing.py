@@ -45,7 +45,7 @@ from repro.core.config import InFrameConfig
 from repro.core.decoder import DecodedDataFrame
 from repro.core.parity import data_bits_to_grid, grid_to_data_bits
 from repro.ecc.crc import crc16_append, crc16_verify
-from repro.ecc.interleaver import BlockInterleaver
+from repro.ecc.interleaver import BlockInterleaver, decode_interleaved
 from repro.ecc.reed_solomon import ReedSolomonCodec, RSDecodingError
 
 
@@ -131,7 +131,6 @@ class FramingPlan:
     rs_n: int = 60
     rs_k: int = 40
     n_codewords: int = 0  # filled in by PayloadSchedule
-    filler_seed: int = 77
 
     @property
     def message_bytes(self) -> int:
@@ -273,29 +272,15 @@ class PayloadAssembler:
             checks fail.
         """
         total_bits = self.plan.message_bytes * 8
-        bits = self._bits[:total_bits]
-        known = self._known[:total_bits]
-        message = np.packbits(bits.astype(np.uint8)).tobytes()
-        byte_known = known.reshape(-1, 8).all(axis=1)
-        erased_positions = [int(i) for i in np.flatnonzero(~byte_known)]
-
-        interleaver = BlockInterleaver(self.plan.n_codewords, self.plan.rs_n)
-        stream = interleaver.deinterleave(message)
-        erased_original = interleaver.deinterleave_positions(erased_positions)
-        codec = ReedSolomonCodec(self.plan.rs_n, self.plan.rs_k)
-        buffer = bytearray()
-        for cw_index in range(self.plan.n_codewords):
-            start = cw_index * self.plan.rs_n
-            word = stream[start : start + self.plan.rs_n]
-            erasures = [p - start for p in erased_original if start <= p < start + self.plan.rs_n]
-            try:
-                decoded, _ = codec.decode(word, erasure_positions=erasures)
-            except RSDecodingError as exc:
-                raise FrameFormatError(
-                    f"codeword {cw_index} uncorrectable "
-                    f"({len(erasures)} erasures): {exc}"
-                ) from exc
-            buffer.extend(decoded)
+        try:
+            buffer = decode_interleaved(
+                self._bits[:total_bits],
+                self._known[:total_bits],
+                BlockInterleaver(self.plan.n_codewords, self.plan.rs_n),
+                ReedSolomonCodec(self.plan.rs_n, self.plan.rs_k),
+            )
+        except RSDecodingError as exc:
+            raise FrameFormatError(str(exc)) from exc
         length = int.from_bytes(buffer[:4], "big")
         if not (0 < length <= len(buffer) - 6):
             raise FrameFormatError(f"implausible payload length {length}")

@@ -165,6 +165,10 @@ class LinkRun:
     telemetry: RunTelemetry | None = None
 
 
+#: Leading data frames :func:`run_link` leaves out of scoring.
+_WARMUP_DATA_FRAMES = 1
+
+
 def run_link(
     config: InFrameConfig,
     video: VideoSource,
@@ -173,7 +177,6 @@ def run_link(
     panel: DisplayPanel | None = None,
     n_camera_frames: int | None = None,
     seed: int = 0,
-    warmup_data_frames: int = 1,
     workers: int | None = None,
     faults: FaultPlan | None = None,
     heal: bool | None = None,
@@ -193,9 +196,6 @@ def run_link(
         Seed of the run's noise streams.  Each capture draws from its own
         spawn-keyed generator (``SeedSequence(seed, spawn_key=(index,))``),
         which is what makes parallel execution bit-identical to serial.
-    warmup_data_frames:
-        Leading data frames excluded from scoring (their cycles are only
-        partially covered by captures).
     workers:
         Worker processes for the capture+observe stages.  ``None``/``1``
         runs in-process; ``N > 1`` dispatches chunks to a process pool
@@ -281,18 +281,17 @@ def run_link(
             )
         else:
             decoded_all = receiver.decoder.decide_observations(observations)
-    # Score only fully covered data frames: drop warmup and the tail frame
-    # whose cycle the capture window may have clipped.
+    # Score only fully covered data frames: drop the warmup frames, whose
+    # cycles the captures only partly cover, and the tail frame whose cycle
+    # the capture window may have clipped.
     last_complete = int(
         np.floor(captures[-1].mid_exposure_s * config.refresh_hz / config.tau)
     )
     decoded = [
-        d for d in decoded_all if warmup_data_frames <= d.index < last_complete
+        d for d in decoded_all if _WARMUP_DATA_FRAMES <= d.index < last_complete
     ]
     if not decoded:
-        raise ValueError(
-            "no fully covered data frames; lengthen the video or reduce warmup"
-        )
+        raise ValueError("no fully covered data frames; lengthen the video")
     with tracer.span("score"):
         truths = [sender.stream.ground_truth(d.index) for d in decoded]
         stats = summarize_link(truths, decoded, config)

@@ -45,14 +45,6 @@ class DisplayTimeline:
         The :class:`DisplayPanel` doing the playback.
     source:
         The frame source being played, one frame per refresh.
-    cache_frames:
-        Bound on the per-frame caches (emitted-luminance fields and
-        per-refresh averages), each holding at most this many frames in
-        FIFO order -- so peak cache memory is ``2 * cache_frames`` full
-        luminance fields regardless of stream length.  The default of 24
-        covers two data-frame cycles at the paper's ``tau = 12``; ``0``
-        disables caching (every access recomputes, for memory-starved
-        sweeps over large panels).
 
     Notes
     -----
@@ -62,24 +54,22 @@ class DisplayTimeline:
     States are advanced lazily and monotonically; jumping far backwards
     re-warms the recursion from a few frames earlier, which is exact to
     within ``exp(-k * T / tau)`` (~1e-15 for the defaults).
+
+    The per-frame caches (emitted-luminance fields and per-refresh
+    averages) each hold at most ``_CACHE_FRAMES`` frames in FIFO order,
+    so peak cache memory is ``2 * _CACHE_FRAMES`` full luminance fields
+    regardless of stream length.
     """
 
     _WARMUP_FRAMES = 8
-    _DEFAULT_CACHE_FRAMES = 24
+    #: Two data-frame cycles at the paper's ``tau = 12``.
+    _CACHE_FRAMES = 24
 
-    def __init__(
-        self,
-        panel: DisplayPanel,
-        source: FrameSource,
-        cache_frames: int = _DEFAULT_CACHE_FRAMES,
-    ) -> None:
+    def __init__(self, panel: DisplayPanel, source: FrameSource) -> None:
         if source.n_frames < 1:
             raise ValueError("frame source must contain at least one frame")
-        if cache_frames < 0:
-            raise ValueError(f"cache_frames must be >= 0, got {cache_frames}")
         self.panel = panel
         self.source = source
-        self.cache_frames = int(cache_frames)
         self._lum_cache: dict[int, np.ndarray] = {}
         self._lum_cache_order: list[int] = []
         self._avg_cache: dict[int, np.ndarray] = {}
@@ -228,12 +218,10 @@ class DisplayTimeline:
         index: int,
         value: np.ndarray,
     ) -> None:
-        """FIFO-insert into a per-frame cache bounded by ``cache_frames``."""
-        if self.cache_frames < 1:
-            return
+        """FIFO-insert into a per-frame cache bounded by ``_CACHE_FRAMES``."""
         cache[index] = value
         order.append(index)
-        if len(order) > self.cache_frames:
+        if len(order) > self._CACHE_FRAMES:
             cache.pop(order.pop(0), None)
 
     @staticmethod

@@ -9,7 +9,8 @@ provides that substrate built from scratch:
   errors-and-erasures decoding (Berlekamp-Massey + Chien + Forney).
 * :mod:`repro.ecc.crc` -- CRC-16/CCITT payload integrity check.
 * :mod:`repro.ecc.interleaver` -- block interleaving to spread the bursty
-  losses produced by the rolling-shutter bands across RS codewords.
+  losses produced by the rolling-shutter bands across RS codewords, and
+  the erasure-aware decode of an interleaved codeword block.
 """
 
 from repro.ecc.crc import crc16, crc16_verify

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro._util import check_positive_int
+from repro.ecc.reed_solomon import ReedSolomonCodec, RSDecodingError
 
 
 class BlockInterleaver:
@@ -85,3 +86,43 @@ class BlockInterleaver:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BlockInterleaver(rows={self.rows}, cols={self.cols})"
+
+
+def decode_interleaved(
+    bits: np.ndarray,
+    known: np.ndarray,
+    interleaver: BlockInterleaver,
+    codec: ReedSolomonCodec,
+) -> bytes:
+    """Recover the messages of ``interleaver.rows`` interleaved RS codewords.
+
+    *bits* and *known* hold the interleaved stream bit by bit; a byte
+    with any unknown bit is an erasure.  The stream is deinterleaved and
+    each codeword (one interleaver row) decoded with its erasures; the
+    messages are returned concatenated.
+
+    Raises
+    ------
+    RSDecodingError:
+        Naming the first codeword beyond the correction radius and its
+        erasure count.
+    """
+    message = np.packbits(bits.astype(np.uint8)).tobytes()
+    byte_known = known.reshape(-1, 8).all(axis=1)
+    erased = [int(i) for i in np.flatnonzero(~byte_known)]
+    stream = interleaver.deinterleave(message)
+    erased_original = interleaver.deinterleave_positions(erased)
+    n = interleaver.cols
+    out = bytearray()
+    for cw_index in range(interleaver.rows):
+        start = cw_index * n
+        word = stream[start : start + n]
+        erasures = [p - start for p in erased_original if start <= p < start + n]
+        try:
+            decoded, _ = codec.decode(word, erasure_positions=erasures)
+        except RSDecodingError as exc:
+            raise RSDecodingError(
+                f"codeword {cw_index} uncorrectable ({len(erasures)} erasures): {exc}"
+            ) from exc
+        out.extend(decoded)
+    return bytes(out)

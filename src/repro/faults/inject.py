@@ -14,8 +14,9 @@ Injection happens at three points, matching where real systems fail:
   previous frame's *pixels* under their own timestamps (a stale frame
   buffer), and reordered captures swap content with a nearby capture --
   all timestamp/content mismatches a naive decoder trusts blindly.
-* :meth:`CompiledFaults.corrupt_packets` damages transport packets after
-  the PHY decode (miscorrected RS codewords, torn buffers).
+* :meth:`PacketFaults.apply` (from :meth:`FaultPlan.packet_faults`)
+  damages transport packets after the PHY decode (miscorrected RS
+  codewords, torn buffers).
 
 Because every decision was pre-drawn by :meth:`FaultPlan.compile`, the
 injectors are pure functions: parallel and serial runs inject the exact

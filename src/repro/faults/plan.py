@@ -314,9 +314,6 @@ class FaultPlan:
             for f in self.by_kind("blackout")
         )
 
-        corrupt_p = max((f["p"] for f in self.by_kind("corrupt")), default=0.0)
-        truncate_p = max((f["p"] for f in self.by_kind("truncate")), default=0.0)
-
         return CompiledFaults(
             seed=self.seed,
             n_captures=n_captures,
@@ -328,8 +325,6 @@ class FaultPlan:
             exposure_steps=exposure_steps,
             ambient_steps=ambient_steps,
             blackouts=blackouts,
-            corrupt_p=corrupt_p,
-            truncate_p=truncate_p,
         )
 
 
@@ -351,8 +346,6 @@ class CompiledFaults:
     exposure_steps: tuple[tuple[float, float], ...]
     ambient_steps: tuple[tuple[float, float], ...]
     blackouts: tuple[tuple[float, float], ...]
-    corrupt_p: float
-    truncate_p: float
 
     # ------------------------------------------------------------------
     # Worker-side hooks (pure functions of precompiled state)
@@ -401,27 +394,6 @@ class CompiledFaults:
         """Whether any parent-side stream fault is active."""
         return bool(self.dropped.any() or self.duplicated.any() or self.swaps)
 
-    @property
-    def perturbs_packets(self) -> bool:
-        """Whether transport packets get corrupted or truncated."""
-        return self.corrupt_p > 0.0 or self.truncate_p > 0.0
-
-    # ------------------------------------------------------------------
-    # Transport-side hook
-    # ------------------------------------------------------------------
-    def corrupt_packets(
-        self, raws: list[bytes], round_index: int = 1
-    ) -> tuple[list[bytes], int, int]:
-        """Corrupt/truncate recovered packet buffers for one round.
-
-        Returns ``(buffers, n_corrupted, n_truncated)``.  Corruption
-        flips a handful of bytes (the CRCs catch it downstream);
-        truncation cuts the buffer short of its declared payload.
-        """
-        return PacketFaults(
-            seed=self.seed, corrupt_p=self.corrupt_p, truncate_p=self.truncate_p
-        ).apply(raws, round_index)
-
 
 @dataclass(frozen=True)
 class PacketFaults:
@@ -439,7 +411,12 @@ class PacketFaults:
     def apply(
         self, raws: list[bytes], round_index: int = 1
     ) -> tuple[list[bytes], int, int]:
-        """Damage one round's packet buffers; see ``corrupt_packets``."""
+        """Corrupt/truncate recovered packet buffers for one round.
+
+        Returns ``(buffers, n_corrupted, n_truncated)``.  Corruption
+        flips a handful of bytes (the CRCs catch it downstream);
+        truncation cuts the buffer short of its declared payload.
+        """
         if not self.active:
             return list(raws), 0, 0
         out: list[bytes] = []

@@ -33,11 +33,6 @@ class InjectionLog:
     corrupted_packets: int = 0
     truncated_packets: int = 0
 
-    @property
-    def total_events(self) -> int:
-        """Every injected event, summed."""
-        return sum(getattr(self, f.name) for f in fields(self))
-
     def as_dict(self) -> dict[str, int]:
         """JSON-ready form."""
         return {f.name: getattr(self, f.name) for f in fields(self)}

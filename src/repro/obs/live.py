@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from typing import TextIO
 
 from repro.obs.metrics import MetricsRegistry

@@ -119,8 +119,6 @@ class ExecutionEngine:
     fallback_serial:
         Complete unfinished items in-process once retries are exhausted
         (or the pool cannot be built at all) instead of raising.
-    start_method:
-        Multiprocessing start method; default prefers ``fork``.
     telemetry:
         Optional :class:`~repro.obs.Telemetry` that receives exec-scoped
         pool accounting: one ``exec.pool_pass`` span per pool lifetime
@@ -133,7 +131,6 @@ class ExecutionEngine:
         max_retries: int = 2,
         max_inflight: int | None = None,
         fallback_serial: bool = True,
-        start_method: str | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
         self.workers = default_workers() if workers is None else max(int(workers), 1)
@@ -144,7 +141,7 @@ class ExecutionEngine:
             self.workers + 2 if max_inflight is None else max(int(max_inflight), 1)
         )
         self.fallback_serial = bool(fallback_serial)
-        self.start_method = start_method or resolve_start_method()
+        self.start_method = resolve_start_method()
         self.telemetry = telemetry
         self.stats = EngineStats()
 

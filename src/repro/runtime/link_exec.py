@@ -156,8 +156,6 @@ def execute_link_captures(
     n_frames: int,
     seed: int,
     workers: int | None = None,
-    max_retries: int = 2,
-    start_index: int = 0,
     telemetry: Telemetry | None = None,
 ) -> LinkExecution:
     """Run capture + observe for *n_frames* camera frames, possibly in parallel.
@@ -173,18 +171,15 @@ def execute_link_captures(
     accounting land in exec-scoped metrics on the parent side.
     """
     serial = workers is None or int(workers) <= 1
-    engine = ExecutionEngine(workers=1 if serial else int(workers),
-                             max_retries=max_retries, telemetry=telemetry)
+    engine = ExecutionEngine(workers=1 if serial else int(workers), telemetry=telemetry)
     if serial or not engine.parallel:
-        chunks = plan_chunks(n_frames, n_chunks=1, seed=seed, start=start_index)
+        chunks = plan_chunks(n_frames, n_chunks=1, seed=seed)
     else:
         # Two chunks per worker: capture cost is homogeneous, so near-equal
         # chunks already balance load, and every extra chunk pays a cold
         # timeline cache (the LC-state warmup plus a few display-frame
         # renders) again.
-        chunks = plan_chunks(
-            n_frames, n_chunks=engine.workers * 2, seed=seed, start=start_index
-        )
+        chunks = plan_chunks(n_frames, n_chunks=engine.workers * 2, seed=seed)
     use_pool = engine.parallel and len(chunks) > 1 and shared_memory_available()
     pool = None
     if use_pool:

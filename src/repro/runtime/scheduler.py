@@ -76,33 +76,19 @@ def spawn_rng(seed: int, *key: int) -> np.random.Generator:  # checks: worker-sc
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
-def plan_chunks(
-    n_items: int,
-    n_chunks: int | None = None,
-    chunk_size: int | None = None,
-    seed: int = 0,
-    start: int = 0,
-) -> list[WorkChunk]:
-    """Split ``[start, start + n_items)`` into contiguous chunks.
+def plan_chunks(n_items: int, n_chunks: int = 1, seed: int = 0) -> list[WorkChunk]:
+    """Split ``[0, n_items)`` into *n_chunks* contiguous chunks.
 
-    Exactly one of *n_chunks* / *chunk_size* may be given; with neither,
-    one chunk covers everything.  When *n_items* does not divide evenly
-    the leading chunks carry the remainder, so sizes differ by at most
-    one and the plan is a pure function of its arguments.
+    When *n_items* does not divide evenly the leading chunks carry the
+    remainder, so sizes differ by at most one and the plan is a pure
+    function of its arguments.
     """
     check_positive_int(n_items, "n_items")
-    if n_chunks is not None and chunk_size is not None:
-        raise ValueError("give n_chunks or chunk_size, not both")
-    if chunk_size is not None:
-        check_positive_int(chunk_size, "chunk_size")
-        n_chunks = (n_items + chunk_size - 1) // chunk_size
-    elif n_chunks is None:
-        n_chunks = 1
     check_positive_int(n_chunks, "n_chunks")
     n_chunks = min(n_chunks, n_items)
     base, extra = divmod(n_items, n_chunks)
     chunks: list[WorkChunk] = []
-    at = start
+    at = 0
     for index in range(n_chunks):
         size = base + (1 if index < extra else 0)
         chunks.append(WorkChunk(index=index, start=at, stop=at + size, seed=seed))

@@ -73,10 +73,6 @@ COHORT_KEYS: dict[str, float | None] = {
 #: Spawn-key namespace of the per-receiver parameter draws.
 _KEY_COHORT = 0xC0407
 
-#: The camera model's legal screen-fill range.
-_MIN_FILL = 0.05
-_MAX_FILL = 1.0
-
 
 class CohortSpecError(ValueError):
     """Raised when a cohort spec string cannot be parsed."""
@@ -152,15 +148,13 @@ class ReceiverSpec:
 
     def camera(self, base: CameraModel) -> CameraModel:
         """This receiver's camera, derived from the fleet's base model."""
-        fill = min(max(base.screen_fill / self.distance, _MIN_FILL), _MAX_FILL)
         drift = min(max(base.clock_drift + self.extra_drift, -0.01), 0.01)
         return replace(
-            base,
+            base.at_distance(self.distance),
             fps=self.fps if self.fps is not None else base.fps,
             exposure_s=self.exposure_s if self.exposure_s is not None else base.exposure_s,
             clock_offset_s=self.clock_offset_s,
             clock_drift=drift,
-            screen_fill=fill,
         )
 
 

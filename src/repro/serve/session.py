@@ -63,6 +63,9 @@ from repro.video.source import LoopingVideoSource, VideoSource
 
 #: Default bound on shared-memory spent for the render cache.
 _DEFAULT_SHM_BUDGET_BYTES = 512 * 1024 * 1024
+#: Extra fraction of fountain symbols in the carousel cycle beyond ``k``
+#: (before cycle alignment rounds further up).
+_CYCLE_MARGIN = 0.35
 
 
 class PooledFrameStore:
@@ -134,9 +137,6 @@ class BroadcastSession:
     rs_n, rs_k:
         The per-frame inner Reed-Solomon code (see
         :func:`repro.core.pipeline.run_transport_link`).
-    cycle_margin:
-        Extra fraction of fountain symbols in the carousel cycle beyond
-        ``k`` (before cycle alignment rounds further up).
     shm_budget_bytes:
         Ceiling on shared memory for the render cache; above it (or
         when shared memory is unavailable) the cache falls back to a
@@ -154,15 +154,12 @@ class BroadcastSession:
         session_id: int = 1,
         rs_n: int = 60,
         rs_k: int = 24,
-        cycle_margin: float = 0.35,
         c: float = 0.1,
         delta: float = 0.5,
         shm_budget_bytes: int = _DEFAULT_SHM_BUDGET_BYTES,
     ) -> None:
         if not payload:
             raise ValueError("payload must be non-empty")
-        if cycle_margin < 0.0:
-            raise ValueError(f"cycle_margin must be >= 0, got {cycle_margin}")
         if panel is None:
             panel = DisplayPanel(
                 width=video.width, height=video.height, refresh_hz=config.refresh_hz
@@ -190,7 +187,7 @@ class BroadcastSession:
         # Cycle alignment: round the batch up so one carousel cycle spans
         # a whole number of video loops -- then the joint period of the
         # emitted stream IS the cycle (see the module docstring).
-        batch = max(2, math.ceil(self.carousel.k * (1.0 + cycle_margin)))
+        batch = max(2, math.ceil(self.carousel.k * (1.0 + _CYCLE_MARGIN)))
         loop_frames = video.n_frames * config.frame_duplication
         align = loop_frames // math.gcd(loop_frames, config.tau)
         self.cycle_packets = math.ceil(batch / align) * align

@@ -46,7 +46,7 @@ from repro.core.decoder import DecodedDataFrame
 from repro.core.framing import decoded_frame_bits, slice_bits_to_frames
 from repro.core.parity import data_bits_to_grid
 from repro.ecc.crc import crc16_append, crc16_bytes, crc16_verify
-from repro.ecc.interleaver import BlockInterleaver
+from repro.ecc.interleaver import BlockInterleaver, decode_interleaved
 from repro.ecc.reed_solomon import ReedSolomonCodec, RSDecodingError
 
 MAGIC = b"IF"
@@ -308,24 +308,12 @@ class FramePacketCodec:
         uses, but per packet.
         """
         used = self.n_codewords * self.rs_n * 8
-        message = np.packbits(bits[:used].astype(np.uint8)).tobytes()
-        byte_known = known[:used].reshape(-1, 8).all(axis=1)
-        erased = [int(i) for i in np.flatnonzero(~byte_known)]
-        stream = self._interleaver.deinterleave(message)
-        erased_original = self._interleaver.deinterleave_positions(erased)
-        out = bytearray()
-        for cw in range(self.n_codewords):
-            start = cw * self.rs_n
-            word = stream[start : start + self.rs_n]
-            erasures = [
-                p - start for p in erased_original if start <= p < start + self.rs_n
-            ]
-            try:
-                decoded_word, _ = self._codec.decode(word, erasure_positions=erasures)
-            except RSDecodingError:
-                return None
-            out.extend(decoded_word)
-        return bytes(out)
+        try:
+            return decode_interleaved(
+                bits[:used], known[:used], self._interleaver, self._codec
+            )
+        except RSDecodingError:
+            return None
 
 
 class PacketSlotAccumulator:

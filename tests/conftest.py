@@ -12,7 +12,6 @@ import pytest
 
 from repro.camera.capture import CameraModel
 from repro.core.config import InFrameConfig
-from repro.core.framing import PseudoRandomSchedule
 from repro.core.geometry import FrameGeometry
 from repro.core.pipeline import InFrameSender
 from repro.display.panel import DisplayPanel

@@ -250,6 +250,14 @@ class TestScreenFill:
         with _pytest.raises(ValueError):
             CameraModel(screen_fill=1.5)
 
+    def test_at_distance_clamps_fill_at_both_ends(self):
+        camera = CameraModel(width=40, height=30, screen_fill=0.5)
+        assert camera.at_distance(2.0) == replace(camera, screen_fill=0.25)
+        assert camera.at_distance(100.0).screen_fill == 0.05
+        assert camera.at_distance(0.1).screen_fill == 1.0
+        with pytest.raises(ValueError):
+            camera.at_distance(0.0)
+
 
 # ----------------------------------------------------------------------
 # The lens and resample stages against the SciPy filters they replace

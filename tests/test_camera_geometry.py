@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from repro.camera.capture import CameraModel
 from repro.camera.geometry import (

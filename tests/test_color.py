@@ -5,8 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.camera.capture import CameraModel
-from repro.core.config import InFrameConfig
 from repro.core.encoder import DataFrameEncoder
 from repro.core.framing import PseudoRandomSchedule
 from repro.core.geometry import FrameGeometry

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.camera.capture import CameraModel, CapturedFrame
-from repro.core.decoder import InFrameDecoder, estimate_cycle_phase, otsu_threshold, two_means_threshold
-from repro.core.framing import PseudoRandomSchedule
+from repro.core.decoder import InFrameDecoder, estimate_cycle_phase, two_means_threshold
 from repro.core.pipeline import InFrameSender
 
 
@@ -41,15 +40,6 @@ class TestThresholds:
 
     def test_two_means_constant_input(self):
         assert two_means_threshold(np.full(10, 3.0)) == pytest.approx(3.0)
-
-    def test_otsu_splits_bimodal(self):
-        rng = np.random.default_rng(1)
-        values = np.concatenate([rng.normal(0, 0.1, 300), rng.normal(2, 0.1, 300)])
-        cut = otsu_threshold(values)
-        assert 0.4 < cut < 1.7
-
-    def test_otsu_constant_input(self):
-        assert otsu_threshold(np.full(10, 3.0)) == pytest.approx(3.0)
 
 
 class TestDecoderConstruction:

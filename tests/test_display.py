@@ -213,37 +213,16 @@ class TestDisplayTimeline:
             DisplayTimeline(panel, Empty())
 
     def test_cache_frames_bounds_cache_size(self):
-        frames = np.stack([np.full((4, 6), float(v), np.float32) for v in range(20)])
-        panel = DisplayPanel(width=6, height=4, refresh_hz=120.0)
-        timeline = DisplayTimeline(
-            panel, ArrayVideoSource(frames, fps=120.0), cache_frames=3
-        )
-        for index in range(20):
-            timeline.frame_average_luminance(index)
-        assert len(timeline._lum_cache) <= 3
-        assert len(timeline._avg_cache) <= 3
-
-    def test_cache_disabled_still_exact(self):
-        cached = _two_frame_timeline(response_time_s=0.004)
-        panel = DisplayPanel(width=6, height=4, refresh_hz=120.0, response_time_s=0.004)
+        bound = DisplayTimeline._CACHE_FRAMES
         frames = np.stack(
-            [np.full((4, 6), 50.0, np.float32), np.full((4, 6), 200.0, np.float32)] * 4
+            [np.full((4, 6), float(v), np.float32) for v in range(2 * bound)]
         )
-        uncached = DisplayTimeline(
-            panel, ArrayVideoSource(frames, fps=120.0), cache_frames=0
-        )
-        for index in range(4):
-            assert np.allclose(
-                cached.frame_average_luminance(index),
-                uncached.frame_average_luminance(index),
-            )
-        assert not uncached._lum_cache and not uncached._avg_cache
-
-    def test_rejects_negative_cache_frames(self):
-        frames = np.stack([np.full((4, 6), 50.0, np.float32)] * 2)
-        panel = DisplayPanel(width=6, height=4)
-        with pytest.raises(ValueError):
-            DisplayTimeline(panel, ArrayVideoSource(frames, fps=120.0), cache_frames=-1)
+        panel = DisplayPanel(width=6, height=4, refresh_hz=120.0)
+        timeline = DisplayTimeline(panel, ArrayVideoSource(frames, fps=120.0))
+        for index in range(2 * bound):
+            timeline.frame_average_luminance(index)
+        assert len(timeline._lum_cache) <= bound
+        assert len(timeline._avg_cache) <= bound
 
 
 class TestPlaybackOrder:

@@ -6,15 +6,13 @@ import numpy as np
 import pytest
 
 from repro.camera.capture import CameraModel
-from repro.channel.impairments import AmbientLight, ChannelImpairments
-from repro.channel.link import ScreenCameraLink, _PedestalTimeline
 from repro.core.config import InFrameConfig
 from repro.core.framing import PseudoRandomSchedule, ZeroSchedule
 from repro.core.multiplexer import MultiplexedStream
-from repro.core.pipeline import InFrameSender
 from repro.display.gamma import GammaCurve
 from repro.display.panel import DisplayPanel
 from repro.display.scheduler import DisplayTimeline
+from repro.tools.budget import PANEL_REFLECTANCE, link_budget
 from repro.video.source import ArrayVideoSource
 from repro.video.synthetic import gradient_video, pure_color_video
 
@@ -69,27 +67,6 @@ class TestGammaEdges:
         assert float(curve.local_curvature(v)) == pytest.approx(numeric, rel=1e-2)
 
 
-class TestPedestalTimeline:
-    def test_all_accessors_shifted(self, small_config, small_video):
-        sender = InFrameSender(small_config, small_video)
-        inner = sender.timeline()
-        pedestal = 7.5
-        shifted = _PedestalTimeline(inner, pedestal)
-        assert shifted.n_frames == inner.n_frames
-        assert shifted.duration_s == inner.duration_s
-        t = 0.05
-        assert np.allclose(
-            shifted.luminance_at(t), inner.luminance_at(t) + np.float32(pedestal)
-        )
-        assert np.allclose(
-            shifted.integrate(0.01, 0.03), inner.integrate(0.01, 0.03) + np.float32(pedestal)
-        )
-        assert np.allclose(
-            shifted.frame_average_luminance(2),
-            inner.frame_average_luminance(2) + np.float32(pedestal),
-        )
-
-
 class TestConfigEdges:
     def test_display_frames_alias(self):
         config = InFrameConfig(tau=10)
@@ -128,21 +105,21 @@ class TestMultiplexerEdges:
 
 class TestLinkEdges:
     def test_budget_extreme_operating_points(self):
-        link = ScreenCameraLink(
-            DisplayPanel(width=16, height=12), CameraModel(width=8, height=6)
-        ).auto_exposed()
-        dim = link.budget(operating_pixel_value=5.0)
-        bright = link.budget(operating_pixel_value=250.0)
+        panel = DisplayPanel(width=16, height=12)
+        pedestal = 400.0 * PANEL_REFLECTANCE / np.pi
+        camera = CameraModel(width=8, height=6).auto_exposed(
+            panel.gamma_curve.peak_luminance * panel.brightness + pedestal
+        )
+        dim = link_budget(panel, camera, pedestal, 5.0)
+        bright = link_budget(panel, camera, pedestal, 250.0)
         assert np.isfinite(dim.snr_at_delta_20)
         assert np.isfinite(bright.snr_at_delta_20)
 
     def test_zero_ambient_contrast_loss(self):
-        link = ScreenCameraLink(
-            DisplayPanel(width=16, height=12),
-            CameraModel(width=8, height=6),
-            ChannelImpairments(ambient=AmbientLight(0.0)),
+        budget = link_budget(
+            DisplayPanel(width=16, height=12), CameraModel(width=8, height=6), 0.0, 127.0
         )
-        assert link.budget().ambient_contrast_loss == 0.0
+        assert budget.ambient_contrast_loss == 0.0
 
 
 class TestZeroScheduleStream:

@@ -4,14 +4,12 @@ amplitude, blind clock synchronisation."""
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.camera.capture import CameraModel, CapturedFrame
 from repro.core.config import InFrameConfig
 from repro.core.decoder import InFrameDecoder
 from repro.core.encoder import DataFrameEncoder
 from repro.core.geometry import FrameGeometry
-from repro.core.metrics import summarize_link
 from repro.core.pipeline import InFrameSender, run_link
 from repro.hvs.perception import perception_artifacts
 from repro.video.synthetic import pure_color_video, sunrise_video

@@ -13,7 +13,6 @@ from repro.camera.capture import CameraModel, CapturedFrame
 from repro.core.decoder import HealingReport, InFrameDecoder
 from repro.core.pipeline import InFrameSender, run_link, run_transport_link
 from repro.faults import (
-    CompiledFaults,
     FaultInjectedCamera,
     FaultPlan,
     InjectionLog,
@@ -166,6 +165,18 @@ class TestStreamInjection:
         timeline = small_sender.timeline()
         frame = camera.capture_frame(timeline, 0, rng=np.random.default_rng(0))
         assert float(frame.pixels.mean()) < 40.0
+
+    def test_ambient_step_raises_capture_level(self, small_config, small_sender):
+        plan = FaultPlan.parse("ambient:at=0.0,add=25", seed=0)
+        compiled = plan.compile(
+            n_captures=12, fps=30.0, duration_s=0.4, refresh_hz=120.0
+        )
+        base = CameraModel(width=75, height=54)
+        lit = FaultInjectedCamera(base, compiled)
+        timeline = small_sender.timeline()
+        clean = base.capture_frame(timeline, 1, rng=np.random.default_rng(0))
+        raised = lit.capture_frame(timeline, 1, rng=np.random.default_rng(0))
+        assert float(raised.pixels.mean()) > float(clean.pixels.mean()) + 20.0
 
     def test_injected_camera_keeps_nominal_timestamps(
         self, small_config, small_sender

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.core.config import InFrameConfig
 from repro.core.pipeline import InFrameSender
-from repro.display.panel import DisplayPanel
 from repro.display.scheduler import DisplayTimeline
 from repro.hvs.cff import CFF_RANGE_HZ, critical_flicker_frequency
 from repro.hvs.flicker import FlickerPredictor, SubjectProfile
@@ -21,7 +20,6 @@ from repro.hvs.temporal import (
     perceived_flicker_energy,
     sensitivity_weight,
 )
-from repro.video.source import ArrayVideoSource
 from repro.video.synthetic import pure_color_video
 
 

@@ -11,8 +11,8 @@ import pytest
 
 from repro.camera.capture import CameraModel
 from repro.core.config import InFrameConfig
-from repro.core.framing import PayloadSchedule, PseudoRandomSchedule
-from repro.core.pipeline import InFrameReceiver, InFrameSender, run_link
+from repro.core.framing import PayloadSchedule
+from repro.core.pipeline import InFrameSender, run_link
 from repro.video.synthetic import pure_color_video, sunrise_video
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import importlib
 import inspect
-import io
 import json
 import time
 

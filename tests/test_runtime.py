@@ -40,25 +40,17 @@ from repro.runtime.engine import resolve_start_method
 # ----------------------------------------------------------------------
 class TestPlanChunks:
     def test_covers_range_exactly_without_overlap(self):
-        chunks = plan_chunks(23, n_chunks=5, start=7)
+        chunks = plan_chunks(23, n_chunks=5)
         items = [i for c in chunks for i in c.items]
-        assert items == list(range(7, 30))
+        assert items == list(range(23))
 
     def test_sizes_differ_by_at_most_one(self):
         sizes = [len(c) for c in plan_chunks(23, n_chunks=5)]
         assert max(sizes) - min(sizes) <= 1
         assert sum(sizes) == 23
 
-    def test_chunk_size_variant(self):
-        chunks = plan_chunks(10, chunk_size=4)
-        assert [len(c) for c in chunks] == [4, 3, 3]
-
     def test_more_chunks_than_items_collapses(self):
         assert len(plan_chunks(3, n_chunks=8)) == 3
-
-    def test_rejects_both_arguments(self):
-        with pytest.raises(ValueError):
-            plan_chunks(10, n_chunks=2, chunk_size=3)
 
     def test_plan_is_deterministic(self):
         assert plan_chunks(17, n_chunks=4, seed=9) == plan_chunks(17, n_chunks=4, seed=9)

@@ -7,7 +7,6 @@ import pytest
 
 from repro.analysis.experiments import ExperimentScale
 from repro.display.scheduler import DisplayTimeline
-from repro.faults import FaultPlan
 from repro.serve import (
     BroadcastSession,
     CohortSpecError,

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.camera.capture import CameraModel
+from repro.display.gamma import GammaCurve
+from repro.display.panel import DisplayPanel
 from repro.tools import budget, flicker, report, serve, simulate, sweep, transfer
 
 
@@ -163,6 +167,91 @@ class TestBudgetCLI:
         budget.main(["--lux", "5000"])
         out = capsys.readouterr().out
         assert "ambient contrast loss" in out
+
+    @pytest.mark.parametrize(
+        ("argv", "expected"),
+        [
+            ([], ("0.779", "0.638", "24.4", "7.3%")),
+            (["--brightness", "30"], ("0.446", "0.719", "12.4", "62.9%")),
+            (
+                ["--lux", "5000", "--exposure", "0.004", "--peak", "450"],
+                ("0.586", "0.630", "18.6", "39.5%"),
+            ),
+        ],
+        ids=["defaults", "brightness-30", "lux-5000"],
+    )
+    def test_prints_pinned_budget(self, capsys, argv, expected):
+        assert budget.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        counts, noise, snr, loss = expected
+        assert f"  counts per delta unit : {counts}" in lines
+        assert f"  noise floor           : {noise} counts RMS" in lines
+        assert f"  SNR at delta=20       : {snr}" in lines
+        assert f"  ambient contrast loss : {loss}" in lines
+
+    @pytest.mark.parametrize("lux", ["-1", "2.5e5"])
+    def test_rejects_lux_out_of_range(self, capsys, lux):
+        with pytest.raises(SystemExit) as excinfo:
+            budget.main(["--lux", lux])
+        assert excinfo.value.code == 2
+        assert "--lux" in capsys.readouterr().err
+
+
+def _office_budget(
+    level=127.0, lux=400.0, panel=None, camera=None
+) -> budget.LinkBudget:
+    """``link_budget`` with the tool's ambient pedestal and auto-exposure."""
+    panel = panel or DisplayPanel()
+    camera = camera or CameraModel()
+    pedestal = lux * budget.PANEL_REFLECTANCE / np.pi
+    peak = panel.gamma_curve.peak_luminance * panel.brightness + pedestal
+    return budget.link_budget(panel, camera.auto_exposed(peak), pedestal, level)
+
+
+class TestLinkBudget:
+    @pytest.mark.parametrize(
+        ("level", "lux", "exposure", "peak", "expected"),
+        [
+            (127.0, 400.0, 1 / 500, 300.0,
+             (0.7785750892464733, 0.6378953887500066, 24.410745177893098,
+              0.07269677811153256)),
+            (30.0, 400.0, 1 / 500, 300.0,
+             (0.4461296373330228, 0.7188430140733106, 12.41243577801605,
+              0.6290166152954678)),
+            (127.0, 5000.0, 0.004, 450.0,
+             (0.5864758047748353, 0.6299046500080525, 18.621097804797536,
+              0.39543754456828134)),
+        ],
+        ids=["defaults", "brightness-30", "lux-5000"],
+    )
+    def test_pinned_operating_points(self, level, lux, exposure, peak, expected):
+        # Exact floats of the CLI's default, --brightness 30 and
+        # --lux 5000 --exposure 0.004 --peak 450 budgets.
+        result = _office_budget(
+            level,
+            lux,
+            panel=DisplayPanel(gamma_curve=GammaCurve(peak_luminance=peak)),
+            camera=CameraModel(exposure_s=exposure),
+        )
+        assert result == budget.LinkBudget(*expected)
+
+    def test_budget_fields(self):
+        result = _office_budget()
+        assert result.counts_per_delta > 0
+        assert result.noise_floor_counts > 0
+        assert result.snr_at_delta_20 > 1.0
+        assert 0.0 <= result.ambient_contrast_loss < 1.0
+
+    def test_brighter_operating_point_buys_more_counts(self):
+        # Gamma slope grows with level, so one delta unit buys more counts.
+        mid = _office_budget(127.0)
+        bright = _office_budget(200.0)
+        assert bright.counts_per_delta > mid.counts_per_delta
+
+    def test_ambient_loss_grows_with_lux(self):
+        quiet = _office_budget(lux=10.0)
+        loud = _office_budget(lux=5000.0)
+        assert loud.ambient_contrast_loss > quiet.ambient_contrast_loss
 
 
 class TestFlickerCLI:
