@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro._util import stable_seed
 from repro.analysis.experiments import FLICKER_PANEL, flicker_config
 from repro.analysis.reporting import format_table
 from repro.analysis.userstudy import SimulatedPanel
@@ -40,7 +41,9 @@ def study_results():
     for design in NaiveDesign:
         stream = NaiveScheme(config, video, schedule, design)
         timeline = DisplayTimeline(display, stream)
-        results[design.value] = panel.study(timeline, DURATION_S, stimulus_seed=hash(design.value) % 997)
+        results[design.value] = panel.study(
+            timeline, DURATION_S, stimulus_seed=stable_seed("fig3", design.value)
+        )
     sender = InFrameSender(config, video, schedule=schedule)
     results["InFrame (complementary)"] = panel.study(sender.timeline(), DURATION_S)
     return results

@@ -95,27 +95,20 @@ class SimulatedPanel:
     ) -> PanelResult:
         """Rate one stimulus with the whole panel.
 
-        The expensive waveform extraction runs once; each subject re-scores
-        the shared waveforms with their own sensitivity parameters.  With a
-        *reference* timeline (the original content), ratings reflect the
-        perceived change, matching the paper's side-by-side protocol.
+        The waveforms are extracted once and scored for the population
+        model and every subject in one call.  With a *reference* timeline
+        (the original content), ratings reflect the perceived change,
+        matching the paper's side-by-side protocol.
         """
-        waveforms, sample_rate = self.predictor.region_waveforms(timeline, duration_s)
-        if reference is not None:
-            ref_waveforms, ref_rate = self.predictor.region_waveforms(reference, duration_s)
-            if ref_waveforms.shape != waveforms.shape or ref_rate != sample_rate:
-                raise ValueError("reference timeline must match the stimulus geometry")
-            ref_means = ref_waveforms.mean(axis=2, keepdims=True)
-            waveforms = waveforms - ref_waveforms + ref_means
+        waveforms, sample_rate = self.predictor.region_waveforms(timeline, duration_s, reference)
         carrier_hz = timeline.panel.refresh_hz / 2.0
-        # Score with the population-average subject for the model reference.
-        base_report = self.predictor.report_from_waveforms(waveforms, sample_rate, carrier_hz)
+        # The population-average subject gives the model reference score.
+        base_report, *reports = self.predictor.report_from_waveforms(
+            waveforms, sample_rate, carrier_hz, (SubjectProfile(), *self.subjects)
+        )
         rng = np.random.default_rng((self.seed, stimulus_seed))
         scores = []
-        for subject in self.subjects:
-            report = self.predictor.report_from_waveforms(
-                waveforms, sample_rate, carrier_hz, subject=subject
-            )
+        for report in reports:
             rating = report.score + float(rng.normal(0.0, self.rating_noise))
             scores.append(float(np.clip(np.round(rating), 0, 4)))
         values = np.asarray(scores)

@@ -18,23 +18,22 @@ flicker or artifact" (0 and 1 counting as satisfactory).
 
 Per-subject variation (CFF offset, sensitivity gain, response noise) is
 expressed through :class:`SubjectProfile`; the simulated 8-person panel
-lives in :mod:`repro.analysis.userstudy`.
+lives in :mod:`repro.analysis.userstudy`.  All of steps 2 and 3 except
+the subject's weighting and gain runs once per stimulus, so scoring a
+whole panel costs little more than scoring one subject.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro._util import check_positive, check_positive_int
 from repro.display.scheduler import DisplayTimeline
-from repro.hvs.phantom import PHANTOM_GAIN, beam_size_factor, duty_cycle_factor, phantom_array_energy
-from repro.hvs.temporal import (
-    luminance_normalizer,
-    perceived_flicker_energy,
-    sensitivity_weight,
-)
+from repro.hvs.phantom import PHANTOM_GAIN, beam_size_factor, duty_cycle_factor
+from repro.hvs.temporal import luminance_normalizer, sensitivity_weight
 
 #: Logistic psychometric mapping: energy at which the score crosses 2.0
 #: ("merely noticeable").  Calibrated so the paper's satisfactory settings
@@ -121,11 +120,19 @@ class FlickerPredictor:
         self,
         timeline: DisplayTimeline,
         duration_s: float | None = None,
+        reference: DisplayTimeline | None = None,
     ) -> tuple[np.ndarray, float]:
         """Region-mean luminance waveforms on the scoring grid.
 
         Returns ``(waveforms, sample_rate_hz)`` with waveforms shaped
         ``(rows, cols, n_samples)``.
+
+        *reference* is an optional timeline of the *original*
+        (unmultiplexed) content.  The paper's panel rated original and
+        multiplexed videos side by side, i.e. the perceived *change*: with
+        a reference, the content's own temporal activity (motion, film
+        grain) is subtracted out and only the added modulation is left.
+        The reference's mean luminance still sets the adaptation state.
         """
         duration = timeline.duration_s if duration_s is None else float(duration_s)
         duration = min(duration, timeline.duration_s)
@@ -138,6 +145,12 @@ class FlickerPredictor:
         for i, t in enumerate(times):
             field = timeline.luminance_at(float(t))
             waveforms[:, :, i] = self._region_means(field, rows, cols)
+        if reference is not None:
+            ref_waveforms, ref_rate = self.region_waveforms(reference, duration_s)
+            if ref_waveforms.shape != waveforms.shape or ref_rate != sample_rate:
+                raise ValueError("reference timeline must match the stimulus geometry")
+            ref_means = ref_waveforms.mean(axis=2, keepdims=True)
+            waveforms = waveforms - ref_waveforms + ref_means
         return waveforms, sample_rate
 
     @staticmethod
@@ -175,67 +188,69 @@ class FlickerPredictor:
         subject: SubjectProfile | None = None,
         reference: DisplayTimeline | None = None,
     ) -> FlickerReport:
-        """Score a display timeline; see the module docstring for the steps.
+        """Score a display timeline for one subject (default: the population).
 
-        Parameters
-        ----------
-        reference:
-            Optional timeline of the *original* (unmultiplexed) content.
-            The paper's panel rated original and multiplexed videos side
-            by side, i.e. the perceived *change*: with a reference, the
-            content's own temporal activity (motion, film grain) is
-            subtracted out and only the added modulation is scored.  The
-            reference's mean luminance still sets the adaptation state.
+        See the module docstring for the steps, and :meth:`region_waveforms`
+        for the side-by-side *reference*.
         """
-        waveforms, sample_rate = self.region_waveforms(timeline, duration_s)
-        if reference is not None:
-            ref_waveforms, ref_rate = self.region_waveforms(reference, duration_s)
-            if ref_waveforms.shape != waveforms.shape or ref_rate != sample_rate:
-                raise ValueError("reference timeline must match the stimulus geometry")
-            ref_means = ref_waveforms.mean(axis=2, keepdims=True)
-            waveforms = waveforms - ref_waveforms + ref_means
+        waveforms, sample_rate = self.region_waveforms(timeline, duration_s, reference)
         carrier_hz = timeline.panel.refresh_hz / 2.0
-        return self.report_from_waveforms(waveforms, sample_rate, carrier_hz, subject)
+        (report,) = self.report_from_waveforms(
+            waveforms, sample_rate, carrier_hz, (subject or SubjectProfile(),)
+        )
+        return report
 
     def report_from_waveforms(
         self,
         waveforms: np.ndarray,
         sample_rate: float,
         carrier_hz: float,
-        subject: SubjectProfile | None = None,
-    ) -> FlickerReport:
-        """Score pre-extracted region waveforms.
+        subjects: Sequence[SubjectProfile],
+    ) -> list[FlickerReport]:
+        """Score pre-extracted region waveforms once per subject, in order.
 
-        Lets a multi-subject panel pay the (expensive) waveform extraction
-        once and re-score per subject.
+        The spectrum, the Weber contrast and the phantom slope energy do not
+        depend on the subject, so they are computed once for the stimulus;
+        each subject adds only a CFF-shifted sensitivity weighting and a
+        squared gain.
         """
-        subject = subject or SubjectProfile()
         rows, cols = self.grid
         if waveforms.shape[:2] != (rows, cols):
             raise ValueError(
                 f"waveforms grid {waveforms.shape[:2]} does not match predictor {self.grid}"
             )
-        flicker = self._flicker_energies(waveforms, sample_rate, subject)
-        phantom = self._phantom_energies(waveforms, sample_rate, carrier_hz, subject)
-        total = flicker + phantom
-        worst_flat = int(np.argmax(total))
-        worst = (worst_flat // cols, worst_flat % cols)
-        score = self.score_from_energy(float(total[worst])) + subject.response_bias
-        return FlickerReport(
-            score=float(np.clip(score, 0.0, 4.0)),
-            flicker_energy=float(flicker[worst]),
-            phantom_energy=float(phantom[worst]),
-            worst_region=worst,
-            region_energies=total,
-        )
+        freqs, contrast, safe_means = self._weber_spectrum(waveforms, sample_rate)
+        phantom_base = self._phantom_energies(waveforms, sample_rate, carrier_hz)
+        reports = []
+        for subject in subjects:
+            weights = sensitivity_weight(freqs, safe_means, cff_offset_hz=subject.cff_offset_hz)
+            flicker = np.sum((contrast * weights) ** 2, axis=1)
+            flicker *= subject.sensitivity_gain**2
+            phantom = phantom_base * subject.sensitivity_gain**2
+            total = flicker + phantom
+            worst_flat = int(np.argmax(total))
+            score = self.score_from_energy(float(total[worst_flat])) + subject.response_bias
+            reports.append(
+                FlickerReport(
+                    score=float(np.clip(score, 0.0, 4.0)),
+                    flicker_energy=float(flicker[worst_flat]),
+                    phantom_energy=float(phantom[worst_flat]),
+                    worst_region=(worst_flat // cols, worst_flat % cols),
+                    region_energies=total.reshape(rows, cols),
+                )
+            )
+        return reports
 
-    def _flicker_energies(
-        self,
-        waveforms: np.ndarray,
-        sample_rate: float,
-        subject: SubjectProfile,
-    ) -> np.ndarray:
-        """Vectorised :func:`perceived_flicker_energy` over the region grid."""
+    @staticmethod
+    def _weber_spectrum(
+        waveforms: np.ndarray, sample_rate: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The subject-independent half of :func:`repro.hvs.temporal.perceived_flicker_energy`.
+
+        Returns ``(freqs, contrast, safe_means)``: the DC-free frequencies,
+        each region's Weber-contrast spectrum as a ``(regions, freqs)``
+        table, and the region mean luminances shaped ``(regions, 1)``.
+        """
         rows, cols, n = waveforms.shape
         flat = waveforms.reshape(rows * cols, n)
         means = flat.mean(axis=1, keepdims=True)
@@ -246,24 +261,15 @@ class FlickerPredictor:
         freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)[1:]
         safe_means = np.maximum(means, 1e-6)
         contrast = amplitudes / luminance_normalizer(safe_means)
-        weights = np.stack(
-            [
-                sensitivity_weight(freqs, float(m), cff_offset_hz=subject.cff_offset_hz)
-                for m in safe_means[:, 0]
-            ]
-        )
-        energies = np.sum((contrast * weights) ** 2, axis=1)
-        energies *= subject.sensitivity_gain**2
-        return energies.reshape(rows, cols)
+        return freqs, contrast, safe_means
 
     def _phantom_energies(
         self,
         waveforms: np.ndarray,
         sample_rate: float,
         carrier_hz: float,
-        subject: SubjectProfile,
     ) -> np.ndarray:
-        """Vectorised :func:`phantom_array_energy` over the region grid."""
+        """Vectorised :func:`repro.hvs.phantom.phantom_array_energy` per region, at gain 1."""
         from scipy import ndimage
 
         rows, cols, n = waveforms.shape
@@ -284,8 +290,7 @@ class FlickerPredictor:
         duration_s = n / sample_rate
         energies = np.sum(slope**2, axis=1) / sample_rate / max(duration_s, 1e-9)
         factor = beam_size_factor(self.pixel_size_px) * duty_cycle_factor(0.5)
-        energies = PHANTOM_GAIN * energies * factor * subject.sensitivity_gain**2
-        return energies.reshape(rows, cols)
+        return PHANTOM_GAIN * energies * factor
 
     @staticmethod
     def score_from_energy(energy: float) -> float:

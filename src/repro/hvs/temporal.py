@@ -78,7 +78,7 @@ def flicker_spectrum(
 
 def sensitivity_weight(
     freqs_hz: np.ndarray,
-    mean_luminance: float,
+    mean_luminance: np.ndarray | float,
     cff_offset_hz: float = 0.0,
 ) -> np.ndarray:
     """Relative temporal contrast sensitivity at each frequency, in [0, 1].
@@ -86,6 +86,10 @@ def sensitivity_weight(
     A band-pass approximation of the temporal CSF: a soft high-pass above
     :data:`LOW_CUTOFF_HZ`, unity in the pass band, and a logistic roll-off
     centred at the Ferry-Porter CFF for the given adaptation luminance.
+
+    *mean_luminance* broadcasts against *freqs_hz*: luminances shaped
+    ``(regions, 1)`` give one ``(regions, freqs)`` table, each row equal
+    to the scalar call for that region.
     """
     freqs = np.asarray(freqs_hz, dtype=np.float64)
     cff = critical_flicker_frequency(mean_luminance, offset_hz=cff_offset_hz)

@@ -6,14 +6,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
+from repro.analysis.experiments import flicker_timeline
+from repro.analysis.userstudy import SimulatedPanel
 from repro.core.config import InFrameConfig
 from repro.core.pipeline import InFrameSender
 from repro.display.scheduler import DisplayTimeline
 from repro.hvs.cff import CFF_RANGE_HZ, critical_flicker_frequency
 from repro.hvs.flicker import FlickerPredictor, SubjectProfile
 from repro.hvs.perception import perceived_frame, perception_artifacts
-from repro.hvs.phantom import beam_size_factor, duty_cycle_factor, phantom_array_energy
+from repro.hvs.phantom import (
+    PHANTOM_GAIN,
+    beam_size_factor,
+    duty_cycle_factor,
+    phantom_array_energy,
+)
 from repro.hvs.temporal import (
     flicker_spectrum,
     luminance_normalizer,
@@ -84,6 +92,14 @@ class TestSensitivityWeight:
         dim = sensitivity_weight(np.array([45.0]), 5.0)
         bright = sensitivity_weight(np.array([45.0]), 300.0)
         assert bright[0] > dim[0]
+
+    def test_luminances_broadcast_to_rows_of_scalar_calls(self):
+        freqs = np.linspace(1.0, 240.0, 120)
+        means = np.array([[0.5], [20.0], [140.0], [900.0]])
+        table = sensitivity_weight(freqs, means, cff_offset_hz=-1.7)
+        assert table.shape == (4, 120)
+        for row, mean in zip(table, means[:, 0]):
+            assert np.array_equal(row, sensitivity_weight(freqs, float(mean), cff_offset_hz=-1.7))
 
 
 class TestFlickerEnergy:
@@ -197,7 +213,7 @@ class TestFlickerPredictor:
     def test_waveform_grid_mismatch_rejected(self):
         predictor = FlickerPredictor(grid=(4, 4))
         with pytest.raises(ValueError):
-            predictor.report_from_waveforms(np.zeros((2, 2, 64)), 480.0, 60.0)
+            predictor.report_from_waveforms(np.zeros((2, 2, 64)), 480.0, 60.0, [SubjectProfile()])
 
     @given(st.floats(min_value=1e-8, max_value=10.0))
     @settings(max_examples=30)
@@ -219,6 +235,143 @@ class TestFlickerPredictor:
         middle = envelope[200:-200]
         # The carrier is square: RMS equals the amplitude.
         assert float(np.median(middle)) == pytest.approx(8.0, rel=0.2)
+
+
+class TestSideBySide:
+    """Scoring against the original content (the paper's side-by-side protocol)."""
+
+    def test_timeline_against_itself_scores_nothing(self):
+        timeline = flicker_timeline(50.0, 12, 200.0, n_video_frames=10)
+        report = FlickerPredictor().report(timeline, 0.3, reference=timeline)
+        # The per-region mean of a constant row rounds, leaving ~1e-32 of
+        # flicker energy where the stimulus itself scores ~1e-2.
+        assert report.region_energies.max() < 1e-25
+        assert report.phantom_energy == 0.0
+        assert report.score < 1e-12
+        result = SimulatedPanel().study(timeline, 0.3, reference=timeline)
+        assert result.scores == (0.0,) * 8
+        assert result.model_score < 1e-12
+
+    def test_reference_of_other_duration_rejected(self):
+        timeline = flicker_timeline(20.0, 12, 127.0, n_video_frames=10)
+        shorter = flicker_timeline(20.0, 12, 127.0, n_video_frames=6)
+        with pytest.raises(ValueError, match="reference"):
+            FlickerPredictor().report(timeline, reference=shorter)
+        with pytest.raises(ValueError, match="reference"):
+            SimulatedPanel().study(timeline, reference=shorter)
+
+
+def _per_subject_report(predictor, waveforms, sample_rate, carrier_hz, subject):
+    """The per-subject scorer that whole-panel scoring replaced, as its oracle.
+
+    Returns ``(score, flicker_energy, phantom_energy, worst_region,
+    region_energies)`` computed the old way: one weight row per region and
+    every term recomputed for each subject.
+    """
+    rows, cols, n = waveforms.shape
+    flat = waveforms.reshape(rows * cols, n)
+    means = flat.mean(axis=1, keepdims=True)
+    window = np.hanning(n)
+    gain = window.sum() / n
+    spectrum = np.fft.rfft((flat - means) * window, axis=1)
+    amplitudes = 2.0 * np.abs(spectrum[:, 1:]) / (n * gain)
+    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)[1:]
+    safe_means = np.maximum(means, 1e-6)
+    contrast = amplitudes / luminance_normalizer(safe_means)
+    weights = np.stack(
+        [
+            sensitivity_weight(freqs, float(m), cff_offset_hz=subject.cff_offset_hz)
+            for m in safe_means[:, 0]
+        ]
+    )
+    flicker = np.sum((contrast * weights) ** 2, axis=1)
+    flicker *= subject.sensitivity_gain**2
+    flicker = flicker.reshape(rows, cols)
+
+    period = max(int(round(sample_rate / carrier_hz)), 2)
+    baseline = ndimage.uniform_filter1d(flat, size=period, axis=1, mode="nearest")
+    carrier = flat - baseline
+    envelope = np.sqrt(
+        np.maximum(ndimage.uniform_filter1d(carrier**2, size=period, axis=1, mode="nearest"), 0.0)
+    )
+    means = np.maximum(flat.mean(axis=1), 1e-6)
+    weber = envelope / np.asarray(luminance_normalizer(means))[:, None]
+    slope = np.diff(weber, axis=1) * sample_rate
+    energies = np.sum(slope**2, axis=1) / sample_rate / max(n / sample_rate, 1e-9)
+    factor = beam_size_factor(predictor.pixel_size_px) * duty_cycle_factor(0.5)
+    phantom = PHANTOM_GAIN * energies * factor * subject.sensitivity_gain**2
+    phantom = phantom.reshape(rows, cols)
+
+    total = flicker + phantom
+    worst_flat = int(np.argmax(total))
+    worst = (worst_flat // cols, worst_flat % cols)
+    score = predictor.score_from_energy(float(total[worst])) + subject.response_bias
+    score = float(np.clip(score, 0.0, 4.0))
+    return score, float(flicker[worst]), float(phantom[worst]), worst, total
+
+
+ORACLE_DURATION_S = 0.3
+
+
+@pytest.fixture(
+    scope="module",
+    params=[("left", 20.0, 12, 60.0), ("left", 50.0, 12, 200.0),
+            ("right", 20.0, 10, 127.0), ("right", 50.0, 14, 127.0)],
+    ids=lambda stim: f"{stim[0]}-d{stim[1]:g}-t{stim[2]}-v{stim[3]:g}",
+)
+def oracle_stimulus(request):
+    """A Fig. 6 stimulus from each half at delta 20 and 50, with its waveforms."""
+    _half, delta, tau, value = request.param
+    timeline = flicker_timeline(delta, tau, value, n_video_frames=10)
+    waveforms, rate = FlickerPredictor().region_waveforms(timeline, ORACLE_DURATION_S)
+    return timeline, waveforms, rate
+
+
+class TestPanelScoringOracle:
+    """Whole-panel scoring is bit-identical to scoring each subject alone."""
+
+    @pytest.mark.parametrize("seed", [8, 3])
+    def test_panel_matches_per_subject_oracle(self, oracle_stimulus, seed):
+        timeline, waveforms, rate = oracle_stimulus
+        panel = SimulatedPanel(seed=seed)
+        subjects = (SubjectProfile(), *panel.subjects)
+        carrier_hz = timeline.panel.refresh_hz / 2.0
+        expected = [
+            _per_subject_report(panel.predictor, waveforms, rate, carrier_hz, subject)
+            for subject in subjects
+        ]
+        reports = panel.predictor.report_from_waveforms(waveforms, rate, carrier_hz, subjects)
+        assert len(reports) == len(subjects)
+        for report, (score, flicker, phantom, worst, total) in zip(reports, expected):
+            assert (report.score, report.flicker_energy, report.phantom_energy) == (
+                score, flicker, phantom
+            )
+            assert report.worst_region == worst
+            assert np.array_equal(report.region_energies, total)
+
+        result = panel.study(timeline, ORACLE_DURATION_S, stimulus_seed=11)
+        rng = np.random.default_rng((seed, 11))
+        ratings = []
+        for score, *_ in expected[1:]:
+            rating = score + float(rng.normal(0.0, panel.rating_noise))
+            ratings.append(float(np.clip(np.round(rating), 0, 4)))
+        assert result.model_score == expected[0][0]
+        assert result.scores == tuple(ratings)
+
+    def test_report_matches_per_subject_oracle(self, oracle_stimulus):
+        timeline, waveforms, rate = oracle_stimulus
+        predictor = FlickerPredictor()
+        expert = SimulatedPanel().subjects[0]
+        for subject in (None, expert):
+            report = predictor.report(timeline, ORACLE_DURATION_S, subject=subject)
+            score, flicker, phantom, worst, total = _per_subject_report(
+                predictor, waveforms, rate, 60.0, subject or SubjectProfile()
+            )
+            assert (report.score, report.flicker_energy, report.phantom_energy) == (
+                score, flicker, phantom
+            )
+            assert report.worst_region == worst
+            assert np.array_equal(report.region_energies, total)
 
 
 class TestPerception:
