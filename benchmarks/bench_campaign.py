@@ -48,7 +48,6 @@ import sys
 import time
 
 import repro
-from repro.tools.perf import bench_envelope
 from repro.campaign import CampaignJournal, CampaignMaster
 from repro.campaign.chaos import run_chaos_campaign
 
@@ -299,7 +298,6 @@ def test_campaign_kill_resume(benchmark, emit, results_dir):
 
     record = run_once(benchmark, lambda: measure_kill_resume(scale="quick"))
     emit("bench_campaign_quick", format_report(record))
-    bench_envelope(record, bench="campaign", quick=True)
     with open(os.path.join(results_dir, "bench_campaign_quick.json"), "w") as f:
         json.dump(record, f, indent=2)
     # The acceptance criteria: a killed-and-resumed campaign aggregates
@@ -318,7 +316,6 @@ def test_campaign_chaos(benchmark, emit, results_dir):
 
     record = run_once(benchmark, lambda: measure_chaos(scale="quick"))
     emit("bench_campaign_chaos", format_chaos_report(record))
-    bench_envelope(record, bench="campaign-chaos", quick=True)
     with open(os.path.join(results_dir, "bench_campaign_chaos.json"), "w") as f:
         json.dump(record, f, indent=2)
     # The supervision acceptance criteria: a campaign whose workers were
@@ -372,7 +369,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(format_chaos_report(record))
         if args.out:
-            bench_envelope(record, bench="campaign-chaos", quick=scale == "quick")
             with open(args.out, "w") as f:
                 json.dump(record, f, indent=2)
         ok = (
@@ -388,7 +384,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(format_report(record))
     if args.out:
-        bench_envelope(record, bench="campaign", quick=scale == "quick")
         with open(args.out, "w") as f:
             json.dump(record, f, indent=2)
     ok = (

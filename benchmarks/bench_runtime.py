@@ -39,11 +39,18 @@ import numpy as np
 from repro.analysis.experiments import ExperimentScale
 from repro.core.pipeline import run_link
 from repro.obs.live import LiveCollector, install_live
-from repro.tools.perf import bench_envelope, usable_cpus
 
 #: The acceptance workload: 64 gray content frames at benchmark scale.
 STANDARD_FRAMES = 64
 STANDARD_WORKER_COUNTS = (1, 2, 4)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may schedule on (affinity-aware)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
 
 
 def sweep_runtime(
@@ -136,7 +143,8 @@ def measure_telemetry_overhead(
     ``repro.obs`` counters and histogram fills along the pipeline plus
     live telemetry: the "on" leg also runs a 1 Hz live snapshot collector
     streaming to disk -- the full observability stack a ``--snapshot-out``
-    run pays for.
+    run pays for.  The ratio is signed: a negative one means the "on"
+    leg ran faster, which is host noise, not a saving.
     """
     scale = replace(
         getattr(ExperimentScale, scale_name)(), n_video_frames=n_video_frames
@@ -171,8 +179,16 @@ def measure_telemetry_overhead(
         "repeats": repeats,
         "telemetry_off_s": off_s,
         "telemetry_on_s": on_s,
-        "overhead_ratio": max(0.0, on_s / off_s - 1.0),
+        "overhead_ratio": on_s / off_s - 1.0,
     }
+
+
+def format_overhead(record: dict) -> str:
+    """The one-line overhead summary, signed."""
+    return (
+        f"telemetry overhead: off={record['telemetry_off_s']:.3f}s "
+        f"on={record['telemetry_on_s']:.3f}s ({record['overhead_ratio']:+.2%})"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +204,6 @@ def test_runtime_worker_sweep(benchmark, emit, results_dir):
         ),
     )
     emit("bench_runtime_quick", format_report(record))
-    bench_envelope(record, bench="runtime", quick=True)
     with open(os.path.join(results_dir, "bench_runtime_quick.json"), "w") as f:
         json.dump(record, f, indent=2)
     # The determinism contract holds on any machine.
@@ -203,13 +218,7 @@ def test_telemetry_overhead_within_budget(benchmark, emit, results_dir):
     from conftest import run_once
 
     record = run_once(benchmark, lambda: measure_telemetry_overhead())
-    emit(
-        "bench_telemetry_overhead",
-        f"telemetry overhead: off={record['telemetry_off_s']:.3f}s "
-        f"on={record['telemetry_on_s']:.3f}s "
-        f"(+{record['overhead_ratio'] * 100:.2f}%)",
-    )
-    bench_envelope(record, bench="telemetry_overhead", quick=True)
+    emit("bench_telemetry_overhead", format_overhead(record))
     with open(os.path.join(results_dir, "bench_telemetry_overhead.json"), "w") as f:
         json.dump(record, f, indent=2)
     # The observability budget: collection costs at most 5% wall clock.
@@ -256,12 +265,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     record["telemetry_overhead"] = overhead
     print(format_report(record))
-    print(
-        f"telemetry overhead: off={overhead['telemetry_off_s']:.3f}s "
-        f"on={overhead['telemetry_on_s']:.3f}s "
-        f"(+{overhead['overhead_ratio'] * 100:.2f}%)"
-    )
-    bench_envelope(record, bench="runtime", quick=args.quick)
+    print(format_overhead(overhead))
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     with open(args.out, "w") as f:
         json.dump(record, f, indent=2)

@@ -38,8 +38,6 @@ import os
 import sys
 import time
 
-from repro.tools.perf import bench_envelope
-
 from repro.analysis.experiments import ExperimentScale
 from repro.display.scheduler import DisplayTimeline
 from repro.serve import (
@@ -167,7 +165,6 @@ def test_serve_render_reuse(benchmark, emit, results_dir):
 
     record = run_once(benchmark, lambda: measure_fleet(QUICK_RECEIVERS))
     emit("bench_serve_quick", format_report(record))
-    bench_envelope(record, bench="serve", quick=True)
     with open(os.path.join(results_dir, "bench_serve_quick.json"), "w") as f:
         json.dump(record, f, indent=2)
     fleet = record["fleet"]
@@ -199,7 +196,6 @@ def main(argv: list[str] | None = None) -> int:
     record = measure_fleet(n_receivers, seed=args.seed, workers=args.workers)
     print(format_report(record))
     if args.out:
-        bench_envelope(record, bench="serve", quick=n_receivers <= QUICK_RECEIVERS)
         with open(args.out, "w") as f:
             json.dump(record, f, indent=2)
         print(f"wrote {args.out}")

@@ -1,4 +1,4 @@
-"""Live telemetry: time-series rings, watch folding, profiler, perf gate.
+"""Live telemetry: time-series rings, watch folding, profiler.
 
 The load-bearing property is *separation*: the live side-channel
 (:mod:`repro.obs.live`) is wall-clock-stamped by construction, so
@@ -34,19 +34,7 @@ from repro.obs.live import (
     render_prometheus,
 )
 from repro.obs.profile import STAGE_FUNCTIONS, ProfileReport, SamplingProfiler, stage_of
-from repro.tools import perf as perf_tool
 from repro.tools import watch as watch_tool
-from repro.tools.perf import (
-    BENCH_SCHEMA,
-    PERF_FORMAT,
-    baseline_for,
-    bench_envelope,
-    compare,
-    flatten_metrics,
-    metric_direction,
-    normalize_bench,
-    read_trajectory,
-)
 from repro.tools.watch import (
     WatchState,
     feed_snapshots,
@@ -604,224 +592,3 @@ class TestWatchTailUnderConcurrentAppends:
     def test_watch_requires_a_stream(self, capsys):
         with pytest.raises(SystemExit):
             watch_tool.main(["--once"])
-
-
-class TestPerfEnvelope:
-    def test_bench_envelope_merges_in_place(self):
-        record = {"runs": [{"workers": 1, "elapsed_s": 2.0}], "note": "x"}
-        out = bench_envelope(record, bench="runtime", quick=True)
-        assert out is record
-        assert record["schema"] == BENCH_SCHEMA
-        assert record["bench"] == "runtime" and record["quick"] is True
-        assert record["usable_cpus"] >= 1
-        assert record["metrics"] == {"runs.0.elapsed_s": 2.0, "runs.0.workers": 1.0}
-        assert record["note"] == "x"  # existing keys untouched
-
-    def test_flatten_skips_bools_strings_and_envelope(self):
-        flat = flatten_metrics({
-            "schema": BENCH_SCHEMA,
-            "bench": "x",
-            "quick": True,
-            "usable_cpus": 8,
-            "ok": True,
-            "label": "fast",
-            "nested": {"a": 1, "b": [2.5, {"c": 3}]},
-        })
-        assert flat == {"nested.a": 1.0, "nested.b.0": 2.5, "nested.b.1.c": 3.0}
-
-    def test_normalize_legacy_payload_from_filename(self):
-        record = normalize_bench(
-            {"overhead_ratio": 1.01}, source="bench_telemetry_overhead.json"
-        )
-        assert record["bench"] == "telemetry_overhead"
-        assert record["quick"] is False
-        record = normalize_bench({"n": 1}, source="bench_campaign_quick.json")
-        assert record["bench"] == "campaign" and record["quick"] is True
-
-    def test_normalize_enveloped_payload_passes_through(self):
-        payload = bench_envelope({"elapsed_s": 1.0}, bench="serve", quick=False)
-        record = normalize_bench(dict(payload), source="bench_other.json")
-        assert record["bench"] == "serve" and record["quick"] is False
-
-
-class TestMetricDirection:
-    @pytest.mark.parametrize(
-        ("name", "expected"),
-        [
-            ("runs.0.elapsed_s", "lower"),
-            ("overhead_ratio", "lower"),
-            ("telemetry.per_field_s", "lower"),
-            ("fleet.deaths", "lower"),
-            ("frames_per_s", "higher"),
-            ("runs.2.speedup_vs_serial", "higher"),
-            ("fleet.delivery_rate", "higher"),
-            ("goodput_kbps", "higher"),
-            ("rerender.reuse_ratio", "higher"),
-            ("runs.0.workers", None),
-            ("units", None),
-        ],
-    )
-    def test_direction_inference(self, name, expected):
-        assert metric_direction(name) == expected
-
-
-class TestPerfGate:
-    def _results_dir(self, tmp_path, elapsed=2.0, rate=10.0):
-        results = tmp_path / "results"
-        results.mkdir(exist_ok=True)
-        record = bench_envelope(
-            {"runs": [{"elapsed_s": elapsed, "frames_per_s": rate}]},
-            bench="runtime",
-            quick=True,
-        )
-        (results / "bench_runtime_quick.json").write_text(json.dumps(record))
-        return results
-
-    def _cli(self, *argv):
-        return perf_tool.main(list(argv))
-
-    def test_ingest_then_check_passes_on_identical_results(self, tmp_path, capsys):
-        results = self._results_dir(tmp_path)
-        trajectory = tmp_path / "perf_trajectory.json"
-        assert self._cli(
-            "ingest", "--results", str(results), "--trajectory", str(trajectory)
-        ) == 0
-        payload = read_trajectory(trajectory)
-        assert payload["format"] == PERF_FORMAT
-        assert len(payload["runs"]) == 1
-        assert self._cli(
-            "check", "--results", str(results), "--trajectory", str(trajectory)
-        ) == 0
-        assert "no directional metric past its budget" in capsys.readouterr().out
-
-    def test_check_fails_on_injected_regression(self, tmp_path, capsys):
-        results = self._results_dir(tmp_path)
-        trajectory = tmp_path / "perf_trajectory.json"
-        self._cli("ingest", "--results", str(results), "--trajectory", str(trajectory))
-        # A 30% slowdown on a lower-is-better metric trips the 20% budget.
-        self._results_dir(tmp_path, elapsed=2.0 * 1.3)
-        assert self._cli(
-            "check", "--results", str(results), "--trajectory", str(trajectory)
-        ) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSED runs.0.elapsed_s" in out
-
-    def test_rate_drop_regresses_downward(self, tmp_path, capsys):
-        results = self._results_dir(tmp_path)
-        trajectory = tmp_path / "perf_trajectory.json"
-        self._cli("ingest", "--results", str(results), "--trajectory", str(trajectory))
-        self._results_dir(tmp_path, rate=10.0 * 0.6)
-        assert self._cli(
-            "check", "--results", str(results), "--trajectory", str(trajectory)
-        ) == 1
-        assert "REGRESSED runs.0.frames_per_s" in capsys.readouterr().out
-
-    def test_metric_threshold_override_widens_budget(self, tmp_path, capsys):
-        results = self._results_dir(tmp_path)
-        trajectory = tmp_path / "perf_trajectory.json"
-        self._cli("ingest", "--results", str(results), "--trajectory", str(trajectory))
-        self._results_dir(tmp_path, elapsed=2.0 * 1.3)
-        assert self._cli(
-            "check", "--results", str(results), "--trajectory", str(trajectory),
-            "--metric-threshold", "elapsed_s=0.5",
-        ) == 0
-        capsys.readouterr()
-
-    def test_check_baselines_on_runs_with_the_same_cpu_count(self, tmp_path, capsys):
-        results = tmp_path / "results"
-        results.mkdir()
-        trajectory = tmp_path / "perf_trajectory.json"
-
-        def write(elapsed, cpus):
-            record = {"runs": [{"elapsed_s": elapsed}], "usable_cpus": cpus}
-            record = bench_envelope(record, bench="runtime", quick=True)
-            (results / "bench_runtime_quick.json").write_text(json.dumps(record))
-
-        def check():
-            return self._cli(
-                "check", "--results", str(results), "--trajectory", str(trajectory)
-            )
-
-        # A slow 1-CPU run, then a fast 2-CPU one: their mean (6 s) would
-        # hide a 30% slowdown on the 2-CPU host.
-        for elapsed, cpus in ((10.0, 1), (2.0, 2)):
-            write(elapsed, cpus)
-            self._cli("ingest", "--results", str(results), "--trajectory", str(trajectory))
-        write(2.0 * 1.3, 2)
-        assert check() == 1
-        # No run on this CPU count: the baseline falls back to every run.
-        write(6.0 * 1.3, 4)
-        assert check() == 1
-        write(6.0, 4)
-        assert check() == 0
-        capsys.readouterr()
-
-    def test_check_without_baseline_passes(self, tmp_path, capsys):
-        results = self._results_dir(tmp_path)
-        trajectory = tmp_path / "perf_trajectory.json"
-        assert self._cli(
-            "check", "--results", str(results), "--trajectory", str(trajectory)
-        ) == 0
-        assert "no baseline yet" in capsys.readouterr().out
-
-    def test_check_json_report_shape(self, tmp_path, capsys):
-        results = self._results_dir(tmp_path)
-        trajectory = tmp_path / "perf_trajectory.json"
-        self._cli("ingest", "--results", str(results), "--trajectory", str(trajectory))
-        capsys.readouterr()
-        assert self._cli(
-            "check", "--results", str(results), "--trajectory", str(trajectory),
-            "--json",
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["format"] == PERF_FORMAT
-        assert payload["checks"][0]["bench"] == "runtime"
-        assert payload["checks"][0]["regressions"] == []
-
-    def test_show_summarizes_runs(self, tmp_path, capsys):
-        results = self._results_dir(tmp_path)
-        trajectory = tmp_path / "perf_trajectory.json"
-        self._cli("ingest", "--results", str(results), "--trajectory", str(trajectory))
-        capsys.readouterr()
-        assert self._cli("show", "--trajectory", str(trajectory)) == 0
-        assert "runtime/quick" in capsys.readouterr().out
-
-    def test_bad_trajectory_format_is_an_error(self, tmp_path, capsys):
-        trajectory = tmp_path / "perf_trajectory.json"
-        trajectory.write_text(json.dumps({"format": "repro.perf/99", "runs": []}))
-        assert self._cli("show", "--trajectory", str(trajectory)) == 2
-        assert "error:" in capsys.readouterr().out
-
-    def test_rolling_baseline_windows_recent_runs(self):
-        trajectory = {
-            "format": PERF_FORMAT,
-            "runs": [
-                {"bench": "b", "quick": True, "metrics": {"elapsed_s": value}}
-                for value in (100.0, 2.0, 4.0)
-            ],
-        }
-        assert baseline_for(trajectory, "b", True, window=2) == {"elapsed_s": 3.0}
-
-    def test_compare_skips_zero_baseline_and_undirected(self):
-        rows = compare(
-            {"elapsed_s": 2.0, "workers": 9.0, "zero": 5.0},
-            {"elapsed_s": 1.0, "workers": 1.0, "zero": 0.0},
-            threshold=0.2,
-        )
-        by_metric = {row["metric"]: row for row in rows}
-        assert "zero" not in by_metric
-        assert by_metric["elapsed_s"]["regressed"] is True
-        assert by_metric["workers"]["regressed"] is False
-        assert by_metric["workers"]["direction"] is None
-
-    def test_compare_tracks_but_does_not_gate_tiny_timings(self):
-        rows = compare(
-            {"stages.score.wall_s": 0.034, "elapsed_s": 0.2, "overhead_ratio": 0.05},
-            {"stages.score.wall_s": 0.0283, "elapsed_s": 0.09, "overhead_ratio": 0.02},
-            threshold=0.2,
-        )
-        by_metric = {row["metric"]: row for row in rows}
-        assert by_metric["stages.score.wall_s"]["regressed"] is False
-        # Above the floor on either side, and ratios at any size, stay gated.
-        assert by_metric["elapsed_s"]["regressed"] is True
-        assert by_metric["overhead_ratio"]["regressed"] is True
