@@ -1,9 +1,9 @@
 """Resource-lifecycle rules.
 
-PR 2's runtime leans on two leak-prone OS resources: ``SharedMemory``
-segments (leaked segments survive the process and fill ``/dev/shm``
-until the machine, not the program, fails) and worker pools (an
-un-shutdown ``ProcessPoolExecutor`` strands child processes).  Each
+Two OS resources leak past the program that creates them:
+``SharedMemory`` segments (leaked segments survive the process and fill
+``/dev/shm`` until the machine, not the program, fails) and worker pools
+(an un-shutdown ``ProcessPoolExecutor`` strands child processes).  Each
 creation must have a visible release path: a ``with`` block, a
 ``finally`` clause, a matching close/unlink in the same function or any
 local helper it (transitively) calls, or -- for pool-like classes -- an

@@ -16,16 +16,9 @@ This subpackage models what matters about that panel for both channels:
 
 from repro.display.gamma import GammaCurve
 from repro.display.panel import DisplayPanel
-from repro.display.scheduler import (
-    AverageFrameStore,
-    DictFrameStore,
-    DisplayTimeline,
-    MemoizedTimeline,
-)
+from repro.display.scheduler import DisplayTimeline, MemoizedTimeline
 
 __all__ = [
-    "AverageFrameStore",
-    "DictFrameStore",
     "DisplayTimeline",
     "DisplayPanel",
     "GammaCurve",

@@ -192,22 +192,6 @@ class DisplayTimeline:
         self._cache_put(self._avg_cache, self._avg_cache_order, index, avg)
         return avg
 
-    def region_waveform(
-        self,
-        times: np.ndarray,
-        rect: tuple[int, int, int, int] | None = None,
-    ) -> np.ndarray:
-        """Mean luminance of a rectangle sampled at each time in *times*."""
-        samples = np.empty(len(times), dtype=np.float32)
-        for i, t in enumerate(np.asarray(times, dtype=np.float64)):
-            samples[i] = float(np.mean(self.luminance_at(float(t), rect)))
-        return samples
-
-    def pixel_waveform(self, times: np.ndarray, row: int, col: int) -> np.ndarray:
-        """Luminance waveform of a single pixel sampled at *times*."""
-        rect = (row, row + 1, col, col + 1)
-        return self.region_waveform(times, rect)
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -274,39 +258,6 @@ class DisplayTimeline:
         return state
 
 
-class AverageFrameStore(Protocol):
-    """Keyed storage for memoized per-frame average-luminance fields.
-
-    The default is a plain dict (:class:`DictFrameStore`); a broadcast
-    session substitutes a shared-memory backed store so forked receiver
-    workers read the very same bytes (``repro.serve.session``).
-    """
-
-    def get(self, key: int) -> np.ndarray | None:
-        """The field stored under *key*, or None when absent."""
-        ...
-
-    def put(self, key: int, field: np.ndarray) -> None:
-        """Store *field* under *key* (keys are written at most once)."""
-        ...
-
-
-class DictFrameStore:
-    """The trivial in-process :class:`AverageFrameStore`."""
-
-    def __init__(self) -> None:
-        self._fields: dict[int, np.ndarray] = {}
-
-    def __len__(self) -> int:
-        return len(self._fields)
-
-    def get(self, key: int) -> np.ndarray | None:
-        return self._fields.get(key)
-
-    def put(self, key: int, field: np.ndarray) -> None:
-        self._fields[key] = field
-
-
 class MemoizedTimeline:
     """A timeline whose per-frame average fields are rendered once per key.
 
@@ -322,8 +273,10 @@ class MemoizedTimeline:
 
     The wrapper does **not** memoize :meth:`DisplayTimeline.integrate` or
     :meth:`DisplayTimeline.luminance_at`; those remain per-instance on
-    the inner timeline.  ``hits`` / ``misses`` count served reads and
-    renders for the ``serve.render_cache.*`` exec-scoped metrics.
+    the inner timeline.  The rendered fields live in the plain dict
+    ``fields``, which forked fleet workers share copy-on-write.
+    ``hits`` / ``misses`` count served reads and renders for the
+    ``serve.render_cache.*`` exec-scoped metrics.
 
     Keys must be *periodic in the liquid-crystal state*, not merely in
     frame content: ``frame_average_luminance`` folds the panel's LC
@@ -332,15 +285,10 @@ class MemoizedTimeline:
     stream satisfies this exactly (see ``docs/broadcast.md``).
     """
 
-    def __init__(
-        self,
-        inner: DisplayTimeline,
-        key_fn: Callable[[int], int],
-        store: AverageFrameStore | None = None,
-    ) -> None:
+    def __init__(self, inner: DisplayTimeline, key_fn: Callable[[int], int]) -> None:
         self.inner = inner
         self.key_fn = key_fn
-        self.store: AverageFrameStore = DictFrameStore() if store is None else store
+        self.fields: dict[int, np.ndarray] = {}
         self.hits = 0
         self.misses = 0
 
@@ -367,13 +315,13 @@ class MemoizedTimeline:
         if not (0 <= index < self.n_frames):
             raise IndexError(f"frame index {index} outside [0, {self.n_frames})")
         key = self.key_fn(index)
-        field = self.store.get(key)
+        field = self.fields.get(key)
         if field is not None:
             self.hits += 1
             return field
         self.misses += 1
         field = self.inner.frame_average_luminance(index)
-        self.store.put(key, field)
+        self.fields[key] = field
         return field
 
     def warm(self, indices: "range | list[int]") -> int:

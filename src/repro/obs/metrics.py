@@ -19,7 +19,7 @@ Metrics carry a *scope*:
     byte (see ``docs/observability.md``).
 ``"exec"``
     Describes the execution substrate (chunks dispatched, pool rebuilds,
-    shared-memory occupancy).  Exec metrics legitimately differ between
+    crash retries).  Exec metrics legitimately differ between
     serial and parallel runs and are excluded from
     :meth:`MetricsRegistry.work_json`.
 """

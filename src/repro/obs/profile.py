@@ -47,8 +47,6 @@ STAGE_FUNCTIONS: Mapping[str, str] = {
     "repro.camera.capture:capture_frame": "render",
     "repro.faults.inject:capture_frame": "render",
     "repro.core.decoder:observe": "observe",
-    "repro.runtime.shm:write": "transfer",
-    "repro.runtime.shm:read": "transfer",
     "repro.core.decoder:decide_observations": "decide",
     "repro.core.decoder:decide_observations_healed": "decide",
     "repro.core.metrics:summarize_link": "score",

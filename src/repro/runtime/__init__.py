@@ -7,10 +7,9 @@ bit:
 
 * :mod:`~repro.runtime.scheduler` -- deterministic chunk plans and
   spawn-keyed per-item RNG streams (the determinism contract);
-* :mod:`~repro.runtime.shm` -- a small shared-memory slot pool that moves
-  frames between processes without pickling them;
 * :mod:`~repro.runtime.engine` -- a crash-tolerant process-pool mapper
-  with windowed dispatch, bounded retry and serial fallback;
+  with windowed dispatch, bounded retry and serial fallback; inputs
+  reach workers by fork inheritance and results return pickled;
 * :mod:`~repro.runtime.profiler` -- the :class:`RuntimeReport`
   (frames/sec, bits/sec, and the stage breakdown rolled up from spans);
 * :mod:`~repro.runtime.link_exec` -- the capture+observe job that
@@ -28,20 +27,16 @@ from repro.runtime.engine import (
 from repro.runtime.link_exec import LinkExecution, execute_link_captures
 from repro.runtime.profiler import RuntimeReport
 from repro.runtime.scheduler import WorkChunk, plan_chunks, spawn_rng
-from repro.runtime.shm import SharedFramePool, SlotRef, shared_memory_available
 
 __all__ = [
     "EngineStats",
     "ExecutionEngine",
     "LinkExecution",
     "RuntimeReport",
-    "SharedFramePool",
-    "SlotRef",
     "WorkChunk",
     "default_workers",
     "execute_link_captures",
     "plan_chunks",
     "resolve_start_method",
-    "shared_memory_available",
     "spawn_rng",
 ]

@@ -5,15 +5,20 @@ items on a pool of worker processes, with the three properties the
 photon pipeline needs and plain ``Pool.map`` lacks:
 
 * **windowed dispatch** -- at most ``max_inflight`` items are in flight,
-  so a bounded shared-memory pool can recycle slots as results drain;
+  so a caller that grants something per dispatched item (the campaign
+  master's leases) bounds how many it has outstanding;
 * **crash robustness** -- a dying worker (OOM kill, native-extension
   fault) breaks a ``concurrent.futures`` pool for good; the engine
   detects the break, rebuilds the pool, retries the unfinished items a
   bounded number of times, and finally completes them in-process;
 * **cheap context transfer** -- the per-run context (display timeline,
-  camera, decoder, frame pool) is handed to workers through the pool
-  initializer, which under the default ``fork`` start method is plain
-  memory inheritance: nothing is pickled per task except the item.
+  camera, decoder) is handed to workers through the pool initializer,
+  which under the default ``fork`` start method is plain memory
+  inheritance: nothing is pickled per task except the item, and each
+  result comes back pickled through the pool's result queue.
+
+Workers do not outlive the process that owns their pool: each runs a
+daemon watchdog that exits the worker once it has been reparented.
 
 Ordinary exceptions raised by the work function are *not* retried -- they
 are deterministic and propagate to the caller unchanged.  Only pool
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import time
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
@@ -92,10 +98,26 @@ class EngineStats:
 # under fork; pickled once per worker otherwise).
 _WORKER_CONTEXT: Any = None
 
+#: How often a pool worker checks whether it has been reparented.
+_PARENT_POLL_S = 0.2
 
-def _init_worker(context: Any) -> None:
+
+def _init_worker(context: Any, owner_pid: int) -> None:
     global _WORKER_CONTEXT
     _WORKER_CONTEXT = context
+    # An idle worker blocks reading the call queue, whose write end the
+    # workers inherited at fork and keep open, so a SIGKILLed owner
+    # would leave it waiting for good (and a campaign master's inherited
+    # SIGTERM handler makes it ignore SIGTERM).  Exit on reparenting.
+    threading.Thread(
+        target=_exit_when_orphaned, args=(owner_pid,), daemon=True
+    ).start()
+
+
+def _exit_when_orphaned(owner_pid: int) -> None:
+    while os.getppid() == owner_pid:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
 
 
 def _run_task(func: WorkFn, item: Any) -> Any:
@@ -114,8 +136,7 @@ class ExecutionEngine:
         Pool rebuilds allowed after crashes before falling back.
     max_inflight:
         Bound on concurrently dispatched items (default ``workers + 2``);
-        this is the window a :class:`~repro.runtime.shm.SharedFramePool`
-        must cover.
+        the campaign master narrows it to bound its lease window.
     fallback_serial:
         Complete unfinished items in-process once retries are exhausted
         (or the pool cannot be built at all) instead of raising.
@@ -186,12 +207,11 @@ class ExecutionEngine:
         *func* must be a module-level function (it crosses the process
         boundary by reference).  *on_result* is called as ``(index,
         result)`` the moment each item finishes -- out of order under a
-        pool -- and is how callers drain shared-memory slots.  *prepare*
-        is called as ``(index, item) -> item`` right before an item is
-        dispatched (at most ``max_inflight`` items are prepared but not
-        yet drained) and is how callers *acquire* those slots; the
-        returned item replaces the original, so a retried item sees its
-        own prepared state and can keep its slots.
+        pool.  *prepare* is called as ``(index, item) -> item`` right
+        before an item is dispatched (at most ``max_inflight`` items are
+        prepared but not yet drained) and is how the campaign master
+        grants leases; the returned item replaces the original, so a
+        retried item sees its own prepared state.
 
         The supervision hooks (all optional, all no-ops by default):
 
@@ -349,7 +369,7 @@ class ExecutionEngine:
             max_workers=self.workers,
             mp_context=mp_context,
             initializer=_init_worker,
-            initargs=(context,),
+            initargs=(context, os.getpid()),
         )
         broken = False
         halted = False

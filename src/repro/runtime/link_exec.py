@@ -3,9 +3,9 @@
 One work item is a :class:`~repro.runtime.scheduler.WorkChunk` of camera
 frame indices.  A worker renders each capture from the display timeline
 (with the capture's own spawn-keyed RNG), extracts the decoder's noise
-observation, parks the pixels in a shared-memory slot, and sends back
-only slot handles, observations and its stage spans.  The parent drains
-slots as chunks complete and reassembles the ordered capture/observation lists --
+observation, and returns the captures, observations and its stage spans
+through the pool's result queue.  The parent drains chunks as they
+complete and reassembles the ordered capture/observation lists --
 bit-identical to serial execution, because no randomness is shared
 across captures (see ``docs/runtime.md`` for the contract).
 
@@ -16,7 +16,7 @@ consecutive captures overlap only at chunk boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
@@ -28,7 +28,6 @@ from repro.obs.telemetry import TelemetryDict
 from repro.obs.trace import EXEC
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.scheduler import WorkChunk, plan_chunks
-from repro.runtime.shm import SharedFramePool, SlotRef, shared_memory_available
 
 if TYPE_CHECKING:  # imported lazily to keep repro.runtime free of repro.core
     from repro.core.decoder import BlockObservation, InFrameDecoder
@@ -63,33 +62,13 @@ class _LinkContext:
     timeline: DisplayTimeline
     camera: CaptureSource
     decoder: InFrameDecoder
-    pool: SharedFramePool | None
     collect_telemetry: bool = True
 
 
 @dataclass(frozen=True)
-class _ChunkTask:
-    """One dispatched chunk plus the slots the parent pre-acquired."""
-
-    chunk: WorkChunk
-    slots: tuple[SlotRef, ...] | None = None
-
-
-@dataclass(frozen=True)
-class _CaptureRecord:
-    """A captured frame travelling back from a worker (pixels by slot)."""
-
-    index: int
-    start_time_s: float
-    mid_exposure_s: float
-    pixels: np.ndarray | None
-    slot: SlotRef | None
-    observation: BlockObservation
-
-
-@dataclass(frozen=True)
 class _ChunkResult:
-    records: tuple[_CaptureRecord, ...]
+    captures: tuple[CapturedFrame, ...]
+    observations: tuple[BlockObservation, ...]
     telemetry: TelemetryDict  # the chunk's spans, plus metrics when collected
 
 
@@ -113,40 +92,31 @@ class LinkExecution:
     serial_fallback: bool = False
 
 
-def _capture_chunk(task: _ChunkTask, ctx: _LinkContext) -> _ChunkResult:
+def _capture_chunk(chunk: WorkChunk, ctx: _LinkContext) -> _ChunkResult:
     """Render, film and observe every capture of one chunk (worker side)."""
     from repro.core.decoder import record_observation_telemetry
 
     # A deterministic track name from the chunk plan keeps (track,
     # span_id) unique after the parent merges all chunk exports.
-    telemetry = Telemetry(track=f"chunk-{task.chunk.index:03d}")
+    telemetry = Telemetry(track=f"chunk-{chunk.index:03d}")
     tracer = telemetry.tracer
-    records = []
-    for position, index in enumerate(task.chunk.items):
-        rng = task.chunk.item_rng(index)
+    captures = []
+    observations = []
+    for index in chunk.items:
+        rng = chunk.item_rng(index)
         with tracer.span("render", capture=index):
             capture = ctx.camera.capture_frame(ctx.timeline, index, rng=rng)
         with tracer.span("observe", capture=index):
             observation = ctx.decoder.observe(capture)
         if ctx.collect_telemetry:
             record_observation_telemetry(observation, telemetry)
-        if task.slots is not None:
-            with tracer.span("transfer", category=EXEC):
-                slot = ctx.pool.write(task.slots[position], capture.pixels)
-            pixels = None
-        else:
-            slot, pixels = None, capture.pixels
-        records.append(
-            _CaptureRecord(
-                index=capture.index,
-                start_time_s=capture.start_time_s,
-                mid_exposure_s=capture.mid_exposure_s,
-                pixels=pixels,
-                slot=slot,
-                observation=observation,
-            )
-        )
-    return _ChunkResult(records=tuple(records), telemetry=telemetry.export())
+        captures.append(capture)
+        observations.append(observation)
+    return _ChunkResult(
+        captures=tuple(captures),
+        observations=tuple(observations),
+        telemetry=telemetry.export(),
+    )
 
 
 def execute_link_captures(
@@ -160,15 +130,15 @@ def execute_link_captures(
 ) -> LinkExecution:
     """Run capture + observe for *n_frames* camera frames, possibly in parallel.
 
-    ``workers in (None, 0, 1)`` executes in-process (no pool, no shared
-    memory) but on the same per-capture RNG streams and the same code
-    path, so the results are identical either way.
+    ``workers in (None, 0, 1)`` executes in-process (no pool) but on the
+    same per-capture RNG streams and the same code path, so the results
+    are identical either way.
 
-    Workers always record ``render``/``observe``/``transfer`` spans on
-    ``chunk-NNN`` tracks, folded into ``LinkExecution.tracer`` as chunks
-    drain.  When *telemetry* is given, that tracer is its own, workers
-    also collect per-capture metrics, and scheduling and shared-memory
-    accounting land in exec-scoped metrics on the parent side.
+    Workers always record ``render``/``observe`` spans on ``chunk-NNN``
+    tracks, folded into ``LinkExecution.tracer`` as chunks drain; the
+    parent times each drain as ``transfer``.  When *telemetry* is given,
+    that tracer is its own, workers also collect per-capture metrics, and
+    scheduling accounting lands in exec-scoped metrics on the parent side.
     """
     serial = workers is None or int(workers) <= 1
     engine = ExecutionEngine(workers=1 if serial else int(workers), telemetry=telemetry)
@@ -180,18 +150,10 @@ def execute_link_captures(
         # timeline cache (the LC-state warmup plus a few display-frame
         # renders) again.
         chunks = plan_chunks(n_frames, n_chunks=engine.workers * 2, seed=seed)
-    use_pool = engine.parallel and len(chunks) > 1 and shared_memory_available()
-    pool = None
-    if use_pool:
-        slots_needed = engine.max_inflight * max(len(c) for c in chunks)
-        pool = SharedFramePool(
-            (camera.height, camera.width), np.float32, n_slots=slots_needed
-        )
     ctx = _LinkContext(
         timeline=timeline,
         camera=camera,
         decoder=decoder,
-        pool=pool,
         collect_telemetry=telemetry is not None,
     )
     # Chunk exports fold into a throwaway collector when the caller takes
@@ -200,51 +162,14 @@ def execute_link_captures(
     by_index: dict[int, tuple[CapturedFrame, BlockObservation]] = {}
     if telemetry is not None:
         telemetry.metrics.counter("exec.chunks", scope=EXEC).inc(len(chunks))
-        if pool is not None:
-            telemetry.metrics.gauge("exec.shm_slots").set(pool.n_slots)
-
-    def prepare(_i: int, task: _ChunkTask) -> _ChunkTask:
-        if pool is None or task.slots is not None:
-            return task
-        prepared = replace(
-            task, slots=tuple(pool.acquire() for _ in range(len(task.chunk)))
-        )
-        if telemetry is not None:
-            telemetry.metrics.gauge("exec.shm_peak_occupancy").set(
-                pool.n_slots - pool.n_free
-            )
-        return prepared
 
     def drain(_i: int, result: _ChunkResult) -> None:
         sink.merge_export(result.telemetry)
         with sink.tracer.span("transfer", category=EXEC):
-            for record in result.records:
-                if record.slot is not None:
-                    pixels = pool.read(record.slot, copy=True)
-                    pool.release(record.slot)
-                else:
-                    pixels = record.pixels
-                by_index[record.index] = (
-                    CapturedFrame(
-                        pixels=pixels,
-                        index=record.index,
-                        start_time_s=record.start_time_s,
-                        mid_exposure_s=record.mid_exposure_s,
-                    ),
-                    record.observation,
-                )
+            for capture, observation in zip(result.captures, result.observations):
+                by_index[capture.index] = (capture, observation)
 
-    try:
-        engine.map(
-            _capture_chunk,
-            [_ChunkTask(chunk=c) for c in chunks],
-            context=ctx,
-            on_result=drain,
-            prepare=prepare,
-        )
-    finally:
-        if pool is not None:
-            pool.close()
+    engine.map(_capture_chunk, chunks, context=ctx, on_result=drain)
     if telemetry is not None:
         stats = engine.stats
         telemetry.metrics.counter("exec.retries", scope=EXEC).inc(stats.retries)

@@ -32,11 +32,7 @@ from repro.serve.report import (
     build_fleet_report,
     record_receiver_telemetry,
 )
-from repro.serve.session import (
-    BroadcastSession,
-    PooledFrameStore,
-    deterministic_payload,
-)
+from repro.serve.session import BroadcastSession, deterministic_payload
 
 __all__ = [
     "BroadcastSession",
@@ -46,7 +42,6 @@ __all__ = [
     "CohortSpecError",
     "FleetReport",
     "FleetRun",
-    "PooledFrameStore",
     "ReceiverResult",
     "ReceiverSpec",
     "build_fleet_report",

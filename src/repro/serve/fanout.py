@@ -4,11 +4,11 @@ The expensive half of simulating a receiver -- rendering the emitted
 light field -- is shared: every camera films the *same* display.  So the
 fan-out renders nothing per receiver.  The session's memoized timeline
 (warmed over one carousel cycle) travels to the workers through fork
-inheritance; when its store is a shared-memory pool the workers read the
-parent's bytes in place, and either way a receiver's captures are pure
-cache hits.  Per receiver the worker still pays for what genuinely
-differs: the rolling-shutter blend at its own clock/exposure, sensor
-noise on its own RNG stream, decode, and the carousel collect.
+inheritance, its dict of fields shared copy-on-write, so a receiver's
+captures are pure cache hits.  Per receiver the worker still pays for
+what genuinely differs: the rolling-shutter blend at its own
+clock/exposure, sensor noise on its own RNG stream, decode, and the
+carousel collect.
 
 Determinism contract
 --------------------
@@ -316,16 +316,12 @@ def run_fleet(
                 "serve.delivery_rate", progress["delivered"] / progress["done"]
             )
 
-    session.retain_readers()
-    try:
-        with telemetry.tracer.span(
-            "serve.fanout", category=EXEC, receivers=len(specs), chunks=len(chunks)
-        ):
-            outputs = engine.map(
-                _simulate_fleet_chunk, chunks, context=context, on_result=_on_chunk
-            )
-    finally:
-        session.release_readers()
+    with telemetry.tracer.span(
+        "serve.fanout", category=EXEC, receivers=len(specs), chunks=len(chunks)
+    ):
+        outputs = engine.map(
+            _simulate_fleet_chunk, chunks, context=context, on_result=_on_chunk
+        )
 
     results: list[ReceiverResult] = []
     cache_hits = 0

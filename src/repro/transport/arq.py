@@ -243,15 +243,6 @@ class ArqReceiver:
             PacketType.NACK, self.session_id, round_index, body, self.total_len
         )
 
-    def ack(self, round_index: int = 0) -> bytes | None:
-        """An ACK packet once delivery is complete, else None."""
-        if not self.complete:
-            return None
-        assert self.session_id is not None and self.total_len is not None
-        return build_packet(
-            PacketType.ACK, self.session_id, round_index, b"", self.total_len
-        )
-
     def payload(self) -> bytes:
         """The reassembled payload (requires :attr:`complete`)."""
         if not self.complete:

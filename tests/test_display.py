@@ -186,10 +186,9 @@ class TestDisplayTimeline:
     def test_region_and_pixel_waveforms(self):
         timeline = _two_frame_timeline()
         times = np.linspace(0.0, timeline.duration_s - 1e-4, 16)
-        wave = timeline.region_waveform(times)
-        assert wave.shape == (16,)
-        pixel = timeline.pixel_waveform(times, 0, 0)
-        assert pixel.shape == (16,)
+        wave = np.array([timeline.luminance_at(t).mean() for t in times])
+        pixel = np.array([timeline.luminance_at(t, (0, 1, 0, 1)).mean() for t in times])
+        assert wave.shape == pixel.shape == (16,)
         # Alternating frames produce an alternating waveform.
         assert wave.std() > 10
 

@@ -1,4 +1,4 @@
-"""The parallel execution engine: scheduling, shared memory, robustness.
+"""The parallel execution engine: scheduling, determinism, robustness.
 
 The load-bearing guarantees tested here:
 
@@ -7,15 +7,18 @@ The load-bearing guarantees tested here:
   RNG streams, order-independent assembly).
 * **Robustness** -- a worker process dying breaks the pool; the engine
   rebuilds it a bounded number of times and then completes the work
-  in-process, so callers always get their results.
-* **Resource hygiene** -- the shared-memory pool recycles slots and
-  survives exhaustion/double-release misuse loudly.
+  in-process, so callers always get their results.  Workers exit when
+  the process owning their pool dies.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import select
+import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -24,14 +27,7 @@ import pytest
 from repro.analysis.experiments import ExperimentScale
 from repro.core.pipeline import run_link
 from repro.obs import SpanRecord, SpanTracer, stage_totals
-from repro.runtime import (
-    ExecutionEngine,
-    RuntimeReport,
-    SharedFramePool,
-    plan_chunks,
-    shared_memory_available,
-    spawn_rng,
-)
+from repro.runtime import ExecutionEngine, RuntimeReport, plan_chunks, spawn_rng
 from repro.runtime.engine import resolve_start_method
 
 
@@ -82,136 +78,6 @@ class TestSpawnRng:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory pool
-# ----------------------------------------------------------------------
-@pytest.mark.skipif(not shared_memory_available(), reason="no shared memory here")
-class TestSharedFramePool:
-    def test_roundtrip(self):
-        with SharedFramePool((4, 6), np.float32, n_slots=2) as pool:
-            frame = np.arange(24, dtype=np.float32).reshape(4, 6)
-            ref = pool.acquire()
-            pool.write(ref, frame)
-            assert np.array_equal(pool.read(ref), frame)
-
-    def test_slots_recycle(self):
-        with SharedFramePool((2, 2), np.float32, n_slots=1) as pool:
-            ref = pool.acquire()
-            assert pool.n_free == 0
-            pool.release(ref)
-            assert pool.n_free == 1
-            pool.acquire()  # usable again
-
-    def test_exhaustion_raises(self):
-        with SharedFramePool((2, 2), np.float32, n_slots=1) as pool:
-            pool.acquire()
-            with pytest.raises(RuntimeError, match="exhausted"):
-                pool.acquire()
-
-    def test_double_release_rejected(self):
-        with SharedFramePool((2, 2), np.float32, n_slots=2) as pool:
-            ref = pool.acquire()
-            pool.release(ref)
-            with pytest.raises(ValueError, match="twice"):
-                pool.release(ref)
-
-    def test_shape_mismatch_rejected(self):
-        with SharedFramePool((2, 2), np.float32, n_slots=1) as pool:
-            ref = pool.acquire()
-            with pytest.raises(ValueError, match="fit"):
-                pool.write(ref, np.zeros((3, 3), dtype=np.float32))
-
-    def test_read_copy_survives_slot_reuse(self):
-        with SharedFramePool((2, 2), np.float32, n_slots=1) as pool:
-            ref = pool.acquire()
-            pool.write(ref, np.full((2, 2), 5.0, dtype=np.float32))
-            copied = pool.read(ref, copy=True)
-            pool.release(ref)
-            ref2 = pool.acquire()
-            pool.write(ref2, np.zeros((2, 2), dtype=np.float32))
-            assert np.all(copied == 5.0)
-
-
-class TestSharedFramePoolRefcounts:
-    def test_retain_defers_recycling_until_last_release(self):
-        with SharedFramePool((2, 2), np.float32, n_slots=1) as pool:
-            ref = pool.acquire()
-            assert pool.refcount(ref) == 1
-            pool.retain(ref)
-            pool.retain(ref)
-            assert pool.refcount(ref) == 3
-            pool.release(ref)
-            pool.release(ref)
-            assert pool.n_free == 0  # still one reader holding on
-            pool.release(ref)
-            assert pool.n_free == 1
-            assert pool.refcount(ref) == 0
-
-    def test_retain_of_free_slot_rejected(self):
-        with SharedFramePool((2, 2), np.float32, n_slots=1) as pool:
-            ref = pool.acquire()
-            pool.release(ref)
-            with pytest.raises(ValueError, match="acquire it before retaining"):
-                pool.retain(ref)
-
-    def test_release_past_zero_rejected(self):
-        with SharedFramePool((2, 2), np.float32, n_slots=2) as pool:
-            ref = pool.acquire()
-            pool.retain(ref)
-            pool.release(ref)
-            pool.release(ref)
-            with pytest.raises(ValueError, match="released twice"):
-                pool.release(ref)
-
-    def test_out_of_range_slot_rejected(self):
-        from repro.runtime.shm import SlotRef
-
-        with SharedFramePool((2, 2), np.float32, n_slots=1) as pool:
-            bogus = SlotRef(slot=5, shape=(2, 2), dtype="<f4")
-            with pytest.raises(ValueError, match="outside pool"):
-                pool.refcount(bogus)
-
-    def test_concurrent_readers_of_one_slot(self):
-        # The broadcast-session pattern: one writer fills a slot once,
-        # many readers pin it (retain), read zero-copy, and release.
-        # The slot must never recycle while any reader holds it, and
-        # every reader must see the written bytes intact.
-        import threading
-
-        with SharedFramePool((16, 16), np.float32, n_slots=1) as pool:
-            frame = np.arange(256, dtype=np.float32).reshape(16, 16)
-            ref = pool.acquire()
-            pool.write(ref, frame)
-
-            n_readers = 8
-            start = threading.Barrier(n_readers)
-            errors: list[str] = []
-            mid_read_free: list[int] = []
-
-            def read_slot() -> None:
-                start.wait()
-                pool.retain(ref)
-                try:
-                    view = pool.read(ref, copy=False)
-                    if not np.array_equal(view, frame):
-                        errors.append("reader saw torn data")
-                    mid_read_free.append(pool.n_free)
-                finally:
-                    pool.release(ref)
-
-            threads = [threading.Thread(target=read_slot) for _ in range(n_readers)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-
-            assert errors == []
-            assert mid_read_free == [0] * n_readers  # never recycled mid-read
-            assert pool.refcount(ref) == 1  # only the writer's reference left
-            pool.release(ref)
-            assert pool.n_free == 1
-
-
-# ----------------------------------------------------------------------
 # Engine
 # ----------------------------------------------------------------------
 def _square(item, context):
@@ -240,6 +106,32 @@ def _die_in_pool(item, context):
     if multiprocessing.parent_process() is not None:
         os._exit(13)
     return f"ok:{item}"
+
+
+#: Owns an idle two-worker pool: the first drained result prints both
+#: worker pids, then the owner hangs there until it is killed.
+_IDLE_POOL_OWNER = """
+import multiprocessing, time
+from repro.runtime import ExecutionEngine
+
+def echo(item, context):
+    return item
+
+def report_and_hang(index, result):
+    print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+    time.sleep(60)
+
+ExecutionEngine(workers=2).map(echo, [1, 2], on_result=report_and_hang)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether *pid* is a live process; a zombie awaiting its reaper is not."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class TestExecutionEngine:
@@ -355,6 +247,39 @@ class TestExecutionEngine:
         assert all(
             engine.stats.crash_counts[index] == 1 for index in (0, 1)
         )
+
+    @pytest.mark.skipif(
+        resolve_start_method() != "fork" or not os.path.isdir("/proc"),
+        reason="needs fork and /proc",
+    )
+    def test_workers_exit_when_owner_is_killed(self):
+        import repro
+
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        owner = subprocess.Popen(
+            [sys.executable, "-c", _IDLE_POOL_OWNER],
+            env=env,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            # The workers hold the pipe open too, so bound the wait.
+            ready, _, _ = select.select([owner.stdout], [], [], 30.0)
+            workers = [int(pid) for pid in owner.stdout.readline().split()] if ready else []
+        finally:
+            owner.kill()  # SIGKILL: the pool gets no shutdown
+            owner.wait()
+            owner.stdout.close()
+        assert len(workers) == 2
+        deadline = time.monotonic() + 5.0
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        orphans = [pid for pid in workers if _running(pid)]
+        for pid in orphans:
+            os.kill(pid, signal.SIGKILL)
+        assert orphans == []
 
 
 # ----------------------------------------------------------------------

@@ -212,10 +212,6 @@ class TestBroadcastSession:
         late = memo.frame_average_luminance(3 + period)
         assert np.shares_memory(early, late)  # the very same cached field
 
-    def test_shared_store_when_budget_allows(self, quick_session):
-        quick_session.prepare(quick_session.cycle_s)
-        assert quick_session.shared
-
     def test_rejects_empty_payload(self):
         with pytest.raises(ValueError, match="payload"):
             BroadcastSession(QUICK.config(), QUICK.video("gray"), b"")
@@ -300,6 +296,22 @@ class TestFleet:
         )
         assert parallel.report.work_json() == fleet.report.work_json()
         assert parallel.telemetry.metrics_json() == fleet.telemetry.metrics_json()
+
+    def test_forked_workers_render_nothing(self, quick_session, fleet):
+        # The class fleet already prepared this horizon; the workers read
+        # the parent's fields through fork inheritance.
+        renders_before = quick_session.render_cache_misses
+        parallel = run_fleet(
+            quick_session,
+            parse_cohorts(FLEET_SPEC, seed=1),
+            base_camera=QUICK.camera(),
+            seed=1,
+            workers=2,
+        )
+        metrics = parallel.telemetry.metrics
+        assert metrics["serve.render_cache.misses"]["value"] == 0
+        assert metrics["serve.render_cache.hits"]["value"] == parallel.report.render_reads
+        assert quick_session.render_cache_misses == renders_before
 
     def test_mid_cycle_joiner_bootstraps(self, quick_session):
         cohorts = parse_cohorts("late:n=1,join=1.1,dwell=2.0", seed=2)
