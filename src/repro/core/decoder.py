@@ -273,18 +273,17 @@ class InFrameDecoder:
 
             display_labels = geometry.display_block_index_map(inset)
             h_matrix = view.homography(geometry.frame_height, geometry.frame_width)
-            self._labels = warp_labels(
-                display_labels, h_matrix, (camera_height, camera_width)
-            )
+            labels = warp_labels(display_labels, h_matrix, (camera_height, camera_width))
         else:
-            self._labels = geometry.camera_block_index_maps(
+            labels = geometry.camera_block_index_maps(
                 camera_height, camera_width, inset, screen_rect
             )
-        self._valid = self._labels >= 0
+        # Flat indices of the pixels inside some Block core, row-major,
+        # and their Block labels: the gather every capture repeats.
+        self._valid_index = np.flatnonzero(labels >= 0)
+        self._valid_labels = labels.ravel()[self._valid_index]
         n_blocks = config.block_rows * config.block_cols
-        self._counts = np.bincount(self._labels[self._valid], minlength=n_blocks).astype(
-            np.float64
-        )
+        self._counts = np.bincount(self._valid_labels, minlength=n_blocks).astype(np.float64)
         if np.any(self._counts == 0):
             raise ValueError(
                 "some Blocks map to zero camera pixels; the capture resolution "
@@ -310,8 +309,8 @@ class InFrameDecoder:
         smooth = ndimage.uniform_filter(img, size=3, mode="nearest")
         diff = np.abs(img - smooth)
         sums = np.bincount(
-            self._labels[self._valid],
-            weights=diff[self._valid].astype(np.float64),
+            self._valid_labels,
+            weights=diff.take(self._valid_index).astype(np.float64),
             minlength=self._counts.size,
         )
         noise = (sums / self._counts).reshape(

@@ -161,14 +161,21 @@ class FrameGeometry:
         """
         check_positive_int(camera_height, "camera_height")
         check_positive_int(camera_width, "camera_width")
-        labels = np.full((camera_height, camera_width), -1, dtype=np.int32)
+        # Block (row, col) covers its row interval times its column interval.
+        # A pixel takes the last row interval and the last column interval
+        # that hold it: the last writer of a row-major fill of the rectangles.
+        capture = (camera_height, camera_width, inset, screen_rect)
+        row_labels = np.full(camera_height, -1)
         for row in range(self.config.block_rows):
-            for col in range(self.config.block_cols):
-                r0, r1, c0, c1 = self.camera_block_rect(
-                    row, col, camera_height, camera_width, inset, screen_rect
-                )
-                labels[r0:r1, c0:c1] = row * self.config.block_cols + col
-        return labels
+            r0, r1, _, _ = self.camera_block_rect(row, 0, *capture)
+            row_labels[r0:r1] = row
+        col_labels = np.full(camera_width, -1)
+        for col in range(self.config.block_cols):
+            _, _, c0, c1 = self.camera_block_rect(0, col, *capture)
+            col_labels[c0:c1] = col
+        labels = row_labels[:, None] * self.config.block_cols + col_labels
+        inside = (row_labels[:, None] >= 0) & (col_labels >= 0)
+        return np.where(inside, labels, -1).astype(np.int32)
 
     def display_block_index_map(self, inset: float = 0.2) -> np.ndarray:
         """Label map in *display* coordinates (for projective receivers).

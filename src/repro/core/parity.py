@@ -14,12 +14,10 @@ The code is selected by ``InFrameConfig.gob_code``.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 import numpy as np
 
 from repro.core.config import InFrameConfig
-from repro.ecc.hamming import DOUBLE_ERROR, decode_hamming84, encode_hamming84
+from repro.ecc.hamming import _DATA_POSITIONS, DOUBLE_ERROR, VERDICTS, decode_block, encode_block
 
 
 def data_bits_to_grid(data_bits: np.ndarray, config: InFrameConfig) -> np.ndarray:
@@ -38,29 +36,14 @@ def data_bits_to_grid(data_bits: np.ndarray, config: InFrameConfig) -> np.ndarra
         raise ValueError(
             f"expected {config.bits_per_frame} data bits, got {bits.size}"
         )
-    m = config.gob_size
-    grid = np.zeros((config.block_rows, config.block_cols), dtype=bool)
-    per_gob = config.bits_per_gob
-    index = 0
-    for gob_row in range(config.gob_rows):
-        for gob_col in range(config.gob_cols):
-            gob_bits = bits[index : index + per_gob]
-            index += per_gob
-            cell = _encode_gob(gob_bits, config).reshape(m, m)
-            grid[gob_row * m : (gob_row + 1) * m, gob_col * m : (gob_col + 1) * m] = cell
-    return grid
+    data = bits.reshape(config.n_gobs, config.bits_per_gob)
+    return _cells_to_grid(_encode_cells(data, config), config)
 
 
 def grid_to_data_bits(grid: np.ndarray, config: InFrameConfig) -> np.ndarray:
     """Inverse of :func:`data_bits_to_grid` (with correction for Hamming)."""
-    grid = _check_grid(grid, config)
-    out = np.empty(config.bits_per_frame, dtype=bool)
-    index = 0
-    for cell in _iter_gobs(grid, config):
-        data, _ = _decode_gob(cell.ravel(), config)
-        out[index : index + config.bits_per_gob] = data
-        index += config.bits_per_gob
-    return out
+    cells, _ = _decode_cells(_gob_cells(_check_grid(grid, config), config), config)
+    return _data_of(cells, config).ravel()
 
 
 def apply_parity_grid(data_grid: np.ndarray, config: InFrameConfig) -> np.ndarray:
@@ -69,18 +52,8 @@ def apply_parity_grid(data_grid: np.ndarray, config: InFrameConfig) -> np.ndarra
     Takes a grid whose data positions carry bits (redundancy positions are
     ignored) and returns a copy with correct coding Blocks.
     """
-    grid = _check_grid(data_grid, config).copy()
-    m = config.gob_size
-    for gob_row in range(config.gob_rows):
-        for gob_col in range(config.gob_cols):
-            cell = grid[gob_row * m : (gob_row + 1) * m, gob_col * m : (gob_col + 1) * m]
-            flat = cell.ravel()
-            data = _data_positions(flat, config)
-            encoded = _encode_gob(data, config)
-            grid[
-                gob_row * m : (gob_row + 1) * m, gob_col * m : (gob_col + 1) * m
-            ] = encoded.reshape(m, m)
-    return grid
+    cells = _gob_cells(_check_grid(data_grid, config), config)
+    return _cells_to_grid(_encode_cells(_data_of(cells, config), config), config)
 
 
 def check_parity_grid(grid: np.ndarray, config: InFrameConfig) -> np.ndarray:
@@ -89,12 +62,8 @@ def check_parity_grid(grid: np.ndarray, config: InFrameConfig) -> np.ndarray:
     True means the GOB decodes cleanly (XOR parity matches; for Hamming,
     no uncorrectable double error).
     """
-    grid = _check_grid(grid, config)
-    ok = np.zeros((config.gob_rows, config.gob_cols), dtype=bool)
-    for index, cell in enumerate(_iter_gobs(grid, config)):
-        _, verdict_ok = _decode_gob(cell.ravel(), config)
-        ok[index // config.gob_cols, index % config.gob_cols] = verdict_ok
-    return ok
+    _, ok = _decode_cells(_gob_cells(_check_grid(grid, config), config), config)
+    return ok.reshape(config.gob_rows, config.gob_cols)
 
 
 def decode_gob_grid(
@@ -106,70 +75,60 @@ def decode_gob_grid(
     correctable GOB rewritten to its nearest codeword, the per-GOB code
     verdict, and the number of GOBs that were repaired.
     """
-    grid = _check_grid(grid, config).copy()
-    m = config.gob_size
-    ok = np.zeros((config.gob_rows, config.gob_cols), dtype=bool)
-    n_corrected = 0
-    for gob_row in range(config.gob_rows):
-        for gob_col in range(config.gob_cols):
-            cell = grid[gob_row * m : (gob_row + 1) * m, gob_col * m : (gob_col + 1) * m]
-            flat = cell.ravel()
-            data, verdict_ok = _decode_gob(flat, config)
-            ok[gob_row, gob_col] = verdict_ok
-            if config.gob_code == "hamming84" and verdict_ok:
-                repaired = _encode_gob(data, config)
-                if not np.array_equal(repaired, flat):
-                    n_corrected += 1
-                    grid[
-                        gob_row * m : (gob_row + 1) * m,
-                        gob_col * m : (gob_col + 1) * m,
-                    ] = repaired.reshape(m, m)
-    return grid, ok, n_corrected
+    cells = _gob_cells(_check_grid(grid, config), config)
+    repaired, ok = _decode_cells(cells, config)
+    n_corrected = int(np.any(repaired != cells, axis=1).sum())
+    return (
+        _cells_to_grid(repaired, config),
+        ok.reshape(config.gob_rows, config.gob_cols),
+        n_corrected,
+    )
 
 
 # ----------------------------------------------------------------------
-# Per-GOB code dispatch
+# Whole-grid GOB codes: one row of ``m^2`` Block bits per GOB
 # ----------------------------------------------------------------------
-def _encode_gob(data_bits: np.ndarray, config: InFrameConfig) -> np.ndarray:
-    """Data bits -> flat m^2 Block bits for one GOB."""
-    data_bits = np.asarray(data_bits, dtype=bool).ravel()
-    if data_bits.size != config.bits_per_gob:
-        raise ValueError(
-            f"expected {config.bits_per_gob} data bits per GOB, got {data_bits.size}"
-        )
-    if config.gob_code == "hamming84":
-        flat = np.zeros(9, dtype=bool)
-        flat[:8] = encode_hamming84(data_bits)
-        return flat
-    parity = bool(np.bitwise_xor.reduce(data_bits))
-    return np.append(data_bits, parity)
-
-
-def _decode_gob(flat: np.ndarray, config: InFrameConfig) -> tuple[np.ndarray, bool]:
-    """Flat m^2 Block bits -> (data bits, decodes-cleanly flag)."""
-    if config.gob_code == "hamming84":
-        data, verdict = decode_hamming84(flat[:8])
-        return data, verdict != DOUBLE_ERROR
-    data = flat[:-1]
-    ok = bool(np.bitwise_xor.reduce(data)) == bool(flat[-1])
-    return data, ok
-
-
-def _data_positions(flat: np.ndarray, config: InFrameConfig) -> np.ndarray:
-    """The data bits as laid out by :func:`_encode_gob` (no correction)."""
-    if config.gob_code == "hamming84":
-        from repro.ecc.hamming import _DATA_POSITIONS
-
-        return flat[list(_DATA_POSITIONS)]
-    return flat[:-1]
-
-
-def _iter_gobs(grid: np.ndarray, config: InFrameConfig) -> Iterator[np.ndarray]:
-    """Yield each GOB cell of *grid*, row-major."""
+def _gob_cells(grid: np.ndarray, config: InFrameConfig) -> np.ndarray:
+    """The grid as ``(n_gobs, m^2)``: GOBs row-major, Blocks row-major in each."""
     m = config.gob_size
-    for gob_row in range(config.gob_rows):
-        for gob_col in range(config.gob_cols):
-            yield grid[gob_row * m : (gob_row + 1) * m, gob_col * m : (gob_col + 1) * m]
+    tiled = grid.reshape(config.gob_rows, m, config.gob_cols, m).swapaxes(1, 2)
+    return tiled.reshape(config.n_gobs, m * m)
+
+
+def _cells_to_grid(cells: np.ndarray, config: InFrameConfig) -> np.ndarray:
+    """Inverse of :func:`_gob_cells`."""
+    m = config.gob_size
+    tiled = cells.reshape(config.gob_rows, config.gob_cols, m, m).swapaxes(1, 2)
+    return tiled.reshape(config.block_rows, config.block_cols)
+
+
+def _encode_cells(data: np.ndarray, config: InFrameConfig) -> np.ndarray:
+    """``(n_gobs, bits_per_gob)`` data bits -> ``(n_gobs, m^2)`` GOB cells."""
+    if config.gob_code == "hamming84":
+        return np.pad(encode_block(data), ((0, 0), (0, 1)))
+    return np.column_stack([data, np.bitwise_xor.reduce(data, axis=1)])
+
+
+def _decode_cells(cells: np.ndarray, config: InFrameConfig) -> tuple[np.ndarray, np.ndarray]:
+    """GOB cells -> (cells with every correctable GOB repaired, per-GOB verdict).
+
+    XOR parity only checks: a GOB decodes cleanly when its ``m^2`` bits
+    XOR to zero.  A Hamming GOB that does not hold a double error is
+    rewritten to its codeword, which also clears the spare 9th Block.
+    """
+    if config.gob_code == "hamming84":
+        words, verdicts = decode_block(cells[:, :8])
+        ok = verdicts != VERDICTS.index(DOUBLE_ERROR)
+        return np.where(ok[:, None], np.pad(words, ((0, 0), (0, 1))), cells), ok
+    # A copy: _gob_cells may return a view of the caller's grid.
+    return cells.copy(), ~np.bitwise_xor.reduce(cells, axis=1)
+
+
+def _data_of(cells: np.ndarray, config: InFrameConfig) -> np.ndarray:
+    """The data bits of every GOB as laid out by :func:`_encode_cells`."""
+    if config.gob_code == "hamming84":
+        return cells[:, list(_DATA_POSITIONS)]
+    return cells[:, :-1]
 
 
 def _check_grid(grid: np.ndarray, config: InFrameConfig) -> np.ndarray:

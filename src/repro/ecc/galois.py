@@ -3,8 +3,9 @@
 The field is realised as polynomials over GF(2) modulo a primitive
 polynomial (default ``x^8 + x^4 + x^3 + x^2 + 1`` = 0x11d, the polynomial
 used by most Reed-Solomon deployments).  Multiplication and division go
-through log/antilog tables, which makes the vectorised NumPy paths fast
-enough for frame-rate coding.
+through log/antilog tables.  The Reed-Solomon codec evaluates its
+syndromes and Chien search with the vectorised :meth:`GF256.multiply_vec`,
+one array operation per codeword against precomputed power tables.
 
 Elements are plain Python ints (or NumPy uint8 arrays for the vectorised
 helpers) in ``range(256)``.
@@ -34,8 +35,8 @@ class GF256:
     --------
     >>> gf = GF256()
     >>> gf.multiply(0x53, 0xCA)
-    1
-    >>> gf.inverse(0x53) == 0xCA
+    143
+    >>> gf.inverse(0x53) == 0x8C
     True
     """
 
@@ -56,7 +57,9 @@ class GF256:
             value <<= 1
             if value & 0x100:
                 value ^= self.primitive_poly
-        if value != 1:
+        # x generates the field only if it first returns to 1 at step 255,
+        # that is, if its powers before then are all distinct.
+        if value != 1 or np.unique(self._exp[:255]).size != 255:
             raise ValueError(f"{primitive_poly:#x} is not primitive over GF(2)")
         # Duplicate the exp table so that exp[a + b] needs no modular reduction
         # for a, b in [0, 254].

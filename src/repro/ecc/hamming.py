@@ -33,10 +33,11 @@ _DATA_POSITIONS = (2, 4, 5, 6)
 #: Positions checked by each of the three Hamming parities (0-indexed).
 _CHECKS = ((0, 2, 4, 6), (1, 2, 5, 6), (3, 4, 5, 6))
 
-#: Decode verdicts.
+#: Decode verdicts, indexed by the codes :func:`decode_block` returns.
 OK = "ok"
 CORRECTED = "corrected"
 DOUBLE_ERROR = "double_error"
+VERDICTS = (OK, CORRECTED, DOUBLE_ERROR)
 
 
 def encode_hamming84(data_bits: np.ndarray) -> np.ndarray:
@@ -44,12 +45,7 @@ def encode_hamming84(data_bits: np.ndarray) -> np.ndarray:
     bits = np.asarray(data_bits, dtype=bool).ravel()
     if bits.size != 4:
         raise ValueError(f"expected 4 data bits, got {bits.size}")
-    word = np.zeros(8, dtype=bool)
-    word[list(_DATA_POSITIONS)] = bits
-    for parity_pos, checked in zip((0, 1, 3), _CHECKS):
-        word[parity_pos] = np.bitwise_xor.reduce(word[list(checked[1:])])
-    word[7] = np.bitwise_xor.reduce(word[:7])
-    return word
+    return encode_block(bits[None, :])[0]
 
 
 def decode_hamming84(word: np.ndarray) -> tuple[np.ndarray, str]:
@@ -61,28 +57,42 @@ def decode_hamming84(word: np.ndarray) -> tuple[np.ndarray, str]:
     received = np.asarray(word, dtype=bool).ravel()
     if received.size != 8:
         raise ValueError(f"expected 8 codeword bits, got {received.size}")
-    word = received.copy()
-    syndrome = 0
-    for bit_value, checked in zip((1, 2, 4), _CHECKS):
-        if np.bitwise_xor.reduce(word[list(checked)]):
-            syndrome += bit_value
-    overall = bool(np.bitwise_xor.reduce(word))
-    if syndrome == 0 and not overall:
-        return word[list(_DATA_POSITIONS)].copy(), OK
-    if overall:
-        # Single error (possibly in the overall parity bit itself).
-        if syndrome:
-            word[syndrome - 1] = ~word[syndrome - 1]
-        else:
-            word[7] = ~word[7]
-        return word[list(_DATA_POSITIONS)].copy(), CORRECTED
-    # Syndrome nonzero but overall parity even: two errors.
-    return word[list(_DATA_POSITIONS)].copy(), DOUBLE_ERROR
+    words, verdicts = decode_block(received[None, :])
+    return words[0, list(_DATA_POSITIONS)], VERDICTS[verdicts[0]]
 
 
 def encode_block(nibbles: np.ndarray) -> np.ndarray:
-    """Vector convenience: encode an ``(n, 4)`` array into ``(n, 8)``."""
+    """Encode an ``(n, 4)`` array of data bits into ``(n, 8)`` codewords."""
     nibbles = np.asarray(nibbles, dtype=bool)
     if nibbles.ndim != 2 or nibbles.shape[1] != 4:
         raise ValueError(f"expected (n, 4) data bits, got {nibbles.shape}")
-    return np.stack([encode_hamming84(row) for row in nibbles])
+    words = np.zeros((nibbles.shape[0], 8), dtype=bool)
+    words[:, list(_DATA_POSITIONS)] = nibbles
+    for parity_pos, checked in zip((0, 1, 3), _CHECKS):
+        words[:, parity_pos] = np.bitwise_xor.reduce(words[:, list(checked[1:])], axis=1)
+    words[:, 7] = np.bitwise_xor.reduce(words[:, :7], axis=1)
+    return words
+
+
+def decode_block(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decode an ``(n, 8)`` array of words; returns ``(corrected, verdicts)``.
+
+    ``corrected`` holds every word with its single error flipped (a
+    :data:`DOUBLE_ERROR` word is returned as received); ``verdicts`` holds
+    each word's index into :data:`VERDICTS`.
+    """
+    words = np.asarray(words, dtype=bool)
+    if words.ndim != 2 or words.shape[1] != 8:
+        raise ValueError(f"expected (n, 8) codeword bits, got {words.shape}")
+    checks = np.bitwise_xor.reduce(words[:, np.array(_CHECKS)], axis=2)
+    syndrome = checks @ np.array([1, 2, 4])
+    overall = np.bitwise_xor.reduce(words, axis=1)
+    # Verdict indices: an odd overall parity is one error (CORRECTED), at the
+    # syndrome's position or, with a zero syndrome, in the overall parity bit;
+    # an even one with a nonzero syndrome is a DOUBLE_ERROR.
+    verdicts = np.where(overall, 1, np.where(syndrome > 0, 2, 0))
+    corrected = words.copy()
+    rows = np.flatnonzero(overall)
+    flip = np.where(syndrome > 0, syndrome - 1, 7)[rows]
+    corrected[rows, flip] = ~corrected[rows, flip]
+    return corrected, verdicts

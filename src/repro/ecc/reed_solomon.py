@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+import numpy as np
+
 from repro.ecc.galois import DEFAULT_FIELD, GF256
 
 
@@ -63,6 +65,13 @@ class ReedSolomonCodec:
         self.fcr = int(first_consecutive_root)
         self.field = field if field is not None else DEFAULT_FIELD
         self._generator = self._build_generator()
+        # Power tables: alpha^((fcr+i)(n-1-j)) weighs byte j in syndrome i,
+        # and alpha^(k(255-loc)) is x^k at the Chien candidate x = alpha^-loc.
+        exp = self.field._exp
+        positions = np.arange(self.n)
+        roots = self.fcr + np.arange(self.n_parity)
+        self._syndrome_powers = exp[np.outer(roots, self.n - 1 - positions) % 255]
+        self._chien_powers = exp[np.outer(np.arange(self.n_parity + 1), 255 - positions) % 255]
 
     # ------------------------------------------------------------------
     # Encoding
@@ -171,10 +180,9 @@ class ReedSolomonCodec:
     # ------------------------------------------------------------------
     def _syndromes(self, word: list[int]) -> list[int]:
         """S_i = r(alpha^(fcr+i)) for i in [0, n_parity)."""
-        return [
-            self.field.poly_eval(word, self.field.exp(self.fcr + i))
-            for i in range(self.n_parity)
-        ]
+        terms = self.field.multiply_vec(self._syndrome_powers, np.asarray(word, dtype=np.uint8))
+        syndromes: list[int] = np.bitwise_xor.reduce(terms, axis=1).tolist()
+        return syndromes
 
     def _erasure_locator(self, erasure_locs: list[int]) -> list[int]:
         """Product of (1 - x * alpha^loc) for the known erasure locations."""
@@ -241,11 +249,12 @@ class ReedSolomonCodec:
 
     def _chien_search(self, locator: list[int]) -> list[int]:
         """Return the error locations (as powers of alpha) that zero the locator."""
-        positions = []
-        for loc in range(self.n):
-            # A root at x = alpha^(-loc) marks an errata at position loc.
-            if self.field.poly_eval(locator, self.field.exp(255 - loc)) == 0:
-                positions.append(loc)
+        # A root at x = alpha^(-loc) marks an errata at position loc.  With the
+        # coefficients lowest degree first, row k of the table holds x^k.
+        coeffs = np.array(locator[::-1], dtype=np.uint8)[:, None]
+        terms = self.field.multiply_vec(self._chien_powers[: coeffs.shape[0]], coeffs)
+        roots = np.bitwise_xor.reduce(terms, axis=0) == 0
+        positions: list[int] = np.flatnonzero(roots).tolist()
         return positions
 
     def _forney(

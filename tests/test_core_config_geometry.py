@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import InFrameConfig
 from repro.core.geometry import FrameGeometry
@@ -165,3 +167,62 @@ class TestGeometry:
         # count per label is the same for all interior blocks.
         counts = np.bincount(labels[labels >= 0])
         assert counts.min() > 0
+
+
+def _per_rectangle_labels(geometry, camera_height, camera_width, inset, screen_rect):
+    """The per-rectangle label fill that row and column labels replaced, as its oracle."""
+    config = geometry.config
+    labels = np.full((camera_height, camera_width), -1, dtype=np.int32)
+    for row in range(config.block_rows):
+        for col in range(config.block_cols):
+            r0, r1, c0, c1 = geometry.camera_block_rect(
+                row, col, camera_height, camera_width, inset, screen_rect
+            )
+            labels[r0:r1, c0:c1] = row * config.block_cols + col
+    return labels
+
+
+SCREEN_RECTS = st.one_of(
+    st.none(),
+    st.tuples(
+        st.integers(-10, 40), st.integers(20, 200), st.integers(-10, 40), st.integers(20, 260)
+    ),
+)
+
+
+class TestLabelMapOracle:
+    """Row and column labels give the per-rectangle fill, overlaps included."""
+
+    @given(
+        camera_height=st.integers(1, 160),
+        camera_width=st.integers(1, 220),
+        inset=st.floats(0.0, 0.49),
+        screen_rect=SCREEN_RECTS,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_rectangle_fill(self, camera_height, camera_width, inset, screen_rect):
+        geometry = FrameGeometry(
+            InFrameConfig(element_pixels=2, pixels_per_block=4, block_rows=8, block_cols=12),
+            80,
+            112,
+        )
+        labels = geometry.camera_block_index_maps(camera_height, camera_width, inset, screen_rect)
+        expected = _per_rectangle_labels(
+            geometry, camera_height, camera_width, inset, screen_rect
+        )
+        assert labels.dtype == expected.dtype
+        assert np.array_equal(labels, expected)
+
+    @pytest.mark.parametrize(
+        "camera, inset, screen_rect",
+        [
+            ((360, 640), 0.2, None),
+            ((180, 320), 0.2, (20, 160, 35, 285)),
+            ((90, 160), 0.0, None),
+            ((45, 80), 0.3, (3, 40, 5, 75)),
+        ],
+    )
+    def test_matches_at_paper_geometry(self, camera, inset, screen_rect):
+        geometry = FrameGeometry(InFrameConfig(), 1080, 1920)
+        labels = geometry.camera_block_index_maps(*camera, inset, screen_rect)
+        assert np.array_equal(labels, _per_rectangle_labels(geometry, *camera, inset, screen_rect))

@@ -33,6 +33,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             GF256(0x101)
 
+    def test_accepts_exactly_the_listed_primitive_polynomials(self):
+        # x^255 == 1 holds in every GF(256); e.g. AES's 0x11B is irreducible
+        # but x has order 51 there, so its tables would multiply wrongly.
+        accepted = []
+        for poly in range(0x101, 0x200):
+            try:
+                GF256(poly)
+            except ValueError:
+                continue
+            accepted.append(poly)
+        assert accepted == sorted(PRIMITIVE_POLYNOMIALS_DEG8)
+
     @pytest.mark.parametrize("poly", PRIMITIVE_POLYNOMIALS_DEG8)
     def test_all_listed_polynomials_are_primitive(self, poly):
         field = GF256(poly)

@@ -166,3 +166,81 @@ class TestPropertyBased:
         word[position] ^= 0xFF
         decoded, _ = codec.decode(bytes(word))
         assert decoded == message
+
+
+class _HornerCodec(ReedSolomonCodec):
+    """The codec with the Horner syndromes and Chien search that power tables
+    replaced, as its oracle."""
+
+    def _syndromes(self, word):
+        return [
+            self.field.poly_eval(word, self.field.exp(self.fcr + i))
+            for i in range(self.n_parity)
+        ]
+
+    def _chien_search(self, locator):
+        return [
+            loc
+            for loc in range(self.n)
+            if self.field.poly_eval(locator, self.field.exp(255 - loc)) == 0
+        ]
+
+
+ORACLE_CODES = [
+    (n, k, fcr) for n, k in ((15, 11), (60, 24), (60, 40), (255, 223)) for fcr in (0, 1)
+]
+ORACLE_CODECS = {
+    code: (ReedSolomonCodec(*code[:2], first_consecutive_root=code[2]),
+           _HornerCodec(*code[:2], first_consecutive_root=code[2]))
+    for code in ORACLE_CODES
+}
+
+
+def _outcome(codec, word, erasures):
+    try:
+        return codec.decode(word, erasure_positions=erasures)
+    except RSDecodingError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def oracle_scenario(draw):
+    """A word with errors and erasures, inside or beyond the correction radius."""
+    n, k, fcr = draw(st.sampled_from(ORACLE_CODES))
+    message = draw(st.binary(min_size=k, max_size=k))
+    n_errata = draw(st.integers(min_value=0, max_value=min(n, n - k + 6)))
+    positions = draw(
+        st.lists(st.integers(0, n - 1), min_size=n_errata, max_size=n_errata, unique=True)
+    )
+    n_erasures = draw(st.integers(min_value=0, max_value=n_errata))
+    flips = draw(st.lists(st.integers(1, 255), min_size=n_errata, max_size=n_errata))
+    return (n, k, fcr), message, positions, positions[:n_erasures], flips
+
+
+class TestPowerTableOracle:
+    """Table-driven syndromes and Chien search decode exactly as Horner's rule."""
+
+    @given(oracle_scenario())
+    @settings(max_examples=250, deadline=None)
+    def test_decode_matches_horner(self, scenario):
+        code, message, positions, erasures, flips = scenario
+        codec, oracle = ORACLE_CODECS[code]
+        word = bytearray(codec.encode(message))
+        for position, flip in zip(positions, flips):
+            word[position] ^= flip
+        word = bytes(word)
+        assert _outcome(codec, word, erasures) == _outcome(oracle, word, erasures)
+        assert codec.check(word) == oracle.check(word)
+
+    @pytest.mark.parametrize("code", ORACLE_CODES, ids=str)
+    def test_tables_match_horner_on_every_position(self, code):
+        codec, oracle = ORACLE_CODECS[code]
+        for position in range(codec.n):
+            word = [0] * codec.n
+            word[position] = 1 + position % 255
+            assert codec._syndromes(word) == oracle._syndromes(word)
+        # Roots at n_parity spread positions: the largest locator decode builds.
+        step = -(-codec.n // codec.n_parity)
+        locator = codec._erasure_locator([codec.n - 1 - p for p in range(0, codec.n, step)])
+        assert len(locator) - 1 <= codec.n_parity
+        assert codec._chien_search(locator) == oracle._chien_search(locator)
