@@ -195,18 +195,16 @@ class ReedSolomonCodec:
     def _forney_syndromes(self, syndromes: list[int], erasure_locs: list[int]) -> list[int]:
         """Strip the known-erasure contributions out of the syndromes.
 
-        Each pass computes ``S'_j = alpha^loc * S_j + S_{j+1}``, which zeroes
-        the term contributed by the erasure at *loc* regardless of ``fcr``.
-        After all passes only the first ``n_parity - len(erasure_locs)``
-        entries are meaningful.
+        Each pass computes ``S'_j = alpha^loc * S_j + S_{j+1}`` for every j
+        at once, which zeroes the term contributed by the erasure at *loc*
+        regardless of ``fcr`` and drops the last entry, so
+        ``n_parity - len(erasure_locs)`` entries remain.
         """
-        fsynd = list(syndromes)
+        fsynd = np.asarray(syndromes, dtype=np.uint8)
         for loc in erasure_locs:
-            x = self.field.exp(loc)
-            for j in range(len(fsynd) - 1):
-                fsynd[j] = self.field.multiply(fsynd[j], x) ^ fsynd[j + 1]
-            fsynd.pop()
-        return fsynd
+            fsynd = self.field.scale_vec(fsynd[:-1], self.field.exp(loc)) ^ fsynd[1:]
+        forney_syndromes: list[int] = fsynd.tolist()
+        return forney_syndromes
 
     def _berlekamp_massey(self, syndromes: list[int], n_erasures: int) -> list[int]:
         """Find the error-locator polynomial for the unknown error positions.
@@ -264,10 +262,10 @@ class ReedSolomonCodec:
         positions: list[int],
     ) -> list[int]:
         """Compute errata magnitudes with Forney's algorithm."""
-        # Errata evaluator: Omega(x) = [S(x) * Lambda(x)] mod x^n_parity.
+        # Errata evaluator: Omega(x) = [S(x) * Lambda(x)] mod x^n_parity (its last terms).
         syndrome_poly = list(reversed(syndromes))
         product = self.field.poly_multiply(syndrome_poly, locator)
-        _, evaluator = self.field.poly_divmod(product, [1] + [0] * self.n_parity)
+        evaluator = self.field._trim(product[-self.n_parity :])
         derivative = self.field.poly_derivative(locator)
 
         magnitudes = []

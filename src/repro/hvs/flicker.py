@@ -43,6 +43,32 @@ SCORE_MID_LOG10_ENERGY = -2.31
 SCORE_SLOPE_PER_DECADE = 1.36
 
 
+def _pairwise_sum(values: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 with the additions, in order, of NumPy's pairwise sum of a run.
+
+    n < 8: in order onto 0.  n <= 128: eight running sums of every eighth term,
+    then ``((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7))``, then the n % 8 tail in order.
+    Longer runs: the halves split at n / 2 rounded down to a multiple of 8.
+    """
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    if n < 8:
+        total, tail = np.zeros(values.shape[1:], values.dtype), values
+    else:
+        full = n - n % 8
+        sums = values[:8]
+        for start in range(8, full, 8):
+            sums = np.add(sums, values[start : start + 8], order="C")
+        pairs = np.add(sums[0::2], sums[1::2], order="C")  # C order: loop along the grid
+        quads = pairs[0::2] + pairs[1::2]
+        total, tail = quads[0] + quads[1], values[full:]
+    for term in tail:
+        total += term
+    return total
+
+
 @dataclass(frozen=True)
 class SubjectProfile:
     """One (simulated) user-study participant.
@@ -134,13 +160,17 @@ class FlickerPredictor:
         grain) is subtracted out and only the added modulation is left.
         The reference's mean luminance still sets the adaptation state.
         """
+        rows, cols = self.grid
+        panel = timeline.panel
+        if panel.height < rows or panel.width < cols:
+            size = f"{panel.height}x{panel.width}"
+            raise ValueError(f"a {size} panel is smaller than the {rows}x{cols} grid (rows x cols)")
         duration = timeline.duration_s if duration_s is None else float(duration_s)
         duration = min(duration, timeline.duration_s)
         check_positive(duration, "duration_s")
-        sample_rate = timeline.panel.refresh_hz * self.oversample
+        sample_rate = panel.refresh_hz * self.oversample
         n_samples = max(int(round(duration * sample_rate)), 8)
         times = (np.arange(n_samples) + 0.5) / sample_rate
-        rows, cols = self.grid
         waveforms = np.empty((rows, cols, n_samples), dtype=np.float64)
         for i, t in enumerate(times):
             field = timeline.luminance_at(float(t))
@@ -155,12 +185,24 @@ class FlickerPredictor:
 
     @staticmethod
     def _region_means(field: np.ndarray, rows: int, cols: int) -> np.ndarray:
-        """Mean of each cell of a rows x cols partition of *field*."""
+        """Mean of each r x k cell of a rows x cols partition of a float *field*.
+
+        Bit for bit ``cropped.reshape(rows, r, cols, k).mean(axis=(1, 3))`` when
+        ``cols >= 2``: NumPy's additions in NumPy's order (each cell row summed
+        pairwise, the r row sums added in order onto 0, one division), so every
+        score and digest holds, as about k + r whole-grid operations instead of
+        one C loop per cell row.  (With one column NumPy sums a cell as one run.)
+        """
         height, width = field.shape
-        usable_h = (height // rows) * rows
-        usable_w = (width // cols) * cols
-        cropped = field[:usable_h, :usable_w]
-        return cropped.reshape(rows, usable_h // rows, cols, usable_w // cols).mean(axis=(1, 3))
+        r, k = height // rows, width // cols
+        # (k, rows * r, cols): each operation runs along the whole grid.
+        cells = field[: rows * r, : cols * k].reshape(rows * r, cols, k).transpose(2, 0, 1)
+        row_sums = _pairwise_sum(cells).reshape(rows, r, cols)
+        means = np.zeros((rows, cols), dtype=field.dtype)
+        for j in range(r):
+            means += row_sums[:, j]
+        means /= r * k  # NumPy divides a float32 sum in float64: the same rounded quotient
+        return means
 
     @staticmethod
     def estimate_envelope(waveform: np.ndarray, sample_rate_hz: float, carrier_hz: float) -> np.ndarray:

@@ -169,8 +169,10 @@ class TestPropertyBased:
 
 
 class _HornerCodec(ReedSolomonCodec):
-    """The codec with the Horner syndromes and Chien search that power tables
-    replaced, as its oracle."""
+    """The codec with the scalar forms that power tables and vector operations
+    replaced, as its oracle: Horner syndromes and Chien search, one scalar
+    pass per erasure for the Forney syndromes, and the errata evaluator as
+    the remainder of a polynomial division by x^n_parity."""
 
     def _syndromes(self, word):
         return [
@@ -184,6 +186,31 @@ class _HornerCodec(ReedSolomonCodec):
             for loc in range(self.n)
             if self.field.poly_eval(locator, self.field.exp(255 - loc)) == 0
         ]
+
+    def _forney_syndromes(self, syndromes, erasure_locs):
+        fsynd = list(syndromes)
+        for loc in erasure_locs:
+            x = self.field.exp(loc)
+            for j in range(len(fsynd) - 1):
+                fsynd[j] = self.field.multiply(fsynd[j], x) ^ fsynd[j + 1]
+            fsynd.pop()
+        return fsynd
+
+    def _forney(self, syndromes, locator, positions):
+        gf = self.field
+        product = gf.poly_multiply(list(reversed(syndromes)), locator)
+        _, evaluator = gf.poly_divmod(product, [1] + [0] * self.n_parity)
+        derivative = gf.poly_derivative(locator)
+        magnitudes = []
+        for loc in positions:
+            x_inv = gf.exp(255 - loc)
+            numerator = gf.poly_eval(evaluator, x_inv)
+            denominator = gf.poly_eval(derivative, x_inv)
+            if denominator == 0:
+                raise RSDecodingError("Forney denominator is zero")
+            magnitude = gf.divide(numerator, denominator)
+            magnitudes.append(gf.multiply(magnitude, gf.power(gf.exp(loc), 1 - self.fcr)))
+        return magnitudes
 
 
 ORACLE_CODES = [
@@ -218,7 +245,8 @@ def oracle_scenario(draw):
 
 
 class TestPowerTableOracle:
-    """Table-driven syndromes and Chien search decode exactly as Horner's rule."""
+    """Table-driven syndromes and Chien search, and vector Forney syndromes,
+    decode exactly as the scalar forms."""
 
     @given(oracle_scenario())
     @settings(max_examples=250, deadline=None)
@@ -244,3 +272,17 @@ class TestPowerTableOracle:
         locator = codec._erasure_locator([codec.n - 1 - p for p in range(0, codec.n, step)])
         assert len(locator) - 1 <= codec.n_parity
         assert codec._chien_search(locator) == oracle._chien_search(locator)
+
+    @given(st.sampled_from(ORACLE_CODES), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_forney_syndromes_match_scalar_passes(self, code, data):
+        codec, oracle = ORACLE_CODECS[code]
+        syndromes = data.draw(
+            st.lists(st.integers(0, 255), min_size=codec.n_parity, max_size=codec.n_parity)
+        )
+        locs = data.draw(
+            st.lists(st.integers(0, codec.n - 1), max_size=codec.n_parity, unique=True)
+        )
+        forney = codec._forney_syndromes(syndromes, locs)
+        assert forney == oracle._forney_syndromes(syndromes, locs)
+        assert all(type(value) is int for value in forney)

@@ -210,6 +210,22 @@ class TestFlickerPredictor:
             report.flicker_energy + report.phantom_energy
         )
 
+    def test_panel_smaller_than_grid_rejected(self):
+        # A 20x30 panel under the default 24x40 grid used to crop to empty
+        # cells and score NaN.
+        config = InFrameConfig(
+            element_pixels=1, pixels_per_block=2, block_rows=4, block_cols=6,
+            amplitude=20.0, tau=12,
+        )
+        small = InFrameSender(config, pure_color_video(20, 30, 127.0, n_frames=15)).timeline()
+        with pytest.raises(ValueError, match="20x30 panel is smaller than the 24x40 grid"):
+            FlickerPredictor().report(small, duration_s=0.1)
+        with pytest.raises(ValueError, match="80x112 panel is smaller than the 8x113 grid"):
+            FlickerPredictor(grid=(8, 113)).region_waveforms(_stimulus(20.0), 0.1)
+        # One pixel per region is the smallest grid that scores.
+        waveforms, _ = FlickerPredictor(grid=(80, 112)).region_waveforms(_stimulus(20.0), 0.1)
+        assert waveforms.shape[:2] == (80, 112) and np.isfinite(waveforms).all()
+
     def test_waveform_grid_mismatch_rejected(self):
         predictor = FlickerPredictor(grid=(4, 4))
         with pytest.raises(ValueError):
@@ -372,6 +388,73 @@ class TestPanelScoringOracle:
             )
             assert report.worst_region == worst
             assert np.array_equal(report.region_energies, total)
+
+
+def _numpy_region_means(field, rows, cols):
+    """NumPy's reshape-and-mean, which FlickerPredictor._region_means reproduces bit for bit."""
+    height, width = field.shape
+    r, k = height // rows, width // cols
+    return field[: rows * r, : cols * k].reshape(rows, r, cols, k).mean(axis=(1, 3))
+
+
+#: Cell widths in each regime of NumPy's pairwise sum: in order, one block of
+#: eight running sums, several blocks, and split in halves.
+CELL_WIDTHS = st.one_of(
+    st.integers(1, 7), st.integers(8, 15), st.integers(16, 128), st.integers(129, 300)
+)
+
+
+@st.composite
+def region_fields(draw):
+    """A float32 or float64 field on a grid of two or more columns, cropped or not."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    r, k = draw(st.integers(1, 30)), draw(CELL_WIDTHS)
+    cropped = draw(st.booleans())
+    # Fewer leftover rows and columns than the grid has, so the cells keep their size.
+    extra_h = draw(st.integers(0, rows - 1)) if cropped else 0
+    extra_w = draw(st.integers(1, cols - 1)) if cropped else 0
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Values over many decades, so any other order of the additions shows in the last bits.
+    field = rng.lognormal(0.0, 3.0, size=(rows * r + extra_h, cols * k + extra_w))
+    return field.astype(dtype), rows, cols
+
+
+#: The 25 Fig. 6 stimuli of the benchmark's flicker workload as (delta, tau, base value).
+FIG6_STIMULI = [
+    (delta, 12, float(value))
+    for delta in (20.0, 50.0)
+    for value in (60, 80, 100, 120, 140, 160, 180, 200)
+] + [(delta, tau, 127.0) for delta in (20.0, 30.0, 50.0) for tau in (10, 12, 14)]
+
+
+class TestRegionMeansOracle:
+    """Whole-grid region means make NumPy's additions in NumPy's order."""
+
+    @given(region_fields())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_numpy_mean(self, case):
+        field, rows, cols = case
+        means = FlickerPredictor._region_means(field, rows, cols)
+        expected = _numpy_region_means(field, rows, cols)
+        assert means.dtype == expected.dtype
+        assert np.array_equal(means, expected)
+
+    @pytest.mark.parametrize("delta, tau, value", FIG6_STIMULI)
+    def test_fig6_waveforms_match_numpy_mean(self, monkeypatch, delta, tau, value):
+        timeline = flicker_timeline(delta, tau, value, n_video_frames=4)
+        waveforms, rate = FlickerPredictor().region_waveforms(timeline, 0.1)
+        monkeypatch.setattr(FlickerPredictor, "_region_means", staticmethod(_numpy_region_means))
+        expected, expected_rate = FlickerPredictor().region_waveforms(timeline, 0.1)
+        assert rate == expected_rate
+        assert np.array_equal(waveforms, expected)
+
+    def test_one_column_grid_stays_close(self):
+        # With one column NumPy sums each cell as one run of r * k values, a
+        # different order, so this grid is held to rounding only.
+        field = np.random.default_rng(5).lognormal(0.0, 3.0, size=(60, 70)).astype(np.float32)
+        means = FlickerPredictor._region_means(field, 6, 1)
+        np.testing.assert_allclose(means, _numpy_region_means(field, 6, 1), rtol=1e-5)
 
 
 class TestPerception:
