@@ -14,6 +14,7 @@ are rendered on demand, so multi-second streams cost no memory.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
@@ -26,9 +27,16 @@ from repro.core.geometry import FrameGeometry
 from repro.video.source import VideoSource
 
 
-#: What a modulation field is a pure function of: (video frame index,
-#: data frame index, envelope factors).
-FieldsKey = tuple[int, int, tuple[float, float]]
+@dataclass
+class _Pair:
+    """The latest displayed pair and what it was rendered from."""
+
+    envelope: tuple[int, tuple[float, float]]  # (data frame, factors)
+    video_index: int
+    video: np.ndarray  # validated: the source's own array when it is float32
+    modulation: np.ndarray
+    compensation: np.ndarray | None
+    frames: list[np.ndarray | None]  # + and -, each made read-only on first use
 
 
 class DataFrameSchedule(Protocol):
@@ -84,7 +92,7 @@ class MultiplexedStream:
             )
         self._n_frames = int(n_display_frames)
         self._bits_cache: dict[int, np.ndarray] = {}
-        self._fields_memo: tuple[FieldsKey, np.ndarray, np.ndarray | None] | None = None
+        self._pair: _Pair | None = None
 
     # ------------------------------------------------------------------
     # FrameSource protocol
@@ -95,15 +103,37 @@ class MultiplexedStream:
         return self._n_frames
 
     def frame(self, index: int) -> np.ndarray:
-        """Render displayed frame *index* (pixel values, float32)."""
+        """Render displayed frame *index* (pixel values, float32, read-only).
+
+        Besides its sign, a displayed frame depends on its video content
+        (the same video index, or the same read-only frame) and its envelope.
+        The stream keeps the latest pair, so a repeated frame is the same array.
+        """
         if not (0 <= index < self._n_frames):
             raise IndexError(f"frame index {index} outside [0, {self._n_frames})")
         video_index = index // self.config.frame_duplication
-        video_frame = check_frame(self.video.frame(video_index), "video_frame")
         data_index, step = divmod(index, self.config.tau)
-        modulation, compensation = self._fields(video_index, video_frame, data_index, step)
-        sign = 1 if index % 2 == 0 else -1
-        return self.encoder.displayed(video_frame, modulation, compensation, sign)
+        factors = self.encoder.waveform.factors(step)
+        # A finished crossfade, factors (0, 1), shows data frame j + 1's bit
+        # grid exactly as that frame's own first half, factors (1, 0), does.
+        envelope = (data_index + 1, (1.0, 0.0)) if factors == (0.0, 1.0) else (data_index, factors)
+        source = self.video.frame(video_index)
+        pair = self._pair
+        if pair is None or pair.envelope != envelope or not (
+            pair.video_index == video_index or (pair.video is source and not source.flags.writeable)
+        ):
+            video = check_frame(source, "video_frame")
+            pair = self._pair = _Pair(
+                envelope, video_index, video, *self._fields(video, data_index, step), [None, None]
+            )
+        slot = index % 2
+        frame = pair.frames[slot]
+        if frame is None:
+            sign = 1 - 2 * slot
+            frame = self.encoder.displayed(pair.video, pair.modulation, pair.compensation, sign)
+            frame.flags.writeable = False
+            pair.frames[slot] = frame
+        return frame
 
     # ------------------------------------------------------------------
     # Introspection used by experiments and tests
@@ -118,19 +148,9 @@ class MultiplexedStream:
         return self._bits(data_index).copy()
 
     def _fields(
-        self, video_index: int, video_frame: np.ndarray, data_index: int, step: int
+        self, video_frame: np.ndarray, data_index: int, step: int
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """The modulation field and gamma compensation (None when off) for a frame.
-
-        Both are pure functions of the video frame, the data frames
-        ``data_index`` and ``data_index + 1``, and the envelope factors at
-        *step*.  The envelope advances once per pair, and stays flat over
-        the first half of each cycle, so consecutive frames share the
-        fields: they are kept as one read-only entry keyed on those inputs.
-        """
-        key = (video_index, data_index, self.encoder.waveform.factors(step))
-        if self._fields_memo is not None and self._fields_memo[0] == key:
-            return self._fields_memo[1], self._fields_memo[2]
+        """The read-only modulation field and gamma compensation (None when off)."""
         modulation = self.encoder.modulation_field(
             video_frame, self._bits(data_index), self._bits(data_index + 1), step
         )
@@ -142,7 +162,6 @@ class MultiplexedStream:
         for field in (modulation, compensation):
             if field is not None:
                 field.flags.writeable = False
-        self._fields_memo = (key, modulation, compensation)
         return modulation, compensation
 
     def _bits(self, data_index: int) -> np.ndarray:

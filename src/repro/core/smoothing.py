@@ -94,7 +94,9 @@ class SmoothingWaveform:
         x = (pair + 1 - half_pairs) / half_pairs
         if x <= 0.0:
             return (1.0, 0.0)
-        return envelope_pair(min(x, 1.0), self.kind)
+        if x >= 1.0:
+            return (0.0, 1.0)  # cos(pi/2) is 6e-17, not 0: the next frame is held exactly
+        return envelope_pair(x, self.kind)
 
     def stability(self, step: int) -> float:
         """How much of the *current* data frame's amplitude survives at *step*.

@@ -24,7 +24,11 @@ from repro.display.panel import DisplayPanel
 
 
 class FrameSource(Protocol):
-    """Anything that can serve pixel-value frames by index."""
+    """Anything that can serve pixel-value frames by index.
+
+    A read-only array that a source hands back again, for any index, must
+    still hold the same content: the timeline then reuses its luminance.
+    """
 
     @property
     def n_frames(self) -> int:
@@ -74,8 +78,12 @@ class DisplayTimeline:
         self._lum_cache_order: list[int] = []
         self._avg_cache: dict[int, np.ndarray] = {}
         self._avg_cache_order: list[int] = []
+        # The last two distinct (source frame, luminance) pairs: a pair alternates.
+        self._recent: list[tuple[np.ndarray, np.ndarray]] = []
         self._state_index = -1
         self._state: np.ndarray | None = None
+        # (index, state, state - target): one LC lag per display frame.
+        self._lag: tuple[int, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Clocking
@@ -120,10 +128,14 @@ class DisplayTimeline:
         # State first; see _frame_luminance.
         previous_state = self._state_before(index)
         target = self._frame_luminance(index)
+        # Every sample of a frame shares its lag, until a re-warm or a
+        # backward jump hands back a different state array for the index.
+        lag = self._lag
+        if lag is None or lag[0] != index or lag[1] is not previous_state:
+            lag = self._lag = (index, previous_state, previous_state - target)
         elapsed = max(t - self.latch_time(index), 0.0)
         decay = np.float32(np.exp(-elapsed / self.panel.response_time_s))
-        field = previous_state - target
-        field *= decay
+        field = lag[2] * decay
         field += target
         return self._crop(field, rect)
 
@@ -224,7 +236,10 @@ class DisplayTimeline:
         cached = self._lum_cache.get(index)
         if cached is not None:
             return cached
-        lum = self.panel.emitted_luminance(self.source.frame(index))
+        frame = self.source.frame(index)
+        reused = [lum for seen, lum in self._recent if seen is frame and not frame.flags.writeable]
+        lum = reused[0] if reused else self.panel.emitted_luminance(frame)
+        self._recent = [(frame, lum), *(e for e in self._recent if e[0] is not frame)][:2]
         self._cache_put(self._lum_cache, self._lum_cache_order, index, lum)
         return lum
 

@@ -262,10 +262,13 @@ class ReedSolomonCodec:
         positions: list[int],
     ) -> list[int]:
         """Compute errata magnitudes with Forney's algorithm."""
-        # Errata evaluator: Omega(x) = [S(x) * Lambda(x)] mod x^n_parity (its last terms).
-        syndrome_poly = list(reversed(syndromes))
-        product = self.field.poly_multiply(syndrome_poly, locator)
-        evaluator = self.field._trim(product[-self.n_parity :])
+        # Errata evaluator: Omega(x) = [S(x) * Lambda(x)] mod x^n_parity, lowest
+        # degree first: one scaled, shifted copy of S per coefficient of Lambda.
+        synd = np.asarray(syndromes, dtype=np.uint8)
+        omega = np.zeros(self.n_parity, dtype=np.uint8)
+        for j, coeff in enumerate(reversed(locator[-self.n_parity :])):
+            omega[j:] ^= self.field.scale_vec(synd[: self.n_parity - j], coeff)
+        evaluator = self.field._trim(omega[::-1].tolist())
         derivative = self.field.poly_derivative(locator)
 
         magnitudes = []

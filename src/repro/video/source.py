@@ -79,7 +79,8 @@ class ConstantVideoSource(VideoSource):
     """A pure-colour clip: every frame is the same uniform value.
 
     The paper uses these ("for its ease to detect any visual artifact") with
-    gray levels 127 and 180.
+    gray levels 127 and 180.  Every index returns one read-only array, so
+    the layers downstream can tell that the content did not change.
     """
 
     def __init__(
@@ -95,6 +96,7 @@ class ConstantVideoSource(VideoSource):
             raise ValueError(f"value must be in [0, 255], got {value}")
         self.value = float(value)
         self._frame = np.full(self.shape, np.float32(value), dtype=np.float32)
+        self._frame.flags.writeable = False
 
     def frame(self, index: int) -> np.ndarray:
         self._check_index(index)

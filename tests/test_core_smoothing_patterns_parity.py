@@ -86,6 +86,18 @@ class TestSmoothingWaveform:
         assert current == pytest.approx(0.0)
         assert nxt == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("kind", ["srrc", "linear", "stair"])
+    @pytest.mark.parametrize("tau", range(4, 17, 2))
+    def test_cycle_ends_exactly_on_next_data_frame(self, kind, tau):
+        # cos(pi/2) is 6e-17 in floating point; the crossfade must still end
+        # with the next data frame held and no trace of the outgoing one.
+        waveform = SmoothingWaveform(tau, kind)
+        assert waveform.factors(0) == (1.0, 0.0)
+        assert waveform.factors(tau - 1) == (0.0, 1.0)
+        bits = np.array([1, 0, 1, 1, 0, 0, 1])
+        ends = waveform.envelope_samples(bits)[tau - 1 :: tau]
+        assert np.array_equal(ends, [*bits[1:], bits[-1]])
+
     def test_pairs_share_identical_factors(self):
         # The envelope must never change within a complementary pair, or
         # the pair stops fusing to the plain video.

@@ -410,11 +410,11 @@ _N_VIDEO_FRAMES = 9  # 36 display frames: three tau=12 cycles
 _ORDER = [*range(_N_VIDEO_FRAMES * 4), 21, 5, 5, 33, 0, 0, 18, 35, 12, 13, 13]
 
 _VIDEOS = {
-    "gray": lambda: pure_color_video(_H, _W, 127.0, n_frames=_N_VIDEO_FRAMES),
-    "bright": lambda: pure_color_video(_H, _W, 245.0, n_frames=_N_VIDEO_FRAMES),
-    "sunrise": lambda: sunrise_video(_H, _W, n_frames=_N_VIDEO_FRAMES),
-    "rgb-sunrise": lambda: rgb_sunrise_video(_H, _W, n_frames=_N_VIDEO_FRAMES),
-    "gradient": lambda: gradient_video(_H, _W, n_frames=_N_VIDEO_FRAMES),
+    "gray": lambda n=_N_VIDEO_FRAMES: pure_color_video(_H, _W, 127.0, n_frames=n),
+    "bright": lambda n=_N_VIDEO_FRAMES: pure_color_video(_H, _W, 245.0, n_frames=n),
+    "sunrise": lambda n=_N_VIDEO_FRAMES: sunrise_video(_H, _W, n_frames=n),
+    "rgb-sunrise": lambda n=_N_VIDEO_FRAMES: rgb_sunrise_video(_H, _W, n_frames=n),
+    "gradient": lambda n=_N_VIDEO_FRAMES: gradient_video(_H, _W, n_frames=n),
 }
 _BASE = InFrameConfig(
     element_pixels=1, pixels_per_block=4, block_rows=4, block_cols=6, amplitude=20.0, tau=12
@@ -431,7 +431,25 @@ _PANELS = {
     "lc": DisplayPanel(width=_W, height=_H),
     "no-lc": DisplayPanel(width=_W, height=_H, response_time_s=0.0),
     "dim": DisplayPanel(width=_W, height=_H, brightness=0.6),
+    # Eight frames of warm-up leave exp(-8 * 8.3 / 50) = 26 % of the old
+    # state, so a state re-warmed from a backward or long jump differs
+    # from the walked one, and a lag reused across it shows.
+    "slow-lc": DisplayPanel(width=_W, height=_H, response_time_s=0.05),
 }
+#: 120 display frames, so that a jump can skip more than 64 of them.
+_N_LONG_VIDEO_FRAMES = 30
+#: (read, display frame, phase within the frame): samples at one frame with
+#: other reads between them that move the LC state backwards (a re-warm),
+#: forwards by more than 64 frames (a re-warm) or one frame on.
+_INTERLEAVED = [
+    ("sample", 10, 0.1), ("average", 3, 0.0), ("sample", 10, 0.4), ("sample", 10, 0.9),
+    ("window", 90, 0.2), ("sample", 10, 0.6), ("sample", 11, 0.3), ("sample", 95, 0.1),
+    ("average", 20, 0.0), ("sample", 95, 0.7), ("window", 96, 0.5), ("sample", 95, 0.2),
+    ("sample", 30, 0.4), ("frame", 31, 0.0), ("window", 100, 0.2), ("sample", 30, 0.4),
+    ("sample", 0, 0.5), ("average", 0, 0.0), ("sample", 1, 0.5), ("window", 0, 0.3),
+    ("sample", 1, 0.8), ("sample", 119, 0.9), ("sample", 40, 0.2), ("average", 119, 0.0),
+    ("sample", 40, 0.2), ("sample", 41, 0.6), ("average", 40, 0.0), ("sample", 41, 0.6),
+]
 
 
 def _emit_everything(video, config: InFrameConfig, panel: DisplayPanel) -> list[np.ndarray]:
@@ -448,6 +466,22 @@ def _emit_everything(video, config: InFrameConfig, panel: DisplayPanel) -> list[
     crop = (2, 14, 3, 21)
     outputs += [timeline.integrate(i * interval, (i + 1.5) * interval, crop) for i in _ORDER]
     return outputs
+
+
+def _emit_interleaved(video, config: InFrameConfig, panel: DisplayPanel) -> list[np.ndarray]:
+    """Every read of ``_INTERLEAVED``, in that order, on one timeline."""
+    stream = MultiplexedStream(
+        config, video, PseudoRandomSchedule(config, seed=4), gamma_curve=panel.gamma_curve
+    )
+    timeline = DisplayTimeline(panel, stream)
+    interval = panel.frame_interval_s
+    reads = {
+        "frame": lambda i, f: stream.frame(i),
+        "sample": lambda i, f: timeline.luminance_at((i + f) * interval),
+        "average": lambda i, f: timeline.frame_average_luminance(i),
+        "window": lambda i, f: timeline.integrate((i + f) * interval, (i + f + 2.5) * interval),
+    }
+    return [reads[read](index, phase) for read, index, phase in _INTERLEAVED]
 
 
 class TestDisplayEmitOracle:
@@ -474,6 +508,21 @@ class TestDisplayEmitOracle:
         reference_chain()
         slow = _emit_everything(_VIDEOS[video](), _CONFIGS[config], _PANELS[panel])
         assert len(fast) == len(slow)
+        for got, want in zip(fast, slow):
+            assert got.dtype == want.dtype == np.float32
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("config", ["base", "gamma-comp", "tau10"])
+    @pytest.mark.parametrize("video", list(_VIDEOS))
+    def test_interleaved_reads_under_slow_lc(self, video, config, reference_chain):
+        # The reference frames are fresh writeable arrays, so the reference
+        # run reuses no luminance and no lag: any reuse across a re-warm of
+        # the LC state differs from it.
+        panel = _PANELS["slow-lc"]
+        fast = _emit_interleaved(_VIDEOS[video](_N_LONG_VIDEO_FRAMES), _CONFIGS[config], panel)
+        reference_chain()
+        slow = _emit_interleaved(_VIDEOS[video](_N_LONG_VIDEO_FRAMES), _CONFIGS[config], panel)
+        assert len(fast) == len(slow) == len(_INTERLEAVED)
         for got, want in zip(fast, slow):
             assert got.dtype == want.dtype == np.float32
             assert np.array_equal(got, want)
@@ -513,9 +562,43 @@ class TestDisplayEmitOracle:
         stream.encoder.modulation_field = counted
         for index in range(stream.n_frames):
             stream.frame(index)
-        # Per tau=12 cycle the inputs change at steps 0, 4 and 8 (video
-        # frame) and at 6, 8 and 10 (envelope): 5 fields per 12 frames.
-        assert (calls["modulation_field"], stream.n_frames) == (106, 256)
-        _, modulation, compensation = stream._fields_memo
-        assert compensation is None
-        assert not modulation.flags.writeable
+        # The gray frame is one read-only array, so only the envelope counts.
+        # Per tau=12 cycle it changes at steps 6, 8 and 10, and step 10's
+        # finished crossfade holds the next data frame, which the next
+        # cycle's steps 0-5 show too: 3 fields per 12 frames.
+        assert (calls["modulation_field"], stream.n_frames) == (64, 256)
+        pair = stream._pair
+        assert pair.compensation is None
+        assert not pair.modulation.flags.writeable
+        assert not any(frame.flags.writeable for frame in pair.frames)
+
+    def test_repeated_frames_are_the_same_array(self):
+        stream = MultiplexedStream(
+            _BASE, pure_color_video(_H, _W, 127.0, n_frames=9), PseudoRandomSchedule(_BASE, seed=4)
+        )
+        frames = [stream.frame(index) for index in range(24)]
+        # Steps 0-5 of a cycle hold its data frame; steps 10-11 hold the next
+        # one, exactly as the next cycle's steps 0-5 do.
+        assert all(frames[step] is frames[step % 2] for step in range(6))
+        assert frames[10] is not frames[0]
+        assert all(frames[step] is frames[10 + step % 2] for step in range(12, 18))
+        assert frames[6] is not frames[8] and frames[1] is not frames[0]
+
+    def test_timeline_gamma_maps_each_distinct_frame_once(self, monkeypatch):
+        stream = MultiplexedStream(
+            _BASE, pure_color_video(_H, _W, 127.0, n_frames=9), PseudoRandomSchedule(_BASE, seed=4)
+        )
+        frames = [stream.frame(index) for index in range(stream.n_frames)]
+        distinct = {id(frame) for frame in frames}
+        timeline = DisplayTimeline(_PANELS["lc"], stream)
+        calls = Counter()
+        emitted_luminance = DisplayPanel.emitted_luminance
+
+        def counted(panel, frame):
+            calls["emitted_luminance"] += 1
+            return emitted_luminance(panel, frame)
+
+        monkeypatch.setattr(DisplayPanel, "emitted_luminance", counted)
+        for index in range(stream.n_frames):
+            timeline.frame_average_luminance(index)
+        assert calls["emitted_luminance"] == len(distinct) < stream.n_frames

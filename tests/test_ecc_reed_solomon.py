@@ -230,6 +230,13 @@ def _outcome(codec, word, erasures):
         return type(exc), str(exc)
 
 
+def _outcome_of(forney, syndromes, locator, positions):
+    try:
+        return forney(syndromes, locator, positions)
+    except RSDecodingError as exc:
+        return type(exc), str(exc)
+
+
 @st.composite
 def oracle_scenario(draw):
     """A word with errors and erasures, inside or beyond the correction radius."""
@@ -286,3 +293,22 @@ class TestPowerTableOracle:
         forney = codec._forney_syndromes(syndromes, locs)
         assert forney == oracle._forney_syndromes(syndromes, locs)
         assert all(type(value) is int for value in forney)
+
+    @given(st.sampled_from(ORACLE_CODES), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_forney_evaluator_matches_full_product(self, code, data):
+        # Omega from only the low n_parity terms of S * Lambda against the
+        # whole product's remainder, on a locator of any degree up to n_parity
+        # (zero coefficients included) and with any syndromes.
+        codec, oracle = ORACLE_CODECS[code]
+        syndromes = data.draw(
+            st.lists(st.integers(0, 255), min_size=codec.n_parity, max_size=codec.n_parity)
+        )
+        locs = data.draw(
+            st.lists(st.integers(0, codec.n - 1), max_size=codec.n_parity, unique=True)
+        )
+        locator = codec._erasure_locator(locs)
+        positions = codec._chien_search(locator)
+        assert _outcome_of(codec._forney, syndromes, locator, positions) == _outcome_of(
+            oracle._forney, syndromes, locator, positions
+        )

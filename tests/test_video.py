@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from repro.video.io import load_clip, save_clip
-from repro.video.source import ArrayVideoSource, ConstantVideoSource, FunctionVideoSource
+from repro.video.source import (
+    ArrayVideoSource,
+    ConstantVideoSource,
+    FunctionVideoSource,
+    LoopingVideoSource,
+)
 from repro.video.synthetic import (
     checker_texture_video,
     gradient_video,
@@ -37,6 +42,17 @@ class TestConstantSource:
     def test_duration(self):
         source = ConstantVideoSource(8, 10, 0.0, fps=30.0, n_frames=60)
         assert source.duration_s == pytest.approx(2.0)
+
+    def test_every_index_is_one_read_only_frame(self):
+        # The display layers reuse a read-only frame's work when it comes back.
+        source = ConstantVideoSource(8, 10, 127.0, n_frames=3)
+        frame = source.frame(0)
+        assert not frame.flags.writeable
+        assert source.frame(2) is frame
+        looped = LoopingVideoSource(source, n_loops=2)
+        assert looped.frame(5) is frame
+        with pytest.raises(ValueError):
+            frame[0, 0] = 0.0
 
 
 class TestArraySource:
