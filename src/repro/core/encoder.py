@@ -121,25 +121,58 @@ class DataFrameEncoder:
         headroom limit applied the clip never actually truncates, which is
         what keeps the pair exactly complementary.
         """
-        video = check_frame(video_frame, "video_frame")
-        if video.shape[:2] != (self.geometry.frame_height, self.geometry.frame_width):
-            raise ValueError(
-                f"video frame {video.shape} does not match geometry "
-                f"{(self.geometry.frame_height, self.geometry.frame_width)}"
-            )
-        if bits_next is None:
-            bits_next = bits_now
+        video = self._check_shape(check_frame(video_frame, "video_frame"))
         # Envelope times delta is per Block, so it is formed on the Block
         # grid and expanded once; the steps after that work in place.
-        amplitude = self.envelope_grid(bits_now, bits_next, step)
-        if self.config.adaptive_amplitude:
-            amplitude *= self._adaptive_delta(video)
-        else:
-            amplitude *= np.float32(self.config.amplitude)
-        field = self.geometry.expand_block_grid(amplitude)
+        field = self.geometry.expand_block_grid(
+            self._block_amplitude(video, bits_now, bits_next, step)
+        )
         np.minimum(field, self._headroom(video), out=field)
         field *= self.pattern
         return field
+
+    def pixel_classes(self) -> np.ndarray:
+        """The class of every display pixel, as an ``intp`` map.
+
+        Class 0 holds every pixel the pattern leaves unmodulated (pattern 0,
+        or outside the data area); class ``b + 1`` holds the pattern pixels
+        of Block ``b`` (row-major), and is empty when the pattern leaves
+        that Block no pixel.  On a uniform frame every pixel of a class gets
+        the same modulation (see :meth:`modulation_palette`).
+        """
+        config = self.config
+        labels = np.arange(1, config.block_rows * config.block_cols + 1, dtype=np.float32)
+        # Labels stay far below 2**24, so float32 holds each one exactly.
+        blocks = self.geometry.expand_block_grid(
+            labels.reshape(config.block_rows, config.block_cols)
+        )
+        return np.where(self.pattern > 0, blocks, np.float32(0)).astype(np.intp)
+
+    def modulation_palette(
+        self,
+        video_frame: np.ndarray,
+        bits_now: np.ndarray,
+        bits_next: np.ndarray | None = None,
+        step: int = 0,
+    ) -> np.ndarray:
+        """:meth:`modulation_field` of a uniform frame, one value per pixel class.
+
+        *video_frame* must hold one value in every pixel (a validated
+        :attr:`~repro.video.source.VideoSource.uniform_frame`).  The result
+        is a ``(1, n_classes)`` array in the classes of :meth:`pixel_classes`.
+        Every pixel of a class then has the same Block amplitude, headroom
+        and pattern value, and each step is elementwise, so each class value
+        is bit for bit what its pixels hold in :meth:`modulation_field`.
+        In ``block`` clip mode a Block's headroom is the minimum over its
+        modulated pixels, all equal here; unmodulated pixels are zeroed by
+        the pattern in either mode, so class 0 is 0.
+        """
+        video = self._check_shape(np.asarray(video_frame, dtype=np.float32))
+        amplitude = self._block_amplitude(video, bits_now, bits_next, step)
+        palette = np.concatenate((np.zeros(1, dtype=np.float32), amplitude.ravel()))[None, :]
+        np.minimum(palette, self._pixel_headroom(video[:1, :1]), out=palette)
+        palette[0, 0] *= np.float32(0.0)
+        return palette
 
     def multiplexed_pair(
         self,
@@ -246,8 +279,32 @@ class DataFrameEncoder:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _headroom(self, video: np.ndarray) -> np.ndarray:
-        """Largest symmetric amplitude each pixel (or Block) can carry.
+    def _check_shape(self, video: np.ndarray) -> np.ndarray:
+        if video.shape[:2] != (self.geometry.frame_height, self.geometry.frame_width):
+            raise ValueError(
+                f"video frame {video.shape} does not match geometry "
+                f"{(self.geometry.frame_height, self.geometry.frame_width)}"
+            )
+        return video
+
+    def _block_amplitude(
+        self,
+        video: np.ndarray,
+        bits_now: np.ndarray,
+        bits_next: np.ndarray | None,
+        step: int,
+    ) -> np.ndarray:
+        """Envelope times delta (or the adaptive delta) on the Block grid."""
+        amplitude = self.envelope_grid(bits_now, bits_now if bits_next is None else bits_next, step)
+        if self.config.adaptive_amplitude:
+            amplitude *= self._adaptive_delta(video)
+        else:
+            amplitude *= np.float32(self.config.amplitude)
+        return amplitude
+
+    @staticmethod
+    def _pixel_headroom(video: np.ndarray) -> np.ndarray:
+        """Largest symmetric amplitude each pixel can carry.
 
         For RGB content the binding constraint is the channel closest to
         either end of the range, since the gray chessboard moves all
@@ -256,6 +313,11 @@ class DataFrameEncoder:
         low, high = (video.min(axis=2), video.max(axis=2)) if video.ndim == 3 else (video, video)
         per_pixel = np.subtract(255.0, high)
         np.minimum(low, per_pixel, out=per_pixel)
+        return per_pixel
+
+    def _headroom(self, video: np.ndarray) -> np.ndarray:
+        """Largest symmetric amplitude each pixel (or Block) can carry."""
+        per_pixel = self._pixel_headroom(video)
         if self.config.clip_mode == "pixel":
             return per_pixel
         # Block mode: the minimum headroom of the Block's *modulated* pixels.

@@ -9,7 +9,9 @@ complementary and fuses to ``V_i`` for the viewer.
 
 :class:`MultiplexedStream` implements the display scheduler's
 :class:`~repro.display.scheduler.FrameSource` protocol lazily -- frames
-are rendered on demand, so multi-second streams cost no memory.
+are rendered on demand, so multi-second streams cost no memory.  On a
+uniform video every displayed frame holds one value per pixel class, and
+the stream also serves each frame as that palette of class values.
 """
 
 from __future__ import annotations
@@ -64,6 +66,16 @@ class MultiplexedStream:
     gamma_curve:
         The target panel's transfer curve, needed when
         ``config.gamma_compensation`` is on.
+
+    Attributes
+    ----------
+    classes:
+        When the video serves one read-only uniform frame at every index
+        (:attr:`~repro.video.source.VideoSource.uniform_frame`), the
+        ``intp`` class of every display pixel
+        (:meth:`~repro.core.encoder.DataFrameEncoder.pixel_classes`), and
+        :meth:`palette` serves each displayed frame as one value per class.
+        None for any other video.
     """
 
     def __init__(
@@ -93,6 +105,15 @@ class MultiplexedStream:
         self._n_frames = int(n_display_frames)
         self._bits_cache: dict[int, np.ndarray] = {}
         self._pair: _Pair | None = None
+        self._palette_pair: _Pair | None = None
+        uniform = video.uniform_frame
+        self.classes: np.ndarray | None = None
+        if uniform is not None:
+            self._uniform = check_frame(uniform, "uniform_frame")
+            self.classes = self.encoder.pixel_classes()
+            n_classes = config.block_rows * config.block_cols + 1
+            self._palette_video = np.full((1, n_classes), self._uniform[0, 0], dtype=np.float32)
+            self._palette_video.flags.writeable = False
 
     # ------------------------------------------------------------------
     # FrameSource protocol
@@ -109,31 +130,37 @@ class MultiplexedStream:
         (the same video index, or the same read-only frame) and its envelope.
         The stream keeps the latest pair, so a repeated frame is the same array.
         """
-        if not (0 <= index < self._n_frames):
-            raise IndexError(f"frame index {index} outside [0, {self._n_frames})")
+        data_index, step, envelope = self._envelope(index)
         video_index = index // self.config.frame_duplication
-        data_index, step = divmod(index, self.config.tau)
-        factors = self.encoder.waveform.factors(step)
-        # A finished crossfade, factors (0, 1), shows data frame j + 1's bit
-        # grid exactly as that frame's own first half, factors (1, 0), does.
-        envelope = (data_index + 1, (1.0, 0.0)) if factors == (0.0, 1.0) else (data_index, factors)
         source = self.video.frame(video_index)
         pair = self._pair
         if pair is None or pair.envelope != envelope or not (
             pair.video_index == video_index or (pair.video is source and not source.flags.writeable)
         ):
             video = check_frame(source, "video_frame")
-            pair = self._pair = _Pair(
-                envelope, video_index, video, *self._fields(video, data_index, step), [None, None]
+            modulation = self.encoder.modulation_field(
+                video, self._bits(data_index), self._bits(data_index + 1), step
             )
-        slot = index % 2
-        frame = pair.frames[slot]
-        if frame is None:
-            sign = 1 - 2 * slot
-            frame = self.encoder.displayed(pair.video, pair.modulation, pair.compensation, sign)
-            frame.flags.writeable = False
-            pair.frames[slot] = frame
-        return frame
+            pair = self._pair = self._new_pair(envelope, video_index, video, modulation)
+        return self._displayed(pair, index)
+
+    def palette(self, index: int) -> np.ndarray:
+        """Displayed frame *index* as one pixel value per class (float32, read-only).
+
+        ``frame(index)`` equals ``palette(index)[0][classes]`` bit for bit: the
+        encoder's formulas run elementwise on a ``(1, n_classes)`` video of
+        the uniform value.  Only a stream with :attr:`classes` has palettes.
+        """
+        if self.classes is None:
+            raise ValueError("only a stream of a uniform video has palettes")
+        data_index, step, envelope = self._envelope(index)
+        pair = self._palette_pair
+        if pair is None or pair.envelope != envelope:
+            modulation = self.encoder.modulation_palette(
+                self._uniform, self._bits(data_index), self._bits(data_index + 1), step
+            )
+            pair = self._palette_pair = self._new_pair(envelope, 0, self._palette_video, modulation)
+        return self._displayed(pair, index)
 
     # ------------------------------------------------------------------
     # Introspection used by experiments and tests
@@ -147,22 +174,50 @@ class MultiplexedStream:
         """The Block grid actually transmitted for data frame *data_index*."""
         return self._bits(data_index).copy()
 
-    def _fields(
-        self, video_frame: np.ndarray, data_index: int, step: int
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """The read-only modulation field and gamma compensation (None when off)."""
-        modulation = self.encoder.modulation_field(
-            video_frame, self._bits(data_index), self._bits(data_index + 1), step
-        )
+    def _envelope(self, index: int) -> tuple[int, int, tuple[int, tuple[float, float]]]:
+        """``(data_index, step, envelope)`` of display frame *index*.
+
+        Besides its sign and video content, a displayed frame depends only
+        on its envelope.
+        """
+        if not (0 <= index < self._n_frames):
+            raise IndexError(f"frame index {index} outside [0, {self._n_frames})")
+        data_index, step = divmod(index, self.config.tau)
+        factors = self.encoder.waveform.factors(step)
+        # A finished crossfade, factors (0, 1), shows data frame j + 1's bit
+        # grid exactly as that frame's own first half, factors (1, 0), does.
+        if factors == (0.0, 1.0):
+            return data_index, step, (data_index + 1, (1.0, 0.0))
+        return data_index, step, (data_index, factors)
+
+    def _new_pair(
+        self,
+        envelope: tuple[int, tuple[float, float]],
+        video_index: int,
+        video: np.ndarray,
+        modulation: np.ndarray,
+    ) -> _Pair:
+        """A pair with its read-only modulation and gamma compensation (None when off)."""
         compensation = (
-            self.encoder.compensation_field(video_frame, modulation)
+            self.encoder.compensation_field(video, modulation)
             if self.config.gamma_compensation
             else None
         )
-        for field in (modulation, compensation):
-            if field is not None:
-                field.flags.writeable = False
-        return modulation, compensation
+        for values in (modulation, compensation):
+            if values is not None:
+                values.flags.writeable = False
+        return _Pair(envelope, video_index, video, modulation, compensation, [None, None])
+
+    def _displayed(self, pair: _Pair, index: int) -> np.ndarray:
+        """The pair's frame of display frame *index*'s sign, rendered once."""
+        slot = index % 2
+        frame = pair.frames[slot]
+        if frame is None:
+            sign = 1 - 2 * slot
+            frame = self.encoder.displayed(pair.video, pair.modulation, pair.compensation, sign)
+            frame.flags.writeable = False
+            pair.frames[slot] = frame
+        return frame
 
     def _bits(self, data_index: int) -> np.ndarray:
         cached = self._bits_cache.get(data_index)

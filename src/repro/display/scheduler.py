@@ -10,13 +10,16 @@ low-pass filtering luminance over time).  It models:
 * exact integration of luminance over arbitrary time windows.
 
 Frames are produced lazily from a :class:`FrameSource`, so a multi-second
-120 Hz stream never has to exist in memory at once.
+120 Hz stream never has to exist in memory at once.  A source whose frames
+hold one value per pixel class (a multiplexed uniform video) is played as
+palettes of class values, expanded to pixels only where a field is handed
+out.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from typing import Protocol
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -28,6 +31,8 @@ class FrameSource(Protocol):
 
     A read-only array that a source hands back again, for any index, must
     still hold the same content: the timeline then reuses its luminance.
+    A source that is also a :class:`PaletteSource` with ``classes`` is
+    played as palettes.
     """
 
     @property
@@ -37,6 +42,26 @@ class FrameSource(Protocol):
 
     def frame(self, index: int) -> np.ndarray:
         """Return frame *index* as a float32 array of pixel values."""
+        ...
+
+
+@runtime_checkable
+class PaletteSource(FrameSource, Protocol):
+    """A frame source whose frames may hold one value per pixel class.
+
+    ``classes`` is None, or an ``intp`` map giving every pixel its class;
+    then ``palette(index)`` returns frame *index* as a read-only
+    ``(1, n_classes)`` array with ``frame(index) == palette(index)[0][classes]``
+    (see :class:`~repro.core.multiplexer.MultiplexedStream`).  Gamma, the
+    liquid-crystal response and integration are elementwise and act on
+    each pixel's own frame sequence, so the timeline computes them once
+    per class, with the bits every pixel of the class would get.
+    """
+
+    classes: np.ndarray | None
+
+    def palette(self, index: int) -> np.ndarray:
+        """Return frame *index* as one float32 pixel value per class."""
         ...
 
 
@@ -61,8 +86,17 @@ class DisplayTimeline:
 
     The per-frame caches (emitted-luminance fields and per-refresh
     averages) each hold at most ``_CACHE_FRAMES`` frames in FIFO order,
-    so peak cache memory is ``2 * _CACHE_FRAMES`` full luminance fields
-    regardless of stream length.
+    so peak cache memory is ``2 * _CACHE_FRAMES`` luminance fields
+    regardless of stream length.  Cached fields are read-only, and so is
+    every field :meth:`frame_average_luminance` returns.
+
+    When the source has pixel ``classes``, the luminance, the LC state,
+    the lag and both caches are palettes of one value per class.  They
+    are expanded through the class map (cropped to ``rect``) only when
+    :meth:`frame_average_luminance`, :meth:`luminance_at` or
+    :meth:`integrate` hands a field out, and :meth:`luminance_at` expands
+    the lag and the target once per display frame, so each sample costs
+    what it costs on full fields.
     """
 
     _WARMUP_FRAMES = 8
@@ -74,6 +108,13 @@ class DisplayTimeline:
             raise ValueError("frame source must contain at least one frame")
         self.panel = panel
         self.source = source
+        # The source as a palette source, when its frames are played as
+        # palettes expanded through the class map's row runs.
+        self._palettes: PaletteSource | None = None
+        self._class_rows: tuple[np.ndarray, np.ndarray] | None = None
+        if isinstance(source, PaletteSource) and source.classes is not None:
+            self._palettes = source
+            self._class_rows = _row_runs(source.classes)
         self._lum_cache: dict[int, np.ndarray] = {}
         self._lum_cache_order: list[int] = []
         self._avg_cache: dict[int, np.ndarray] = {}
@@ -82,8 +123,9 @@ class DisplayTimeline:
         self._recent: list[tuple[np.ndarray, np.ndarray]] = []
         self._state_index = -1
         self._state: np.ndarray | None = None
-        # (index, state, state - target): one LC lag per display frame.
-        self._lag: tuple[int, np.ndarray, np.ndarray] | None = None
+        # (index, state, state - target, target), the last two as full fields:
+        # one LC lag per display frame.
+        self._lag: tuple[int, np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Clocking
@@ -124,7 +166,7 @@ class DisplayTimeline:
         """
         index = self.frame_index_at(t)
         if self.panel.response_time_s <= 0.0:
-            return self._crop(self._frame_luminance(index), rect)
+            return self._expand(self._frame_luminance(index), rect)
         # State first; see _frame_luminance.
         previous_state = self._state_before(index)
         target = self._frame_luminance(index)
@@ -132,11 +174,16 @@ class DisplayTimeline:
         # backward jump hands back a different state array for the index.
         lag = self._lag
         if lag is None or lag[0] != index or lag[1] is not previous_state:
-            lag = self._lag = (index, previous_state, previous_state - target)
+            lag = self._lag = (
+                index,
+                previous_state,
+                self._expand(previous_state - target),
+                self._expand(target),
+            )
         elapsed = max(t - self.latch_time(index), 0.0)
         decay = np.float32(np.exp(-elapsed / self.panel.response_time_s))
         field = lag[2] * decay
-        field += target
+        field += lag[3]
         return self._crop(field, rect)
 
     def integrate(
@@ -150,9 +197,12 @@ class DisplayTimeline:
         The window is split at frame boundaries and each piece is integrated
         analytically (exponential relaxation toward the latched frame).
         """
+        return self._expand(self._integrate(t0, t1), rect)
+
+    def _integrate(self, t0: float, t1: float) -> np.ndarray:
+        """:meth:`integrate` as a fresh full field or palette."""
         if not (t1 > t0):
             raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
-        interval = self.panel.frame_interval_s
         tau = self.panel.response_time_s
         total: np.ndarray | None = None
         first_index = self.frame_index_at(t0)
@@ -166,10 +216,8 @@ class DisplayTimeline:
             if seg_len <= 0:
                 continue
             # State first; see _frame_luminance.
-            previous_state = (
-                self._crop(self._state_before(index), rect) if tau > 0.0 else None
-            )
-            target = self._crop(self._frame_luminance(index), rect)
+            previous_state = self._state_before(index) if tau > 0.0 else None
+            target = self._frame_luminance(index)
             # Fresh arrays from here on, so the sums below work in place.
             piece = target * np.float32(seg_len)
             if previous_state is not None:
@@ -192,17 +240,18 @@ class DisplayTimeline:
 
         This folds the liquid-crystal response into a single per-frame
         field; the camera pipeline blends these with rolling-shutter row
-        weights instead of re-integrating per row.
+        weights instead of re-integrating per row.  The field is read-only.
         """
         if not (0 <= index < self.n_frames):
             raise IndexError(f"frame index {index} outside [0, {self.n_frames})")
-        cached = self._avg_cache.get(index)
-        if cached is not None:
-            return cached
-        start = self.latch_time(index)
-        avg = self.integrate(start, start + self.panel.frame_interval_s)
-        self._cache_put(self._avg_cache, self._avg_cache_order, index, avg)
-        return avg
+        avg = self._avg_cache.get(index)
+        if avg is None:
+            start = self.latch_time(index)
+            avg = self._integrate(start, start + self.panel.frame_interval_s)
+            self._cache_put(self._avg_cache, self._avg_cache_order, index, avg)
+        field = self._expand(avg)
+        field.flags.writeable = False
+        return field
 
     # ------------------------------------------------------------------
     # Internals
@@ -214,7 +263,8 @@ class DisplayTimeline:
         index: int,
         value: np.ndarray,
     ) -> None:
-        """FIFO-insert into a per-frame cache bounded by ``_CACHE_FRAMES``."""
+        """FIFO-insert *value*, made read-only, into a cache bounded by ``_CACHE_FRAMES``."""
+        value.flags.writeable = False
         cache[index] = value
         order.append(index)
         if len(order) > self._CACHE_FRAMES:
@@ -229,6 +279,23 @@ class DisplayTimeline:
         row0, row1, col0, col1 = rect
         return field[row0:row1, col0:col1]
 
+    def _expand(
+        self, values: np.ndarray, rect: tuple[int, int, int, int] | None = None
+    ) -> np.ndarray:
+        """The field of a full field or palette *values*, cropped to *rect*.
+
+        A full field is cropped as a view.  A palette is taken through the
+        (cropped) class map into a fresh field: through its distinct rows,
+        which are then copied whole onto the rows that share them.
+        """
+        if self._class_rows is None:
+            return self._crop(values, rect)
+        rows, row_of = self._class_rows
+        if rect is not None:
+            row0, row1, col0, col1 = rect
+            rows, row_of = rows[:, col0:col1], row_of[row0:row1]
+        return np.take(np.take(values[0], rows), row_of, axis=0)
+
     def _frame_luminance(self, index: int) -> np.ndarray:
         # Sources may cache only their latest frame (FunctionVideoSource),
         # so callers fetch frames in playback order: walk the LC state up
@@ -236,7 +303,8 @@ class DisplayTimeline:
         cached = self._lum_cache.get(index)
         if cached is not None:
             return cached
-        frame = self.source.frame(index)
+        palettes = self._palettes
+        frame = self.source.frame(index) if palettes is None else palettes.palette(index)
         reused = [lum for seen, lum in self._recent if seen is frame and not frame.flags.writeable]
         lum = reused[0] if reused else self.panel.emitted_luminance(frame)
         self._recent = [(frame, lum), *(e for e in self._recent if e[0] is not frame)][:2]
@@ -271,6 +339,18 @@ class DisplayTimeline:
         self._state = state
         self._state_index = index
         return state
+
+
+def _row_runs(classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A class map as ``(rows, row_of)`` with ``classes == rows[row_of]``.
+
+    Each run of equal adjacent rows keeps one row of ``rows``; a pattern
+    repeats each class row over a super Pixel's rows, so this is a few
+    times smaller than the map.
+    """
+    starts = np.ones(classes.shape[0], dtype=bool)
+    starts[1:] = np.any(classes[1:] != classes[:-1], axis=1)
+    return classes[starts], np.cumsum(starts) - 1
 
 
 class MemoizedTimeline:

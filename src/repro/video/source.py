@@ -59,6 +59,17 @@ class VideoSource:
         """Return content frame *index* (float32 pixel values in [0, 255])."""
         raise NotImplementedError
 
+    @property
+    def uniform_frame(self) -> np.ndarray | None:
+        """The read-only frame served at every index, when it holds one value everywhere.
+
+        None unless the source guarantees both (a :class:`ConstantVideoSource`,
+        also under :class:`LoopingVideoSource`).  A multiplexed stream of such
+        a video displays one value per pixel class, which the display
+        timeline computes once per class instead of once per pixel.
+        """
+        return None
+
     def _check_index(self, index: int) -> int:
         if not (0 <= index < self.n_frames):
             raise IndexError(f"frame index {index} outside [0, {self.n_frames})")
@@ -102,9 +113,16 @@ class ConstantVideoSource(VideoSource):
         self._check_index(index)
         return self._frame
 
+    @property
+    def uniform_frame(self) -> np.ndarray:
+        return self._frame
+
 
 class ArrayVideoSource(VideoSource):
-    """A clip backed by an in-memory ``(n, h, w)`` or ``(n, h, w, 3)`` array."""
+    """A clip backed by an in-memory ``(n, h, w)`` or ``(n, h, w, 3)`` array.
+
+    The store is a read-only copy, so every frame is a read-only view.
+    """
 
     def __init__(self, frames: np.ndarray, fps: float = 30.0) -> None:
         arr = np.asarray(frames)
@@ -118,6 +136,7 @@ class ArrayVideoSource(VideoSource):
             checked.shape[0],
             channels=3 if arr.ndim == 4 else 1,
         )
+        checked.flags.writeable = False
         self._frames = checked
 
     def frame(self, index: int) -> np.ndarray:
@@ -149,12 +168,20 @@ class LoopingVideoSource(VideoSource):
     def frame(self, index: int) -> np.ndarray:
         return self.base.frame(self._check_index(index) % self.base.n_frames)
 
+    @property
+    def uniform_frame(self) -> np.ndarray | None:
+        return self.base.uniform_frame
+
 
 class FunctionVideoSource(VideoSource):
     """A clip generated on demand by ``render(index) -> frame``.
 
     Frames are validated and cached (most recently used only), which is
     enough for the forward-moving access pattern of the display timeline.
+    Every frame is served read-only: a writable render result is wrapped
+    in a read-only view, and a read-only one is served as it is, so a
+    static clip whose render returns one read-only array serves that
+    array at every index.
     """
 
     def __init__(
@@ -180,6 +207,9 @@ class FunctionVideoSource(VideoSource):
             raise ValueError(
                 f"render({index}) returned shape {frame.shape}, expected {self.shape}"
             )
+        if frame.flags.writeable:
+            frame = frame.view()
+            frame.flags.writeable = False
         self._cache_index = index
         self._cache_frame = frame
         return frame

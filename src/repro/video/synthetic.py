@@ -68,6 +68,7 @@ def gradient_video(
     else:
         ramp = np.linspace(low, high, height, dtype=np.float32)[:, None]
         frame = np.broadcast_to(ramp, (height, width)).copy()
+    frame.flags.writeable = False
     return FunctionVideoSource(height, width, lambda index: frame, fps=fps, n_frames=n_frames)
 
 
@@ -143,6 +144,7 @@ def checker_texture_video(
     cols = (np.arange(width) // cell)[None, :]
     frame = np.where((rows + cols) % 2 == 0, np.float32(low), np.float32(high))
     frame = np.broadcast_to(frame, (height, width)).astype(np.float32).copy()
+    frame.flags.writeable = False
     return FunctionVideoSource(height, width, lambda index: frame, fps=fps, n_frames=n_frames)
 
 
@@ -234,6 +236,7 @@ def rgb_color_video(
     if values.shape != (3,) or values.min() < 0 or values.max() > 255:
         raise ValueError(f"color must be an RGB triple in [0, 255], got {color}")
     frame = np.broadcast_to(values, (height, width, 3)).astype(np.float32).copy()
+    frame.flags.writeable = False
     return FunctionVideoSource(
         height, width, lambda index: frame, fps=fps, n_frames=n_frames, channels=3
     )

@@ -19,11 +19,19 @@ from repro.core.multiplexer import MultiplexedStream
 from repro.core.pipeline import run_link
 from repro.display.gamma import GammaCurve
 from repro.display.panel import DisplayPanel
-from repro.display.scheduler import DisplayTimeline
-from repro.video.source import ArrayVideoSource
+from repro.display.scheduler import DisplayTimeline, MemoizedTimeline
+from repro.video.source import (
+    ArrayVideoSource,
+    ConstantVideoSource,
+    FunctionVideoSource,
+    LoopingVideoSource,
+)
 from repro.video.synthetic import (
+    checker_texture_video,
     gradient_video,
+    noise_video,
     pure_color_video,
+    rgb_color_video,
     rgb_sunrise_video,
     sunrise_video,
 )
@@ -412,10 +420,15 @@ _ORDER = [*range(_N_VIDEO_FRAMES * 4), 21, 5, 5, 33, 0, 0, 18, 35, 12, 13, 13]
 _VIDEOS = {
     "gray": lambda n=_N_VIDEO_FRAMES: pure_color_video(_H, _W, 127.0, n_frames=n),
     "bright": lambda n=_N_VIDEO_FRAMES: pure_color_video(_H, _W, 245.0, n_frames=n),
+    "looped-gray": lambda n=_N_VIDEO_FRAMES: LoopingVideoSource(
+        pure_color_video(_H, _W, 180.0, n_frames=3), n // 3
+    ),
     "sunrise": lambda n=_N_VIDEO_FRAMES: sunrise_video(_H, _W, n_frames=n),
     "rgb-sunrise": lambda n=_N_VIDEO_FRAMES: rgb_sunrise_video(_H, _W, n_frames=n),
     "gradient": lambda n=_N_VIDEO_FRAMES: gradient_video(_H, _W, n_frames=n),
 }
+#: The clips a multiplexed stream plays as palettes of pixel-class values.
+_UNIFORM = {"gray", "bright", "looped-gray"}
 _BASE = InFrameConfig(
     element_pixels=1, pixels_per_block=4, block_rows=4, block_cols=6, amplitude=20.0, tau=12
 )
@@ -426,6 +439,10 @@ _CONFIGS = {
     "block-clip": replace(_BASE, clip_mode="block"),
     "tau10": replace(_BASE, tau=10),
     "tau14-linear": replace(_BASE, tau=14, waveform="linear"),
+    "stripes": replace(_BASE, pattern="stripes"),
+    # One 4 px super Pixel per Block: the random pattern leaves some Blocks
+    # no modulated pixel, so their pixel classes are empty.
+    "random": replace(_BASE, pattern="random", element_pixels=4, pixels_per_block=1),
 }
 _PANELS = {
     "lc": DisplayPanel(width=_W, height=_H),
@@ -452,28 +469,39 @@ _INTERLEAVED = [
 ]
 
 
-def _emit_everything(video, config: InFrameConfig, panel: DisplayPanel) -> list[np.ndarray]:
-    """Display frames, frame averages, samples and windows, in ``_ORDER``."""
+def _stream_and_timeline(
+    video, config: InFrameConfig, panel: DisplayPanel
+) -> tuple[MultiplexedStream, DisplayTimeline]:
     stream = MultiplexedStream(
         config, video, PseudoRandomSchedule(config, seed=4), gamma_curve=panel.gamma_curve
     )
-    timeline = DisplayTimeline(panel, stream)
+    return stream, DisplayTimeline(panel, stream)
+
+
+def _emit_everything(
+    video, config: InFrameConfig, panel: DisplayPanel, seen=lambda output: output
+) -> list[np.ndarray]:
+    """Display frames, frame averages, samples and windows, in ``_ORDER``.
+
+    Each output passes through *seen* as it is read.
+    """
+    stream, timeline = _stream_and_timeline(video, config, panel)
     interval = panel.frame_interval_s
-    outputs = [stream.frame(i) for i in _ORDER]
-    outputs += [timeline.frame_average_luminance(i) for i in _ORDER]
-    outputs += [timeline.luminance_at((i + 0.4) * interval) for i in _ORDER]
-    outputs += [timeline.integrate((i + 0.2) * interval, (i + 2.7) * interval) for i in _ORDER]
     crop = (2, 14, 3, 21)
-    outputs += [timeline.integrate(i * interval, (i + 1.5) * interval, crop) for i in _ORDER]
-    return outputs
+    reads = [
+        stream.frame,
+        timeline.frame_average_luminance,
+        lambda i: timeline.luminance_at((i + 0.4) * interval),
+        lambda i: timeline.luminance_at((i + 0.7) * interval, crop),
+        lambda i: timeline.integrate((i + 0.2) * interval, (i + 2.7) * interval),
+        lambda i: timeline.integrate(i * interval, (i + 1.5) * interval, crop),
+    ]
+    return [seen(read(i)) for read in reads for i in _ORDER]
 
 
 def _emit_interleaved(video, config: InFrameConfig, panel: DisplayPanel) -> list[np.ndarray]:
     """Every read of ``_INTERLEAVED``, in that order, on one timeline."""
-    stream = MultiplexedStream(
-        config, video, PseudoRandomSchedule(config, seed=4), gamma_curve=panel.gamma_curve
-    )
-    timeline = DisplayTimeline(panel, stream)
+    stream, timeline = _stream_and_timeline(video, config, panel)
     interval = panel.frame_interval_s
     reads = {
         "frame": lambda i, f: stream.frame(i),
@@ -488,22 +516,49 @@ class TestDisplayEmitOracle:
     @pytest.fixture
     def reference_chain(self, monkeypatch):
         def swap():
+            # No source is uniform, so every stream is played pixel by pixel.
+            for source in (ConstantVideoSource, LoopingVideoSource):
+                monkeypatch.setattr(source, "uniform_frame", property(lambda self: None))
             monkeypatch.setattr(MultiplexedStream, "frame", reference_frame)
             monkeypatch.setattr(DataFrameEncoder, "modulation_field", reference_modulation_field)
             monkeypatch.setattr(GammaCurve, "to_luminance", reference_to_luminance)
             monkeypatch.setattr(DisplayPanel, "emitted_luminance", reference_emitted_luminance)
             monkeypatch.setattr(DisplayTimeline, "luminance_at", reference_luminance_at)
             monkeypatch.setattr(DisplayTimeline, "integrate", reference_integrate)
+            monkeypatch.setattr(DisplayTimeline, "_integrate", reference_integrate)
             monkeypatch.setattr(DisplayTimeline, "_state_before", reference_state_before)
 
         return swap
+
+    @pytest.mark.parametrize("config", list(_CONFIGS))
+    @pytest.mark.parametrize("video", list(_VIDEOS))
+    def test_uniform_clips_are_played_as_palettes(self, video, config):
+        stream, timeline = _stream_and_timeline(
+            _VIDEOS[video](), _CONFIGS[config], _PANELS["lc"]
+        )
+        assert (stream.classes is not None) == (timeline._class_rows is not None) == (
+            video in _UNIFORM
+        )
+        if stream.classes is not None:
+            for index in _ORDER:
+                palette = stream.palette(index)
+                assert not palette.flags.writeable
+                assert np.array_equal(palette[0][stream.classes], stream.frame(index))
+
+    def test_random_pattern_leaves_empty_classes(self):
+        stream, _ = _stream_and_timeline(_VIDEOS["gray"](), _CONFIGS["random"], _PANELS["lc"])
+        n_classes = _CONFIGS["random"].block_rows * _CONFIGS["random"].block_cols + 1
+        counts = np.bincount(stream.classes.ravel(), minlength=n_classes)
+        assert counts.shape == (n_classes,) and counts[0] > 0
+        assert 0 < np.count_nonzero(counts[1:] == 0) < n_classes - 1
 
     @pytest.mark.parametrize("panel", list(_PANELS))
     @pytest.mark.parametrize("config", list(_CONFIGS))
     @pytest.mark.parametrize("video", list(_VIDEOS))
     def test_every_field_is_identical(self, video, config, panel, reference_chain):
         # The in-place outputs are compared only after every read, so a
-        # write into a cached or shared array would show up here too.
+        # write into a cached or shared array would show up here too.  The
+        # reference plays the uniform clips pixel by pixel as well.
         fast = _emit_everything(_VIDEOS[video](), _CONFIGS[config], _PANELS[panel])
         reference_chain()
         slow = _emit_everything(_VIDEOS[video](), _CONFIGS[config], _PANELS[panel])
@@ -602,3 +657,119 @@ class TestDisplayEmitOracle:
         for index in range(stream.n_frames):
             timeline.frame_average_luminance(index)
         assert calls["emitted_luminance"] == len(distinct) < stream.n_frames
+
+
+def _dense_source(video) -> FunctionVideoSource:
+    """*video* served through a source the palette rule rejects."""
+    return FunctionVideoSource(
+        video.height, video.width, video.frame, fps=video.fps, n_frames=video.n_frames
+    )
+
+
+class TestPalettePath:
+    @staticmethod
+    def _run(video, monkeypatch) -> tuple[object, list[tuple[int, ...]]]:
+        """A quick-scale link run, with the shape of every frame the panel gamma-maps."""
+        quick = replace(ExperimentScale.quick(), n_video_frames=12)
+        shapes = []
+        emitted_luminance = DisplayPanel.emitted_luminance
+
+        def recorded(panel, frame):
+            shapes.append(np.shape(frame))
+            return emitted_luminance(panel, frame)
+
+        monkeypatch.setattr(DisplayPanel, "emitted_luminance", recorded)
+        run = run_link(quick.config(), video, camera=quick.camera(), seed=5)
+        monkeypatch.undo()
+        return run, shapes
+
+    @staticmethod
+    def _decoded(run) -> list[tuple[int, bytes, bytes, bytes]]:
+        return [
+            (f.index, f.bits.tobytes(), f.gob_available.tobytes(), f.gob_parity_ok.tobytes())
+            for f in run.decoded
+        ]
+
+    def test_gray_link_emits_no_full_frame_and_decodes_the_same_bits(self, monkeypatch):
+        quick = replace(ExperimentScale.quick(), n_video_frames=12)
+        gray = quick.video("gray")
+        full = (gray.height, gray.width)
+        palette_run, palette_shapes = self._run(gray, monkeypatch)
+        dense_run, dense_shapes = self._run(_dense_source(gray), monkeypatch)
+        assert palette_shapes and full not in palette_shapes
+        assert dense_shapes and set(dense_shapes) == {full}
+        assert self._decoded(palette_run) == self._decoded(dense_run)
+        assert palette_run.stats == dense_run.stats
+
+    def test_textured_link_stays_full_resolution(self, monkeypatch):
+        quick = replace(ExperimentScale.quick(), n_video_frames=12)
+        video = quick.video("video")
+        _, shapes = self._run(video, monkeypatch)
+        assert shapes and set(shapes) == {(video.height, video.width)}
+
+
+class TestReadOnlyArrays:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: pure_color_video(_H, _W, 127.0, n_frames=3),
+            lambda: LoopingVideoSource(pure_color_video(_H, _W, 127.0, n_frames=1), 3),
+            lambda: gradient_video(_H, _W, n_frames=3),
+            lambda: checker_texture_video(_H, _W, n_frames=3),
+            lambda: rgb_color_video(_H, _W, (127.0, 60.0, 200.0), n_frames=3),
+            lambda: noise_video(_H, _W, n_frames=3),
+            lambda: ArrayVideoSource(np.full((3, _H, _W), 90.0, dtype=np.float32)),
+        ],
+    )
+    def test_video_frames_are_read_only(self, make):
+        source = make()
+        for index in (0, 1, 1, 2):
+            frame = source.frame(index)
+            kept = frame.copy()
+            with pytest.raises(ValueError):
+                frame[0, 0] = 0.0
+            assert np.array_equal(source.frame(index), kept)
+
+    @pytest.mark.parametrize("make", [gradient_video, checker_texture_video])
+    def test_static_clips_reuse_their_fields(self, make):
+        # One read-only frame at every index: the stream renders a field per
+        # envelope only, as for the gray clip (test_pairs_share_one_read_only_field).
+        video = make(_H, _W, n_frames=64)
+        stream = MultiplexedStream(_BASE, video, PseudoRandomSchedule(_BASE, seed=4))
+        calls = Counter()
+        modulation_field = stream.encoder.modulation_field
+
+        def counted(*args):
+            calls["modulation_field"] += 1
+            return modulation_field(*args)
+
+        stream.encoder.modulation_field = counted
+        for index in range(stream.n_frames):
+            stream.frame(index)
+        assert (calls["modulation_field"], stream.n_frames) == (64, 256)
+
+    @pytest.mark.parametrize("panel", ["lc", "no-lc"])
+    @pytest.mark.parametrize("video", ["gray", "sunrise"])
+    def test_writes_raise_or_stay_private(self, video, panel):
+        # Shared and cached arrays refuse the write; a fresh array takes it,
+        # and no later read sees it: the outputs equal a clean run's.
+        def scribble(output: np.ndarray) -> np.ndarray:
+            kept = output.copy()
+            if output.flags.writeable:
+                output += 1.0
+            else:
+                with pytest.raises(ValueError):
+                    output += 1.0
+            return kept
+
+        args = (_BASE, _PANELS[panel])
+        scribbled = _emit_everything(_VIDEOS[video](), *args, seen=scribble)
+        clean = _emit_everything(_VIDEOS[video](), *args)
+        assert len(scribbled) == len(clean)
+        assert all(np.array_equal(got, want) for got, want in zip(scribbled, clean))
+        # Display frames and frame averages are shared, so always read-only.
+        stream, timeline = _stream_and_timeline(_VIDEOS[video](), *args)
+        memo = MemoizedTimeline(timeline, key_fn=lambda index: index)
+        shared = [stream.frame(5), timeline.frame_average_luminance(5)]
+        shared += [memo.frame_average_luminance(7), memo.frame_average_luminance(7)]
+        assert not any(array.flags.writeable for array in shared)
