@@ -18,7 +18,8 @@ out.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import math
+from collections.abc import Callable, Sequence
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -80,9 +81,12 @@ class DisplayTimeline:
     With a liquid-crystal time constant ``tau``, the luminance during frame
     ``i`` (latched at ``t_i``) is ``L_i + (s_{i-1} - L_i) * exp(-(t - t_i)/tau)``
     where ``s_{i-1}`` is the pixel state at the end of the previous frame.
-    States are advanced lazily and monotonically; jumping far backwards
-    re-warms the recursion from a few frames earlier, which is exact to
-    within ``exp(-k * T / tau)`` (~1e-15 for the defaults).
+    States are advanced lazily and monotonically.  A backward jump, or a
+    forward one of more than ``max(64, k)`` frames, re-warms the recursion
+    from ``k`` frames earlier, where ``k = max(8, ceil(ln(1e10) * tau / T))``
+    for the frame interval ``T``: the state it starts from weighs at most
+    ``exp(-k * T / tau) <= 1e-10`` in the result, on any panel, so a field
+    does not depend on the order in which fields are read.
 
     The per-frame caches (emitted-luminance fields and per-refresh
     averages) each hold at most ``_CACHE_FRAMES`` frames in FIFO order,
@@ -90,16 +94,20 @@ class DisplayTimeline:
     regardless of stream length.  Cached fields are read-only, and so is
     every field :meth:`frame_average_luminance` returns.
 
-    When the source has pixel ``classes``, the luminance, the LC state,
-    the lag and both caches are palettes of one value per class.  They
-    are expanded through the class map (cropped to ``rect``) only when
+    When the source has pixel ``classes``, the luminance, the LC state
+    and both caches are palettes of one value per class, and the per-frame
+    lag holds the class map's distinct rows.  :meth:`luminance_rows`, the
+    one sampler, computes samples on those rows only (a super Pixel repeats
+    its class row: 58 of the flicker study panel's 240); fields are expanded
+    through the class map (cropped to ``rect``) only when
     :meth:`frame_average_luminance`, :meth:`luminance_at` or
-    :meth:`integrate` hands a field out, and :meth:`luminance_at` expands
-    the lag and the target once per display frame, so each sample costs
-    what it costs on full fields.
+    :meth:`integrate` hands one out.
     """
 
-    _WARMUP_FRAMES = 8
+    #: Fewest frames a re-warm of the LC state walks.
+    _MIN_WARMUP_FRAMES = 8
+    #: Longest forward jump walked rather than re-warmed, unless a re-warm walks more.
+    _MAX_WALK_FRAMES = 64
     #: Two data-frame cycles at the paper's ``tau = 12``.
     _CACHE_FRAMES = 24
 
@@ -108,6 +116,9 @@ class DisplayTimeline:
             raise ValueError("frame source must contain at least one frame")
         self.panel = panel
         self.source = source
+        # Frames a re-warm walks: the state it starts from decays to <= 1e-10.
+        settle = math.log(1e10) * panel.response_time_s / panel.frame_interval_s
+        self._warmup_frames = max(self._MIN_WARMUP_FRAMES, math.ceil(settle))
         # The source as a palette source, when its frames are played as
         # palettes expanded through the class map's row runs.
         self._palettes: PaletteSource | None = None
@@ -123,8 +134,8 @@ class DisplayTimeline:
         self._recent: list[tuple[np.ndarray, np.ndarray]] = []
         self._state_index = -1
         self._state: np.ndarray | None = None
-        # (index, state, state - target, target), the last two as full fields:
-        # one LC lag per display frame.
+        # (index, state, state - target, target), the last two on distinct
+        # rows: one LC lag per display frame.
         self._lag: tuple[int, np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
@@ -152,6 +163,48 @@ class DisplayTimeline:
     # ------------------------------------------------------------------
     # Light field evaluation
     # ------------------------------------------------------------------
+    def luminance_rows(self, times: Sequence[float]) -> tuple[np.ndarray, np.ndarray | None]:
+        """Instantaneous luminance at each of *times*, all in one display frame.
+
+        Returns ``(samples, row_of)``: the field at ``times[i]`` (cd/m^2) is
+        ``samples[i][row_of]``.  On a palette-played source ``samples`` holds
+        the class map's distinct rows only, shaped ``(len(times), n_rows,
+        width)``, and ``row_of`` gives each panel row its distinct row; on
+        any other source ``row_of`` is None and ``samples[i]`` is the field.
+        Each sample is ``lag * decay + target``, elementwise, with one
+        scalar decay per time.  Times in more than one display frame
+        (:meth:`frame_index_at`) raise ``ValueError``.
+        """
+        index = self.frame_index_at(times[0])
+        if any(self.frame_index_at(t) != index for t in times):
+            raise ValueError("luminance_rows samples one display frame at a time")
+        row_of = None if self._class_rows is None else self._class_rows[1]
+        tau = self.panel.response_time_s
+        if tau <= 0.0:
+            rows = self._distinct_rows(self._frame_luminance(index))
+            return np.broadcast_to(rows, (len(times), *rows.shape)), row_of
+        # State first; see _frame_luminance.
+        previous_state = self._state_before(index)
+        target = self._frame_luminance(index)
+        # Every sample of a frame shares its lag, until a re-warm or a
+        # backward jump hands back a different state array for the index.
+        lag = self._lag
+        if lag is None or lag[0] != index or lag[1] is not previous_state:
+            lag = self._lag = (
+                index,
+                previous_state,
+                self._distinct_rows(previous_state - target),
+                self._distinct_rows(target),
+            )
+        latch = self.latch_time(index)
+        # One scalar exp per time: a vectorised exp may round differently.
+        decays = np.array(
+            [np.float32(np.exp(-max(t - latch, 0.0) / tau)) for t in times], dtype=np.float32
+        )
+        samples = lag[2] * decays[:, None, None]
+        samples += lag[3]
+        return samples, row_of
+
     def luminance_at(self, t: float, rect: tuple[int, int, int, int] | None = None) -> np.ndarray:
         """Instantaneous luminance field at time *t* (cd/m^2).
 
@@ -163,28 +216,13 @@ class DisplayTimeline:
             Optional ``(row0, row1, col0, col1)`` crop evaluated instead of
             the full field (the full-field state is still tracked so the
             liquid-crystal recursion stays exact).
+
+        One sample of :meth:`luminance_rows`, expanded to its field.
         """
-        index = self.frame_index_at(t)
-        if self.panel.response_time_s <= 0.0:
-            return self._expand(self._frame_luminance(index), rect)
-        # State first; see _frame_luminance.
-        previous_state = self._state_before(index)
-        target = self._frame_luminance(index)
-        # Every sample of a frame shares its lag, until a re-warm or a
-        # backward jump hands back a different state array for the index.
-        lag = self._lag
-        if lag is None or lag[0] != index or lag[1] is not previous_state:
-            lag = self._lag = (
-                index,
-                previous_state,
-                self._expand(previous_state - target),
-                self._expand(target),
-            )
-        elapsed = max(t - self.latch_time(index), 0.0)
-        decay = np.float32(np.exp(-elapsed / self.panel.response_time_s))
-        field = lag[2] * decay
-        field += lag[3]
-        return self._crop(field, rect)
+        samples, row_of = self.luminance_rows((t,))
+        if row_of is None:
+            return self._crop(samples[0], rect)
+        return _expand_rows(samples[0], row_of, rect)
 
     def integrate(
         self,
@@ -279,22 +317,23 @@ class DisplayTimeline:
         row0, row1, col0, col1 = rect
         return field[row0:row1, col0:col1]
 
+    def _distinct_rows(self, values: np.ndarray) -> np.ndarray:
+        """A full field as is, or a palette taken through the class map's distinct rows."""
+        if self._class_rows is None:
+            return values
+        return np.take(values[0], self._class_rows[0])
+
     def _expand(
         self, values: np.ndarray, rect: tuple[int, int, int, int] | None = None
     ) -> np.ndarray:
         """The field of a full field or palette *values*, cropped to *rect*.
 
         A full field is cropped as a view.  A palette is taken through the
-        (cropped) class map into a fresh field: through its distinct rows,
-        which are then copied whole onto the rows that share them.
+        class map's distinct rows into a fresh field.
         """
         if self._class_rows is None:
             return self._crop(values, rect)
-        rows, row_of = self._class_rows
-        if rect is not None:
-            row0, row1, col0, col1 = rect
-            rows, row_of = rows[:, col0:col1], row_of[row0:row1]
-        return np.take(np.take(values[0], rows), row_of, axis=0)
+        return _expand_rows(self._distinct_rows(values), self._class_rows[1], rect)
 
     def _frame_luminance(self, index: int) -> np.ndarray:
         # Sources may cache only their latest frame (FunctionVideoSource),
@@ -317,9 +356,11 @@ class DisplayTimeline:
             return self._frame_luminance(0)
         if self._state is not None and self._state_index == index:
             return self._state
-        if self._state is None or self._state_index > index or self._state_index < index - 64:
+        depth = self._warmup_frames
+        far = self._state_index < index - max(self._MAX_WALK_FRAMES, depth)
+        if self._state is None or self._state_index > index or far:
             # (Re)warm the recursion from a settled approximation.
-            start = max(index - self._WARMUP_FRAMES, 0)
+            start = max(index - depth, 0)
             state = self._frame_luminance(start)
             self._state_index = start + 1
         else:
@@ -339,6 +380,16 @@ class DisplayTimeline:
         self._state = state
         self._state_index = index
         return state
+
+
+def _expand_rows(
+    rows: np.ndarray, row_of: np.ndarray, rect: tuple[int, int, int, int] | None
+) -> np.ndarray:
+    """The fresh field ``rows[row_of]``, cropped to *rect*: distinct rows copied whole."""
+    if rect is not None:
+        row0, row1, col0, col1 = rect
+        rows, row_of = rows[:, col0:col1], row_of[row0:row1]
+    return np.take(rows, row_of, axis=0)
 
 
 def _row_runs(classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

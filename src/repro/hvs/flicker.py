@@ -25,6 +25,7 @@ whole panel costs little more than scoring one subject.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -126,6 +127,13 @@ class FlickerPredictor:
         response shape).
     pixel_size_px:
         Super-Pixel side used for the phantom-array beam factor.
+
+    Notes
+    -----
+    The timeline is sampled one display frame at a time: the ``oversample``
+    samples of a frame come from one :meth:`DisplayTimeline.luminance_rows`
+    call, on the class map's distinct rows when the stimulus is played as
+    palettes, and are reduced to region means together.
     """
 
     def __init__(
@@ -151,7 +159,9 @@ class FlickerPredictor:
         """Region-mean luminance waveforms on the scoring grid.
 
         Returns ``(waveforms, sample_rate_hz)`` with waveforms shaped
-        ``(rows, cols, n_samples)``.
+        ``(rows, cols, n_samples)``.  The samples are taken one display
+        frame at a time (:meth:`DisplayTimeline.luminance_rows`), and each
+        frame's batch is reduced to region means at once.
 
         *reference* is an optional timeline of the *original*
         (unmultiplexed) content.  The paper's panel rated original and
@@ -172,9 +182,13 @@ class FlickerPredictor:
         n_samples = max(int(round(duration * sample_rate)), 8)
         times = (np.arange(n_samples) + 0.5) / sample_rate
         waveforms = np.empty((rows, cols, n_samples), dtype=np.float64)
-        for i, t in enumerate(times):
-            field = timeline.luminance_at(float(t))
-            waveforms[:, :, i] = self._region_means(field, rows, cols)
+        start = 0
+        for _, frame_times in itertools.groupby(times.tolist(), key=timeline.frame_index_at):
+            samples, row_of = timeline.luminance_rows(list(frame_times))
+            stop = start + len(samples)
+            means = self._region_means(samples, row_of, rows, cols)
+            waveforms[:, :, start:stop] = means.transpose(1, 2, 0)
+            start = stop
         if reference is not None:
             ref_waveforms, ref_rate = self.region_waveforms(reference, duration_s)
             if ref_waveforms.shape != waveforms.shape or ref_rate != sample_rate:
@@ -184,23 +198,36 @@ class FlickerPredictor:
         return waveforms, sample_rate
 
     @staticmethod
-    def _region_means(field: np.ndarray, rows: int, cols: int) -> np.ndarray:
-        """Mean of each r x k cell of a rows x cols partition of a float *field*.
+    def _region_means(
+        samples: np.ndarray, row_of: np.ndarray | None, rows: int, cols: int
+    ) -> np.ndarray:
+        """Mean of each r x k cell of a rows x cols partition of each field of a batch.
 
-        Bit for bit ``cropped.reshape(rows, r, cols, k).mean(axis=(1, 3))`` when
-        ``cols >= 2``: NumPy's additions in NumPy's order (each cell row summed
-        pairwise, the r row sums added in order onto 0, one division), so every
-        score and digest holds, as about k + r whole-grid operations instead of
-        one C loop per cell row.  (With one column NumPy sums a cell as one run.)
+        Field i is ``samples[i][row_of]``, or ``samples[i]`` when *row_of* is
+        None (see :meth:`DisplayTimeline.luminance_rows`); the result is
+        shaped ``(len(samples), rows, cols)``.  Bit for bit
+        ``cropped.reshape(rows, r, cols, k).mean(axis=(1, 3))`` per field
+        when ``cols >= 2``: NumPy's additions in NumPy's order (each cell row
+        summed pairwise, the r row sums added in order onto 0, one division),
+        so every score and digest holds, as about k + r whole-batch
+        operations.  A cell row lies in one field row, so its sum is made
+        once per distinct row and taken through *row_of*.  (With one column
+        NumPy sums a cell as one run.)
         """
-        height, width = field.shape
-        r, k = height // rows, width // cols
-        # (k, rows * r, cols): each operation runs along the whole grid.
-        cells = field[: rows * r, : cols * k].reshape(rows * r, cols, k).transpose(2, 0, 1)
-        row_sums = _pairwise_sum(cells).reshape(rows, r, cols)
-        means = np.zeros((rows, cols), dtype=field.dtype)
+        n = len(samples)
+        height = samples.shape[1] if row_of is None else len(row_of)
+        r, k = height // rows, samples.shape[2] // cols
+        if row_of is None:
+            samples = samples[:, : rows * r]
+        # (k, n, distinct rows, cols): each operation runs along the whole batch.
+        cells = samples[:, :, : cols * k].reshape(n, -1, cols, k).transpose(3, 0, 1, 2)
+        row_sums = _pairwise_sum(cells)
+        if row_of is not None:
+            row_sums = row_sums[:, row_of[: rows * r]]
+        row_sums = row_sums.reshape(n, rows, r, cols)
+        means = np.zeros((n, rows, cols), dtype=samples.dtype)
         for j in range(r):
-            means += row_sums[:, j]
+            means += row_sums[:, :, j]
         means /= r * k  # NumPy divides a float32 sum in float64: the same rounded quotient
         return means
 

@@ -29,10 +29,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
-    timeline = flicker_timeline(args.delta, args.tau, args.brightness)
-    panel = SimulatedPanel(n_subjects=args.subjects)
-    result = panel.study(timeline, duration_s=args.duration)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        timeline = flicker_timeline(args.delta, args.tau, args.brightness)
+        panel = SimulatedPanel(n_subjects=args.subjects)
+        result = panel.study(timeline, duration_s=args.duration)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     print(
         f"Flicker study: delta={args.delta:g} tau={args.tau} "

@@ -359,6 +359,11 @@ def reference_luminance_at(timeline: DisplayTimeline, t: float, rect=None) -> np
     return timeline._crop(target + (previous_state - target) * decay, rect)
 
 
+def reference_luminance_rows(timeline: DisplayTimeline, times) -> tuple[np.ndarray, None]:
+    """``DisplayTimeline.luminance_rows`` as full fields, one per time (the test oracle)."""
+    return np.stack([reference_luminance_at(timeline, t) for t in times]), None
+
+
 def reference_integrate(timeline: DisplayTimeline, t0: float, t1: float, rect=None) -> np.ndarray:
     """``DisplayTimeline.integrate`` (the test oracle)."""
     tau = timeline.panel.response_time_s
@@ -388,17 +393,18 @@ def reference_integrate(timeline: DisplayTimeline, t0: float, t1: float, rect=No
 
 
 def reference_state_before(timeline: DisplayTimeline, index: int) -> np.ndarray:
-    """``DisplayTimeline._state_before`` (the test oracle)."""
+    """``DisplayTimeline._state_before`` (the test oracle), re-warming as deep."""
     if index == 0:
         return timeline._frame_luminance(0)
     if timeline._state is not None and timeline._state_index == index:
         return timeline._state
+    depth = timeline._warmup_frames
     if (
         timeline._state is None
         or timeline._state_index > index
-        or timeline._state_index < index - 64
+        or timeline._state_index < index - max(64, depth)
     ):
-        start = max(index - timeline._WARMUP_FRAMES, 0)
+        start = max(index - depth, 0)
         state = timeline._frame_luminance(start).copy()
         timeline._state_index = start + 1
     else:
@@ -448,24 +454,26 @@ _PANELS = {
     "lc": DisplayPanel(width=_W, height=_H),
     "no-lc": DisplayPanel(width=_W, height=_H, response_time_s=0.0),
     "dim": DisplayPanel(width=_W, height=_H, brightness=0.6),
-    # Eight frames of warm-up leave exp(-8 * 8.3 / 50) = 26 % of the old
-    # state, so a state re-warmed from a backward or long jump differs
-    # from the walked one, and a lag reused across it shows.
+    # A re-warm walks ceil(ln(1e10) * 50 / 8.3) = 139 frames, so in the
+    # streams below it starts from frame 0 and repeats the walk.
     "slow-lc": DisplayPanel(width=_W, height=_H, response_time_s=0.05),
 }
 #: 120 display frames, so that a jump can skip more than 64 of them.
 _N_LONG_VIDEO_FRAMES = 30
 #: (read, display frame, phase within the frame): samples at one frame with
 #: other reads between them that move the LC state backwards (a re-warm),
-#: forwards by more than 64 frames (a re-warm) or one frame on.
+#: forwards by more than 64 frames (a re-warm when it walks fewer) or one
+#: frame on.  A "rows" read samples the frame at several phases at once.
 _INTERLEAVED = [
     ("sample", 10, 0.1), ("average", 3, 0.0), ("sample", 10, 0.4), ("sample", 10, 0.9),
     ("window", 90, 0.2), ("sample", 10, 0.6), ("sample", 11, 0.3), ("sample", 95, 0.1),
     ("average", 20, 0.0), ("sample", 95, 0.7), ("window", 96, 0.5), ("sample", 95, 0.2),
+    ("rows", 95, (0.3, 0.6)), ("average", 12, 0.0), ("rows", 95, (0.1, 0.5, 0.9)),
     ("sample", 30, 0.4), ("frame", 31, 0.0), ("window", 100, 0.2), ("sample", 30, 0.4),
     ("sample", 0, 0.5), ("average", 0, 0.0), ("sample", 1, 0.5), ("window", 0, 0.3),
     ("sample", 1, 0.8), ("sample", 119, 0.9), ("sample", 40, 0.2), ("average", 119, 0.0),
     ("sample", 40, 0.2), ("sample", 41, 0.6), ("average", 40, 0.0), ("sample", 41, 0.6),
+    ("rows", 41, (0.0, 0.25, 0.5, 0.75)), ("rows", 110, (0.2, 0.4)), ("rows", 41, (0.5, 0.6)),
 ]
 
 
@@ -476,6 +484,12 @@ def _stream_and_timeline(
         config, video, PseudoRandomSchedule(config, seed=4), gamma_curve=panel.gamma_curve
     )
     return stream, DisplayTimeline(panel, stream)
+
+
+def _sampled_fields(timeline: DisplayTimeline, times) -> np.ndarray:
+    """``luminance_rows(times)`` expanded through ``row_of`` to one field per time."""
+    samples, row_of = timeline.luminance_rows(times)
+    return samples if row_of is None else samples[:, row_of]
 
 
 def _emit_everything(
@@ -493,19 +507,28 @@ def _emit_everything(
         timeline.frame_average_luminance,
         lambda i: timeline.luminance_at((i + 0.4) * interval),
         lambda i: timeline.luminance_at((i + 0.7) * interval, crop),
+        lambda i: _sampled_fields(timeline, [(i + f) * interval for f in (0.1, 0.45, 0.8)]),
         lambda i: timeline.integrate((i + 0.2) * interval, (i + 2.7) * interval),
         lambda i: timeline.integrate(i * interval, (i + 1.5) * interval, crop),
     ]
     return [seen(read(i)) for read in reads for i in _ORDER]
 
 
-def _emit_interleaved(video, config: InFrameConfig, panel: DisplayPanel) -> list[np.ndarray]:
-    """Every read of ``_INTERLEAVED``, in that order, on one timeline."""
+def _emit_interleaved(
+    video, config: InFrameConfig, panel: DisplayPanel, warmup_frames: int | None = None
+) -> list[np.ndarray]:
+    """Every read of ``_INTERLEAVED``, in that order, on one timeline.
+
+    *warmup_frames* overrides the frames a re-warm of the LC state walks.
+    """
     stream, timeline = _stream_and_timeline(video, config, panel)
+    if warmup_frames is not None:
+        timeline._warmup_frames = warmup_frames
     interval = panel.frame_interval_s
     reads = {
         "frame": lambda i, f: stream.frame(i),
         "sample": lambda i, f: timeline.luminance_at((i + f) * interval),
+        "rows": lambda i, fs: _sampled_fields(timeline, [(i + f) * interval for f in fs]),
         "average": lambda i, f: timeline.frame_average_luminance(i),
         "window": lambda i, f: timeline.integrate((i + f) * interval, (i + f + 2.5) * interval),
     }
@@ -524,6 +547,7 @@ class TestDisplayEmitOracle:
             monkeypatch.setattr(GammaCurve, "to_luminance", reference_to_luminance)
             monkeypatch.setattr(DisplayPanel, "emitted_luminance", reference_emitted_luminance)
             monkeypatch.setattr(DisplayTimeline, "luminance_at", reference_luminance_at)
+            monkeypatch.setattr(DisplayTimeline, "luminance_rows", reference_luminance_rows)
             monkeypatch.setattr(DisplayTimeline, "integrate", reference_integrate)
             monkeypatch.setattr(DisplayTimeline, "_integrate", reference_integrate)
             monkeypatch.setattr(DisplayTimeline, "_state_before", reference_state_before)
@@ -567,20 +591,32 @@ class TestDisplayEmitOracle:
             assert got.dtype == want.dtype == np.float32
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("config", ["base", "gamma-comp", "tau10"])
-    @pytest.mark.parametrize("video", list(_VIDEOS))
-    def test_interleaved_reads_under_slow_lc(self, video, config, reference_chain):
+    @staticmethod
+    def _interleaved_matches_reference(video, config, reference_chain, warmup_frames=None):
         # The reference frames are fresh writeable arrays, so the reference
         # run reuses no luminance and no lag: any reuse across a re-warm of
         # the LC state differs from it.
-        panel = _PANELS["slow-lc"]
-        fast = _emit_interleaved(_VIDEOS[video](_N_LONG_VIDEO_FRAMES), _CONFIGS[config], panel)
+        args = (_CONFIGS[config], _PANELS["slow-lc"], warmup_frames)
+        fast = _emit_interleaved(_VIDEOS[video](_N_LONG_VIDEO_FRAMES), *args)
         reference_chain()
-        slow = _emit_interleaved(_VIDEOS[video](_N_LONG_VIDEO_FRAMES), _CONFIGS[config], panel)
+        slow = _emit_interleaved(_VIDEOS[video](_N_LONG_VIDEO_FRAMES), *args)
         assert len(fast) == len(slow) == len(_INTERLEAVED)
         for got, want in zip(fast, slow):
             assert got.dtype == want.dtype == np.float32
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("config", ["base", "gamma-comp", "tau10"])
+    @pytest.mark.parametrize("video", list(_VIDEOS))
+    def test_interleaved_reads_under_slow_lc(self, video, config, reference_chain):
+        self._interleaved_matches_reference(video, config, reference_chain)
+
+    @pytest.mark.parametrize("config", ["base", "gamma-comp", "tau10"])
+    @pytest.mark.parametrize("video", list(_VIDEOS))
+    def test_interleaved_reads_after_shallow_rewarms(self, video, config, reference_chain):
+        # A re-warm of the panel's depth reproduces the walked state to
+        # 1e-10, so a lag reused across it would not show.  Eight frames
+        # leave exp(-8 * 8.3 / 50) = 26 % of the old state, and it does.
+        self._interleaved_matches_reference(video, config, reference_chain, warmup_frames=8)
 
     @pytest.mark.parametrize("value", [0, 127, 255, 3.5, np.float32(200.25)])
     def test_to_luminance_keeps_scalar_math(self, value):

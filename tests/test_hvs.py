@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from repro.analysis.experiments import flicker_timeline
+from repro.analysis.experiments import flicker_config, flicker_timeline
 from repro.analysis.userstudy import SimulatedPanel
 from repro.core.config import InFrameConfig
 from repro.core.pipeline import InFrameSender
@@ -28,7 +28,7 @@ from repro.hvs.temporal import (
     perceived_flicker_energy,
     sensitivity_weight,
 )
-from repro.video.synthetic import pure_color_video
+from repro.video.synthetic import pure_color_video, sunrise_video
 
 
 class TestCFF:
@@ -406,7 +406,12 @@ CELL_WIDTHS = st.one_of(
 
 @st.composite
 def region_fields(draw):
-    """A float32 or float64 field on a grid of two or more columns, cropped or not."""
+    """A float32 or float64 field on a grid of two or more columns, cropped or not.
+
+    Returns ``(samples, row_of, field, rows, cols)``: *field* as a batch of
+    one, either itself (``row_of`` None) or as distinct rows with
+    ``field == samples[0][row_of]``.
+    """
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(2, 5))
     r, k = draw(st.integers(1, 30)), draw(CELL_WIDTHS)
     cropped = draw(st.booleans())
@@ -415,9 +420,15 @@ def region_fields(draw):
     extra_w = draw(st.integers(1, cols - 1)) if cropped else 0
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    height, width = rows * r + extra_h, cols * k + extra_w
     # Values over many decades, so any other order of the additions shows in the last bits.
-    field = rng.lognormal(0.0, 3.0, size=(rows * r + extra_h, cols * k + extra_w))
-    return field.astype(dtype), rows, cols
+    if not draw(st.booleans()):
+        field = rng.lognormal(0.0, 3.0, size=(height, width)).astype(dtype)
+        return field[None], None, field, rows, cols
+    # Any map onto any number of distinct rows, in or out of order.
+    distinct = rng.lognormal(0.0, 3.0, size=(draw(st.integers(1, height)), width)).astype(dtype)
+    row_of = rng.integers(0, len(distinct), size=height)
+    return distinct[None], row_of, distinct[row_of], rows, cols
 
 
 #: The 25 Fig. 6 stimuli of the benchmark's flicker workload as (delta, tau, base value).
@@ -428,33 +439,130 @@ FIG6_STIMULI = [
 ] + [(delta, tau, 127.0) for delta in (20.0, 30.0, 50.0) for tau in (10, 12, 14)]
 
 
+def _fig6(delta, tau, value):
+    return lambda: flicker_timeline(delta, tau, value, n_video_frames=4)
+
+
+def _sunrise(delta):
+    """A dense (textured) source on the Fig. 6 panel: played pixel by pixel."""
+    config = flicker_config(delta, 12)
+    return lambda: InFrameSender(config, sunrise_video(240, 400, n_frames=4)).timeline()
+
+
+def _oracle_waveforms(predictor, make_timeline, duration_s, make_reference=None):
+    """``region_waveforms`` one sample at a time: ``luminance_at``, then NumPy's mean."""
+    timeline = make_timeline()
+    rows, cols = predictor.grid
+    rate = timeline.panel.refresh_hz * predictor.oversample
+    n_samples = max(int(round(min(duration_s, timeline.duration_s) * rate)), 8)
+    times = (np.arange(n_samples) + 0.5) / rate
+    fields = [timeline.luminance_at(float(t)) for t in times]
+    means = [_numpy_region_means(field, rows, cols) for field in fields]
+    waveforms = np.stack(means, axis=2).astype(np.float64)
+    if make_reference is not None:
+        reference, _ = _oracle_waveforms(predictor, make_reference, duration_s)
+        waveforms = waveforms - reference + reference.mean(axis=2, keepdims=True)
+    return waveforms, rate
+
+
+#: (predictor, stimulus, reference) beyond the 25 Fig. 6 stimuli on the default predictor.
+WAVEFORM_CASES = {
+    "dense-sunrise": (FlickerPredictor(), _sunrise(20.0), None),
+    "grid-crops-panel": (FlickerPredictor(grid=(7, 9)), _fig6(50.0, 12, 200.0), None),
+    "oversample-3": (FlickerPredictor(oversample=3), _fig6(20.0, 10, 127.0), None),
+    "palette-vs-reference": (FlickerPredictor(), _fig6(50.0, 14, 127.0), _fig6(0.0, 14, 127.0)),
+    "dense-vs-reference": (FlickerPredictor(grid=(7, 9)), _sunrise(30.0), _sunrise(0.0)),
+}
+
+
 class TestRegionMeansOracle:
     """Whole-grid region means make NumPy's additions in NumPy's order."""
 
     @given(region_fields())
     @settings(max_examples=200, deadline=None)
     def test_matches_numpy_mean(self, case):
-        field, rows, cols = case
-        means = FlickerPredictor._region_means(field, rows, cols)
+        samples, row_of, field, rows, cols = case
+        means = FlickerPredictor._region_means(samples, row_of, rows, cols)
         expected = _numpy_region_means(field, rows, cols)
         assert means.dtype == expected.dtype
-        assert np.array_equal(means, expected)
+        assert means.shape == (1, rows, cols)
+        assert np.array_equal(means[0], expected)
 
     @pytest.mark.parametrize("delta, tau, value", FIG6_STIMULI)
-    def test_fig6_waveforms_match_numpy_mean(self, monkeypatch, delta, tau, value):
-        timeline = flicker_timeline(delta, tau, value, n_video_frames=4)
-        waveforms, rate = FlickerPredictor().region_waveforms(timeline, 0.1)
-        monkeypatch.setattr(FlickerPredictor, "_region_means", staticmethod(_numpy_region_means))
-        expected, expected_rate = FlickerPredictor().region_waveforms(timeline, 0.1)
+    def test_fig6_waveforms_match_numpy_mean(self, delta, tau, value):
+        # Palette-played stimuli: distinct rows, one batch per display frame.
+        _, row_of = _fig6(delta, tau, value)().luminance_rows([0.001, 0.002])
+        assert row_of is not None and len(np.unique(row_of)) < len(row_of)
+        predictor = FlickerPredictor()
+        waveforms, rate = predictor.region_waveforms(_fig6(delta, tau, value)(), 0.1)
+        expected, expected_rate = _oracle_waveforms(predictor, _fig6(delta, tau, value), 0.1)
         assert rate == expected_rate
+        assert waveforms.dtype == expected.dtype
+        assert np.array_equal(waveforms, expected)
+
+    @pytest.mark.parametrize("case", list(WAVEFORM_CASES))
+    def test_waveforms_match_sample_by_sample(self, case):
+        predictor, make_timeline, make_reference = WAVEFORM_CASES[case]
+        reference = None if make_reference is None else make_reference()
+        waveforms, rate = predictor.region_waveforms(make_timeline(), 0.1, reference)
+        expected, expected_rate = _oracle_waveforms(predictor, make_timeline, 0.1, make_reference)
+        assert rate == expected_rate
+        assert waveforms.shape == (*predictor.grid, round(0.1 * expected_rate))
         assert np.array_equal(waveforms, expected)
 
     def test_one_column_grid_stays_close(self):
         # With one column NumPy sums each cell as one run of r * k values, a
         # different order, so this grid is held to rounding only.
         field = np.random.default_rng(5).lognormal(0.0, 3.0, size=(60, 70)).astype(np.float32)
-        means = FlickerPredictor._region_means(field, 6, 1)
+        (means,) = FlickerPredictor._region_means(field[None], None, 6, 1)
         np.testing.assert_allclose(means, _numpy_region_means(field, 6, 1), rtol=1e-5)
+
+
+class TestPairFusion:
+    @pytest.mark.parametrize("value", [60.0, 127.0, 200.0])
+    @pytest.mark.parametrize("delta", [10.0, 20.0, 50.0])
+    def test_held_pair_fuses_to_video_under_lc(self, delta, value):
+        """With the LC response on, a held pair fuses to V plus the gamma term.
+
+        Steps 2-3 of a tau = 12 cycle show the held data frame's + and -
+        frames, as steps 0-1 and the previous cycle's steps 10-11 did.
+
+        1. The mean luminance over the pair equals the mean of the two
+           frames' ``emitted_luminance`` within 1e-6 relative.  A first-order
+           response has unit DC gain: over one period, the integral of the
+           output is that of the input minus ``tau * (s_end - s_start)``.
+           After four frames of the same pair the state is periodic to
+           ``exp(-4 T / tau) ~ 1e-14`` of the swing, so what is left is the
+           float32 rounding of ``integrate``, a few units of 6e-8.
+        2. The fused excess over ``emitted_luminance(V)`` on a pixel
+           modulated by M is ``brightness * local_curvature(V) * M^2 / 2``
+           times ``f = ((1+x)^g + (1-x)^g - 2) / (g (g-1) x^2)``, x = M / V.
+           For 2 < g < 3 every higher Taylor term of ``(1 +- x)^g`` adds
+           with the sign of ``(g-2)(g-3) < 0``, so ``f <= 1``; f falls with
+           x and is 0.989 at the worst point here, x = 50/60.  The bound
+           [0.98, 1.001] leaves 1e-3 for rounding the excess, which is
+           0.33 % of L(V) at the smallest, x = 10/200.  Unmodulated pixels
+           show V in both frames, so they stay within 1e-6 of L(V).
+        """
+        timeline = flicker_timeline(delta, 12, value, n_video_frames=6)
+        panel, stream = timeline.panel, timeline.source
+        interval = panel.frame_interval_s
+        first = 12 + 2
+        fused = timeline.integrate(first * interval, (first + 2) * interval).astype(np.float64)
+        plus, minus = stream.frame(first), stream.frame(first + 1)
+        emitted = [panel.emitted_luminance(frame).astype(np.float64) for frame in (plus, minus)]
+        pair_mean = (emitted[0] + emitted[1]) / 2.0
+        assert np.max(np.abs(fused - pair_mean) / pair_mean) <= 1e-6
+
+        amplitude = (plus.astype(np.float64) - minus) / 2.0
+        modulated = amplitude > 0
+        assert modulated.any() and (~modulated).any()
+        assert np.all(amplitude[modulated] == delta)  # held, and no pixel clipped
+        level = float(panel.emitted_luminance(np.full((1, 1), value, np.float32))[0, 0])
+        curvature = float(panel.gamma_curve.local_curvature(value)) * panel.brightness
+        factor = (fused[modulated] - level) / (curvature * delta**2 / 2.0)
+        assert 0.98 <= factor.min() and factor.max() <= 1.001
+        assert np.max(np.abs(fused[~modulated] - level)) <= 1e-6 * level
 
 
 class TestPerception:

@@ -130,32 +130,46 @@ class TestAccessOrder:
         tau=st.sampled_from([2, 4, 6, 10, 12, 14]),
         adaptive=st.booleans(),
         clip_mode=st.sampled_from(["pixel", "block"]),
+        # The default panel, and slow ones up to DisplayPanel's 0.1 s limit.
+        response_time_s=st.sampled_from([0.001, 0.01, 0.05, 0.1]),
         seed=st.integers(0, 10**6),
         data=st.data(),
     )
     @settings(max_examples=40, deadline=None)
     def test_outputs_do_not_depend_on_access_order(
-        self, config, tau, adaptive, clip_mode, seed, data
+        self, config, tau, adaptive, clip_mode, response_time_s, seed, data
     ):
-        """A memo key that misses an input, or an in-place write into a
-        cached array, makes a frame depend on what was read before it."""
+        """A memo key that misses an input, an in-place write into a cached
+        array, or an LC re-warm too shallow for the panel makes an output
+        depend on what was read before it."""
         config = config.with_updates(tau=tau, adaptive_amplitude=adaptive, clip_mode=clip_mode)
         height = config.data_height_px + 4
         width = config.data_width_px + 6
         video = noise_video(height, width, n_frames=6, seed=seed)
+        panel = DisplayPanel(width=width, height=height, response_time_s=response_time_s)
+        interval = panel.frame_interval_s
 
         def fresh_stream():
             return MultiplexedStream(config, video, PseudoRandomSchedule(config, seed=seed))
 
+        def fields(timeline, index):
+            return timeline.frame_average_luminance(index), timeline.luminance_at(
+                (index + 0.5) * interval
+            )
+
         stream = fresh_stream()
-        timeline = DisplayTimeline(DisplayPanel(width=width, height=height), stream)
+        walked = DisplayTimeline(panel, fresh_stream())
+        in_order = [[f.copy() for f in fields(walked, i)] for i in range(stream.n_frames)]
+        timeline = DisplayTimeline(panel, stream)
         order = data.draw(st.lists(st.integers(0, stream.n_frames - 1), min_size=1, max_size=40))
         handed_out = []
         for index in order:
             frame = stream.frame(index)
             assert np.array_equal(frame, fresh_stream().frame(index))
-            field = timeline.frame_average_luminance(index)
-            handed_out += [(frame, frame.copy()), (field, field.copy())]
+            handed_out.append((frame, frame.copy()))
+            for field, expected in zip(fields(timeline, index), in_order[index]):
+                np.testing.assert_allclose(field, expected, rtol=1e-6, atol=0.0)
+                handed_out.append((field, field.copy()))
         for array, snapshot in handed_out:
             assert np.array_equal(array, snapshot)
 

@@ -266,6 +266,25 @@ class TestFlickerCLI:
         out = capsys.readouterr().out
         assert "(4 subjects)" in out
 
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["--tau", "11"], "tau must be even"),
+            (["--tau", "0"], "tau must be >= 1"),
+            (["--delta", "-5"], "amplitude must be in"),
+            (["--brightness", "300"], "value must be in [0, 255]"),
+            (["--duration", "0"], "duration_s must be a finite positive number"),
+            (["--subjects", "0"], "n_subjects must be >= 1"),
+        ],
+        ids=["tau-odd", "tau-zero", "delta-negative", "brightness-300", "duration-0", "subjects-0"],
+    )
+    def test_rejects_bad_arguments(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            flicker.main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
 
 class TestSweepCLI:
     def test_tau_sweep(self, capsys):
