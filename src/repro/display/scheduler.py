@@ -137,6 +137,9 @@ class DisplayTimeline:
         # (index, state, state - target, target), the last two on distinct
         # rows: one LC lag per display frame.
         self._lag: tuple[int, np.ndarray, np.ndarray, np.ndarray] | None = None
+        # The last two distinct (luminance, its distinct rows) pairs, kept
+        # like _recent, so a repeated target is taken through the rows once.
+        self._target_rows: list[tuple[np.ndarray, np.ndarray]] = []
 
     # ------------------------------------------------------------------
     # Clocking
@@ -181,7 +184,7 @@ class DisplayTimeline:
         row_of = None if self._class_rows is None else self._class_rows[1]
         tau = self.panel.response_time_s
         if tau <= 0.0:
-            rows = self._distinct_rows(self._frame_luminance(index))
+            rows = self._rows_of_target(self._frame_luminance(index))
             return np.broadcast_to(rows, (len(times), *rows.shape)), row_of
         # State first; see _frame_luminance.
         previous_state = self._state_before(index)
@@ -194,7 +197,7 @@ class DisplayTimeline:
                 index,
                 previous_state,
                 self._distinct_rows(previous_state - target),
-                self._distinct_rows(target),
+                self._rows_of_target(target),
             )
         latch = self.latch_time(index)
         # One scalar exp per time: a vectorised exp may round differently.
@@ -322,6 +325,15 @@ class DisplayTimeline:
         if self._class_rows is None:
             return values
         return np.take(values[0], self._class_rows[0])
+
+    def _rows_of_target(self, target: np.ndarray) -> np.ndarray:
+        """:meth:`_distinct_rows` of a frame's read-only luminance, taken once while it repeats."""
+        kept = [rows for lum, rows in self._target_rows if lum is target]
+        rows = kept[0] if kept else self._distinct_rows(target)
+        self._target_rows = [
+            (target, rows), *(e for e in self._target_rows if e[0] is not target)
+        ][:2]
+        return rows
 
     def _expand(
         self, values: np.ndarray, rect: tuple[int, int, int, int] | None = None

@@ -231,22 +231,6 @@ class FlickerPredictor:
         means /= r * k  # NumPy divides a float32 sum in float64: the same rounded quotient
         return means
 
-    @staticmethod
-    def estimate_envelope(waveform: np.ndarray, sample_rate_hz: float, carrier_hz: float) -> np.ndarray:
-        """Estimate the data-modulation amplitude envelope of a waveform.
-
-        High-passes away the video content (anything slower than the
-        complementary carrier), then takes a moving RMS over one carrier
-        period.  The complementary carrier is a square wave, whose RMS
-        equals its amplitude, so no crest-factor correction is applied.
-        """
-        samples = np.asarray(waveform, dtype=np.float64)
-        period = max(int(round(sample_rate_hz / carrier_hz)), 2)
-        kernel = np.ones(period) / period
-        baseline = np.convolve(samples, kernel, mode="same")
-        carrier = samples - baseline
-        return np.sqrt(np.maximum(np.convolve(carrier**2, kernel, mode="same"), 0.0))
-
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
@@ -281,19 +265,32 @@ class FlickerPredictor:
         The spectrum, the Weber contrast and the phantom slope energy do not
         depend on the subject, so they are computed once for the stimulus;
         each subject adds only a CFF-shifted sensitivity weighting and a
-        squared gain.
+        squared gain.  One float64 workspace the size of *waveforms* holds
+        the windowed waveforms and then the phantom envelope, and each
+        subject's weight table is weighted, squared and summed in place.
+        Every step keeps the operands and order of the per-subject formulas,
+        so the scores are theirs bit for bit.  A waveform needs >= 4 samples,
+        as :func:`repro.hvs.temporal.flicker_spectrum` requires.
         """
         rows, cols = self.grid
         if waveforms.shape[:2] != (rows, cols):
             raise ValueError(
                 f"waveforms grid {waveforms.shape[:2]} does not match predictor {self.grid}"
             )
-        freqs, contrast, safe_means = self._weber_spectrum(waveforms, sample_rate)
-        phantom_base = self._phantom_energies(waveforms, sample_rate, carrier_hz)
+        n = waveforms.shape[2]
+        if n < 4:
+            raise ValueError(f"waveforms need >= 4 samples, got {n}")
+        flat = np.asarray(waveforms, dtype=np.float64).reshape(rows * cols, n)
+        workspace = np.empty_like(flat)
+        freqs, contrast, safe_means, normalizer = self._weber_spectrum(
+            flat, sample_rate, workspace
+        )
+        phantom_base = self._phantom_energies(flat, sample_rate, carrier_hz, normalizer, workspace)
         reports = []
         for subject in subjects:
-            weights = sensitivity_weight(freqs, safe_means, cff_offset_hz=subject.cff_offset_hz)
-            flicker = np.sum((contrast * weights) ** 2, axis=1)
+            table = sensitivity_weight(freqs, safe_means, cff_offset_hz=subject.cff_offset_hz)
+            table *= contrast
+            flicker = np.square(table, out=table).sum(axis=1)
             flicker *= subject.sensitivity_gain**2
             phantom = phantom_base * subject.sensitivity_gain**2
             total = flicker + phantom
@@ -312,52 +309,66 @@ class FlickerPredictor:
 
     @staticmethod
     def _weber_spectrum(
-        waveforms: np.ndarray, sample_rate: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        flat: np.ndarray, sample_rate: float, workspace: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The subject-independent half of :func:`repro.hvs.temporal.perceived_flicker_energy`.
 
-        Returns ``(freqs, contrast, safe_means)``: the DC-free frequencies,
-        each region's Weber-contrast spectrum as a ``(regions, freqs)``
-        table, and the region mean luminances shaped ``(regions, 1)``.
+        *flat* holds one region waveform per row; *workspace*, of its shape,
+        takes the windowed waveforms.  Returns ``(freqs, contrast,
+        safe_means, normalizer)``: the DC-free frequencies, each region's
+        Weber-contrast spectrum as a ``(regions, freqs)`` table, and the
+        region mean luminances and their :func:`luminance_normalizer`, each
+        shaped ``(regions, 1)``.
         """
-        rows, cols, n = waveforms.shape
-        flat = waveforms.reshape(rows * cols, n)
+        n = flat.shape[1]
         means = flat.mean(axis=1, keepdims=True)
         window = np.hanning(n)
         gain = window.sum() / n
-        spectrum = np.fft.rfft((flat - means) * window, axis=1)
-        amplitudes = 2.0 * np.abs(spectrum[:, 1:]) / (n * gain)
+        np.subtract(flat, means, out=workspace)
+        workspace *= window
+        spectrum = np.fft.rfft(workspace, axis=1)
+        contrast = np.abs(spectrum[:, 1:])
+        contrast *= 2.0
+        contrast /= n * gain
         freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)[1:]
         safe_means = np.maximum(means, 1e-6)
-        contrast = amplitudes / luminance_normalizer(safe_means)
-        return freqs, contrast, safe_means
+        normalizer = np.asarray(luminance_normalizer(safe_means))
+        contrast /= normalizer
+        return freqs, contrast, safe_means, normalizer
 
     def _phantom_energies(
         self,
-        waveforms: np.ndarray,
+        flat: np.ndarray,
         sample_rate: float,
         carrier_hz: float,
+        normalizer: np.ndarray,
+        workspace: np.ndarray,
     ) -> np.ndarray:
-        """Vectorised :func:`repro.hvs.phantom.phantom_array_energy` per region, at gain 1."""
+        """Vectorised :func:`repro.hvs.phantom.phantom_array_energy` per region, at gain 1.
+
+        The envelope is the moving RMS, over one carrier period, of each
+        waveform less its moving mean (both clamped at the waveform's ends),
+        built in *workspace*; *normalizer* is the regions' luminance
+        normaliser, shaped ``(regions, 1)``.
+        """
         from scipy import ndimage
 
-        rows, cols, n = waveforms.shape
-        flat = waveforms.reshape(rows * cols, n)
+        n = flat.shape[1]
         period = max(int(round(sample_rate / carrier_hz)), 2)
-        baseline = ndimage.uniform_filter1d(flat, size=period, axis=1, mode="nearest")
-        carrier = flat - baseline
-        rms = np.sqrt(
-            np.maximum(
-                ndimage.uniform_filter1d(carrier**2, size=period, axis=1, mode="nearest"),
-                0.0,
-            )
-        )
-        envelope = rms
-        means = np.maximum(flat.mean(axis=1), 1e-6)
-        weber = envelope / np.asarray(luminance_normalizer(means))[:, None]
-        slope = np.diff(weber, axis=1) * sample_rate
-        duration_s = n / sample_rate
-        energies = np.sum(slope**2, axis=1) / sample_rate / max(duration_s, 1e-9)
+        envelope = workspace
+        ndimage.uniform_filter1d(flat, size=period, axis=1, output=envelope, mode="nearest")
+        np.subtract(flat, envelope, out=envelope)  # the carrier
+        np.square(envelope, out=envelope)
+        # In place: ndimage reads each line into its line buffer before writing it.
+        ndimage.uniform_filter1d(envelope, size=period, axis=1, output=envelope, mode="nearest")
+        np.maximum(envelope, 0.0, out=envelope)
+        np.sqrt(envelope, out=envelope)
+        envelope /= normalizer  # Weber envelope
+        slope = np.diff(envelope, axis=1)
+        slope *= sample_rate
+        energies = np.square(slope, out=slope).sum(axis=1)
+        energies /= sample_rate
+        energies /= max(n / sample_rate, 1e-9)
         factor = beam_size_factor(self.pixel_size_px) * duty_cycle_factor(0.5)
         return PHANTOM_GAIN * energies * factor
 

@@ -89,7 +89,8 @@ def sensitivity_weight(
 
     *mean_luminance* broadcasts against *freqs_hz*: luminances shaped
     ``(regions, 1)`` give one ``(regions, freqs)`` table, each row equal
-    to the scalar call for that region.
+    to the scalar call for that region.  The table is one fresh array,
+    the caller's to work on in place.
     """
     freqs = np.asarray(freqs_hz, dtype=np.float64)
     cff = critical_flicker_frequency(mean_luminance, offset_hz=cff_offset_hz)
@@ -101,8 +102,15 @@ def sensitivity_weight(
         # linearly in log-frequency between the peak and fusion).
         np.maximum(0.15, 1.0 - 0.5 * np.log2(freqs / PEAK_SENSITIVITY_HZ) * 0.35),
     )
-    fusion = 1.0 / (1.0 + np.exp((freqs - cff) / CFF_ROLLOFF_HZ))
-    return low * band * fusion
+    # fusion = 1 / (1 + exp((freqs - cff) / CFF_ROLLOFF_HZ)), built in the table.
+    weight = np.empty(np.broadcast_shapes(freqs.shape, np.shape(cff)))
+    np.subtract(freqs, cff, out=weight)
+    weight /= CFF_ROLLOFF_HZ
+    np.exp(weight, out=weight)
+    weight += 1.0
+    np.divide(1.0, weight, out=weight)
+    weight *= low * band
+    return weight
 
 
 def perceived_flicker_energy(

@@ -694,6 +694,36 @@ class TestDisplayEmitOracle:
             timeline.frame_average_luminance(index)
         assert calls["emitted_luminance"] == len(distinct) < stream.n_frames
 
+    @pytest.mark.parametrize("panel", ["lc", "no-lc"])
+    def test_sampler_takes_each_distinct_target_once(self, panel, monkeypatch):
+        stream = MultiplexedStream(
+            _BASE, pure_color_video(_H, _W, 127.0, n_frames=9), PseudoRandomSchedule(_BASE, seed=4)
+        )
+        timeline = DisplayTimeline(_PANELS[panel], stream)
+        interval = timeline.panel.frame_interval_s
+        calls = Counter()
+        distinct_rows = DisplayTimeline._distinct_rows
+        emitted_luminance = DisplayPanel.emitted_luminance
+
+        def counted_take(self, values):
+            calls["take"] += 1
+            return distinct_rows(self, values)
+
+        def counted_luminance(self, frame):
+            calls["target"] += 1
+            return emitted_luminance(self, frame)
+
+        monkeypatch.setattr(DisplayTimeline, "_distinct_rows", counted_take)
+        monkeypatch.setattr(DisplayPanel, "emitted_luminance", counted_luminance)
+        for index in range(stream.n_frames):
+            timeline.luminance_rows([(index + (k + 0.5) / 4) * interval for k in range(4)])
+        # Read in order, each frame's target is a fresh luminance or a reused
+        # one, so the gamma calls count the distinct targets.  With the LC
+        # response each frame also takes its lag through the rows.
+        lags = stream.n_frames if panel == "lc" else 0
+        assert calls["target"] < stream.n_frames
+        assert calls["take"] == lags + calls["target"]
+
 
 def _dense_source(video) -> FunctionVideoSource:
     """*video* served through a source the palette rule rejects."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,9 @@ from repro.hvs.phantom import (
     phantom_array_energy,
 )
 from repro.hvs.temporal import (
+    CFF_ROLLOFF_HZ,
+    LOW_CUTOFF_HZ,
+    PEAK_SENSITIVITY_HZ,
     flicker_spectrum,
     luminance_normalizer,
     perceived_flicker_energy,
@@ -100,6 +105,42 @@ class TestSensitivityWeight:
         assert table.shape == (4, 120)
         for row, mean in zip(table, means[:, 0]):
             assert np.array_equal(row, sensitivity_weight(freqs, float(mean), cff_offset_hz=-1.7))
+
+    @given(
+        n=st.integers(4, 300),
+        sample_rate=st.sampled_from([240.0, 480.0, 960.0]),
+        offset=st.floats(-6.0, 6.0),
+        shape=st.sampled_from(["scalar", "one", "per-frequency", "per-region"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_three_temporary_formula(self, n, sample_rate, offset, shape, seed):
+        freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)[1:]
+        rng = np.random.default_rng(seed)
+        means = {
+            "scalar": lambda: float(rng.uniform(0.0, 400.0)),
+            "one": lambda: rng.uniform(0.0, 400.0, 1),
+            "per-frequency": lambda: rng.uniform(0.0, 400.0, len(freqs)),
+            "per-region": lambda: rng.uniform(0.0, 400.0, (int(rng.integers(1, 30)), 1)),
+        }[shape]()
+        got = sensitivity_weight(freqs, means, cff_offset_hz=offset)
+        expected = _three_temporary_weight(freqs, means, cff_offset_hz=offset)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+
+def _three_temporary_weight(freqs_hz, mean_luminance, cff_offset_hz=0.0):
+    """The ``low * band * fusion`` formula that the one-table build replaced, as its oracle."""
+    freqs = np.asarray(freqs_hz, dtype=np.float64)
+    cff = critical_flicker_frequency(mean_luminance, offset_hz=cff_offset_hz)
+    low = freqs / (freqs + LOW_CUTOFF_HZ)
+    band = np.where(
+        freqs <= PEAK_SENSITIVITY_HZ,
+        1.0,
+        np.maximum(0.15, 1.0 - 0.5 * np.log2(freqs / PEAK_SENSITIVITY_HZ) * 0.35),
+    )
+    fusion = 1.0 / (1.0 + np.exp((freqs - cff) / CFF_ROLLOFF_HZ))
+    return low * band * fusion
 
 
 class TestFlickerEnergy:
@@ -242,16 +283,6 @@ class TestFlickerPredictor:
         scores = [FlickerPredictor.score_from_energy(e) for e in energies]
         assert all(a <= b for a, b in zip(scores, scores[1:]))
 
-    def test_envelope_estimator_recovers_square_amplitude(self):
-        fs = 480.0
-        t = np.arange(960) / fs
-        carrier = 8.0 * np.sign(np.sin(2 * np.pi * 60.0 * t))
-        wave = 100.0 + carrier
-        envelope = FlickerPredictor.estimate_envelope(wave, fs, 60.0)
-        middle = envelope[200:-200]
-        # The carrier is square: RMS equals the amplitude.
-        assert float(np.median(middle)) == pytest.approx(8.0, rel=0.2)
-
 
 class TestSideBySide:
     """Scoring against the original content (the paper's side-by-side protocol)."""
@@ -389,6 +420,118 @@ class TestPanelScoringOracle:
             assert report.worst_region == worst
             assert np.array_equal(report.region_energies, total)
 
+
+
+@st.composite
+def scoring_cases(draw):
+    """Random region waveforms on a 1x1 to 4x5 grid, with some constant and all-zero regions.
+
+    Returns ``(waveforms, sample_rate, carrier_hz, subjects)``.  Lengths run
+    4-300, both sides of NumPy's 128-term pairwise split.
+    """
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    n = draw(st.one_of(st.integers(4, 128), st.integers(129, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    level = rng.uniform(0.0, 300.0, (rows, cols, 1))
+    swing = rng.uniform(0.0, 40.0, (rows, cols, 1))
+    waveforms = np.maximum(level + swing * rng.uniform(-1.0, 1.0, (rows, cols, n)), 0.0)
+    kinds = draw(st.lists(st.sampled_from(["wave", "wave", "constant", "zero"]),
+                          min_size=rows * cols, max_size=rows * cols))
+    for region, kind in zip(waveforms.reshape(rows * cols, n), kinds):
+        if kind != "wave":
+            region[:] = 0.0 if kind == "zero" else level.flat[0]
+    sample_rate = draw(st.sampled_from([240.0, 480.0, 960.0]))
+    carrier_hz = draw(st.sampled_from([30.0, 60.0, 120.0]))
+    subjects = draw(st.lists(
+        st.builds(
+            SubjectProfile,
+            cff_offset_hz=st.floats(-6.0, 6.0),
+            sensitivity_gain=st.floats(0.25, 4.0),
+            response_bias=st.floats(-1.0, 1.0),
+        ),
+        min_size=1, max_size=3,
+    ))
+    return waveforms, sample_rate, carrier_hz, subjects
+
+
+class TestScoringWorkspace:
+    """Scoring in one reused workspace keeps every per-subject result bit for bit."""
+
+    @given(scoring_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_subject_oracle(self, case):
+        waveforms, sample_rate, carrier_hz, subjects = case
+        predictor = FlickerPredictor(grid=waveforms.shape[:2])
+        reports = predictor.report_from_waveforms(waveforms, sample_rate, carrier_hz, subjects)
+        for report, subject in zip(reports, subjects, strict=True):
+            score, flicker, phantom, worst, total = _per_subject_report(
+                predictor, waveforms, sample_rate, carrier_hz, subject
+            )
+            assert (report.score, report.flicker_energy, report.phantom_energy) == (
+                score, flicker, phantom
+            )
+            assert report.worst_region == worst
+            assert np.array_equal(report.region_energies, total)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fewer_than_four_samples_rejected(self, n):
+        # Two samples make an all-zero Hann window, which scored NaN.
+        waveforms = np.linspace(90.0, 110.0, 4 * n).reshape(2, 2, n)
+        with pytest.raises(ValueError, match=">= 4 samples"):
+            FlickerPredictor(grid=(2, 2)).report_from_waveforms(
+                waveforms, 480.0, 60.0, [SubjectProfile()]
+            )
+
+    def test_four_samples_score_finite(self):
+        waveforms = np.array([100.0, 120.0, 80.0, 110.0]) * np.ones((2, 2, 1))
+        (report,) = FlickerPredictor(grid=(2, 2)).report_from_waveforms(
+            waveforms, 480.0, 60.0, [SubjectProfile()]
+        )
+        assert np.isfinite(report.score) and np.isfinite(report.region_energies).all()
+        assert report.total_energy > 0.0
+
+    def test_one_call_allocates_at_most_its_working_set(self):
+        """The traced allocation peak of one whole-panel call stays within the design's arrays.
+
+        In units of ``waveforms.nbytes`` (R regions x n samples of float64;
+        960 x 240 on a Fig. 6 stimulus), the call holds at most, at once:
+
+        - the workspace, R x n float64: 1;
+        - the rfft spectrum, R x (n // 2 + 1) complex128: (n + 2) / n, about
+          1.01.  It is freed before the phantom slope, R x (n - 1) float64,
+          is taken, so the slope never adds to it;
+        - the contrast table, R x n // 2 float64: 0.5;
+        - one subject's table, R x n // 2 float64: 0.5.  While the next
+          subject's table is built the last one is still bound, but by then
+          the spectrum is freed;
+        - vectors of one float64 per region (each report keeps its region
+          energies; the means, normaliser, CFF and energies come and go) or
+          per sample (the window, frequencies and band): at most
+          ``len(subjects) + 16`` of the first and 16 of the second.
+        """
+        timeline = flicker_timeline(20.0, 12, 127.0)
+        panel = SimulatedPanel(seed=1)
+        subjects = (SubjectProfile(), *panel.subjects)
+        waveforms, rate = panel.predictor.region_waveforms(timeline, 0.5)
+        regions, n = waveforms.shape[0] * waveforms.shape[1], waveforms.shape[2]
+        assert (regions, n, len(subjects)) == (960, 240, 9)
+        bound = (
+            regions * n * 8
+            + regions * (n // 2 + 1) * 16
+            + 2 * regions * (n // 2) * 8
+            + (len(subjects) + 16) * regions * 8
+            + 16 * n * 8
+        )
+        panel.predictor.report_from_waveforms(waveforms, rate, 60.0, subjects)  # imports
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            panel.predictor.report_from_waveforms(waveforms, rate, 60.0, subjects)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert bound < 3.2 * waveforms.nbytes
+        assert peak - before <= bound
 
 def _numpy_region_means(field, rows, cols):
     """NumPy's reshape-and-mean, which FlickerPredictor._region_means reproduces bit for bit."""
