@@ -33,6 +33,7 @@ from repro.transport import (
     CarouselReceiver,
     FramePacketCodec,
     GobLossModel,
+    fountain_batch,
     simulate_packet_channel,
 )
 
@@ -83,7 +84,7 @@ def _deliver(mode: str, loss_rate: float, seed: int) -> dict:
             missing = (
                 carousel.k if receiver.decoder is None else receiver.decoder.n_missing
             )
-            batch = max(2, int(np.ceil(missing * 1.35)))
+            batch = fountain_batch(missing)
             for raw in forward(carousel.packets(next_seq, batch)):
                 receiver.receive(raw)
             next_seq += batch

@@ -66,8 +66,6 @@ from repro.campaign.spec import (
     CampaignSpec,
     CampaignSpecError,
     coerce_sweep_values,
-    decode_faults_value,
-    encode_faults_value,
 )
 from repro.campaign.units import UnitResult, WorkUnit, execute_unit
 
@@ -100,8 +98,6 @@ __all__ = [
     "classify_lease",
     "coerce_sweep_values",
     "compact_journal",
-    "decode_faults_value",
-    "encode_faults_value",
     "execute_unit",
     "journal_status",
     "parse_chaos",

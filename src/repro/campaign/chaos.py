@@ -69,6 +69,23 @@ TEAR_EXIT_CODE = 42
 EXTERNAL_KINDS = ("kill", "stall")
 INTERNAL_KINDS = ("drop_hb", "delay_hb", "tear")
 
+#: Campaign seed of both the clean and the chaos run.
+_SEED = 1
+
+#: Supervision of a chaos run: a fast heartbeat and a short stuck
+#: threshold, so a stalled lease is reclaimed long before its lease
+#: timeout, and a quarantine threshold no scheduled fault reaches.
+_HEARTBEAT_S = 0.1
+_STUCK_AFTER_S = 0.5
+_LEASE_TIMEOUT_S = 120.0
+_QUARANTINE_AFTER = 5
+
+#: Resumes of a dead chaos master before the run gives up.
+_MAX_RESUMES = 6
+
+#: Wall-clock bound on the chaos run's campaign subprocesses.
+_TIMEOUT_S = 180.0
+
 
 class ChaosScheduleError(ValueError):
     """Raised for schedules that do not fit the grammar."""
@@ -339,33 +356,22 @@ class ChaosRunResult:
 
 
 def _campaign_command(
-    python: str,
-    spec: str,
-    journal: Path,
-    *,
-    resume: bool,
-    scale: str,
-    seed: int,
-    workers: int,
-    lease_timeout_s: float,
-    heartbeat_s: float,
-    stuck_after_s: float,
-    quarantine_after: int,
+    spec: str, journal: Path, *, resume: bool, scale: str, workers: int
 ) -> list[str]:
-    cmd = [python, "-m", "repro.tools.campaign"]
+    cmd = [sys.executable, "-m", "repro.tools.campaign"]
     if resume:
         cmd += ["resume"]
     else:
-        cmd += ["run", "--spec", spec, "--scale", scale, "--seed", str(seed)]
+        cmd += ["run", "--spec", spec, "--scale", scale, "--seed", str(_SEED)]
     cmd += [
         "--journal", str(journal),
         "--workers", str(workers),
-        "--heartbeat-s", str(heartbeat_s),
-        "--stuck-after", str(stuck_after_s),
-        "--quarantine-after", str(quarantine_after),
+        "--heartbeat-s", str(_HEARTBEAT_S),
+        "--stuck-after", str(_STUCK_AFTER_S),
+        "--quarantine-after", str(_QUARANTINE_AFTER),
     ]
     if not resume:
-        cmd += ["--lease-timeout", str(lease_timeout_s)]
+        cmd += ["--lease-timeout", str(_LEASE_TIMEOUT_S)]
     return cmd
 
 
@@ -464,24 +470,17 @@ def run_chaos_campaign(
     workdir: str | Path,
     *,
     scale: str = "quick",
-    seed: int = 1,
     workers: int = 2,
-    heartbeat_s: float = 0.1,
-    stuck_after_s: float = 0.5,
-    lease_timeout_s: float = 120.0,
-    quarantine_after: int = 5,
-    max_resumes: int = 6,
-    timeout_s: float = 180.0,
-    python: str = sys.executable,
 ) -> ChaosRunResult:
     """Run one campaign clean and once under *schedule*; compare reports.
 
-    The chaos run is a real ``repro.tools.campaign`` subprocess (so its
-    pool workers are real processes signals can hit); the clean run is
-    executed in-process first to produce the reference bytes.  If the
-    chaos master dies (tear points exit with :data:`TEAR_EXIT_CODE`,
-    kills may take the master down), it is resumed -- without the chaos
-    environment -- until the campaign completes or *max_resumes* is hit.
+    Both runs use the same campaign seed.  The chaos run is a real
+    ``repro.tools.campaign`` subprocess (so its pool workers are real
+    processes signals can hit); the clean run is executed in-process
+    first to produce the reference bytes.  If the chaos master dies
+    (tear points exit with :data:`TEAR_EXIT_CODE`, kills may take the
+    master down), it is resumed -- without the chaos environment -- at
+    most ``_MAX_RESUMES`` times, all within ``_TIMEOUT_S`` of wall clock.
     """
     from repro.campaign.master import CampaignMaster, report_from_journal
 
@@ -495,9 +494,9 @@ def run_chaos_campaign(
         spec,
         journal=clean_journal,
         scale=scale,
-        seed=seed,
+        seed=_SEED,
         workers=workers,
-        lease_timeout_s=lease_timeout_s,
+        lease_timeout_s=_LEASE_TIMEOUT_S,
     ).run()
     clean_json = clean.report.report_json()
 
@@ -510,7 +509,7 @@ def run_chaos_campaign(
     )
     injector = _SignalInjector(schedule, journal)
     exit_codes: list[int] = []
-    deadline = time.monotonic() + timeout_s
+    deadline = time.monotonic() + _TIMEOUT_S
 
     def drive(cmd: list[str], run_env: dict[str, str]) -> int:
         proc = subprocess.Popen(
@@ -524,7 +523,7 @@ def run_chaos_campaign(
                     proc.kill()
                     proc.wait()
                     raise TimeoutError(
-                        f"chaos campaign exceeded {timeout_s}s (schedule "
+                        f"chaos campaign exceeded {_TIMEOUT_S}s (schedule "
                         f"{schedule.spec()!r})"
                     )
                 time.sleep(0.02)
@@ -532,21 +531,17 @@ def run_chaos_campaign(
             injector.release_all()
         return int(proc.returncode or 0)
 
-    common = dict(
-        scale=scale, seed=seed, workers=workers, lease_timeout_s=lease_timeout_s,
-        heartbeat_s=heartbeat_s, stuck_after_s=stuck_after_s,
-        quarantine_after=quarantine_after,
-    )
     code = drive(
-        _campaign_command(python, spec, journal, resume=False, **common), env
+        _campaign_command(spec, journal, resume=False, scale=scale, workers=workers),
+        env,
     )
     exit_codes.append(code)
     resumes = 0
     resume_env = {k: v for k, v in env.items() if k != CHAOS_ENV}
-    while code != 0 and resumes < max_resumes:
+    while code != 0 and resumes < _MAX_RESUMES:
         resumes += 1
         code = drive(
-            _campaign_command(python, spec, journal, resume=True, **common),
+            _campaign_command(spec, journal, resume=True, scale=scale, workers=workers),
             resume_env,
         )
         exit_codes.append(code)

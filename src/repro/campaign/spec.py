@@ -57,7 +57,12 @@ from dataclasses import dataclass
 
 from repro._util import stable_seed
 from repro.campaign.units import TRANSPORT_MODES, WORKLOADS, WorkUnit
-from repro.faults.plan import FaultPlan, FaultSpecError
+from repro.faults.plan import (
+    FaultPlan,
+    FaultSpecError,
+    decode_faults_value,
+    encode_faults_value,
+)
 
 #: Config/camera fields a campaign (or ``repro.tools.sweep``) may sweep,
 #: with the scalar type their values must coerce to.  ``tau``,
@@ -212,24 +217,12 @@ def _parse_workload_value(text: str) -> str:
     return f"{base}:{'+'.join(parts)}"
 
 
-def decode_faults_value(label: str) -> str | None:
-    """An embedded faults value back in the native ``;``/``,`` grammar."""
-    if label == "none":
-        return None
-    return label.replace("/", ";").replace("+", ",")
-
-
-def encode_faults_value(native: str) -> str:
-    """A native faults spec in the embedded (``/``/``+``) grammar."""
-    return native.replace(";", "/").replace(",", "+")
-
-
 def _parse_faults_value(text: str) -> str:
     """Validate one faults value; returns its canonical embedded label."""
     if text == "none":
         return text
     try:
-        plan = FaultPlan.parse(text.replace("/", ";").replace("+", ","))
+        plan = FaultPlan.parse(decode_faults_value(text))
     except FaultSpecError as exc:
         raise CampaignSpecError(f"faults value {text!r}: {exc}") from exc
     return encode_faults_value(plan.spec())
@@ -433,7 +426,9 @@ def _build_unit(
         replicates=replicates,
         config_overrides=tuple(config_overrides),
         camera_overrides=tuple(camera_overrides),
-        faults_spec=decode_faults_value(assignment["faults"]),
+        faults_spec=(
+            None if assignment["faults"] == "none" else decode_faults_value(assignment["faults"])
+        ),
         heal={"on": True, "off": False, "auto": None}[heal_label],
         payload_bytes=payload_bytes,
         transport_mode=transport_mode,

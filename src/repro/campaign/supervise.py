@@ -438,15 +438,10 @@ class JournalTail:
     only ever feeds the advisory supervision path.
     """
 
-    def __init__(self, path: str | Path, *, start_at_end: bool = False) -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.offset = 0
         self.skipped = 0
-        if start_at_end:
-            try:
-                self.offset = self.path.stat().st_size
-            except OSError:
-                self.offset = 0
 
     def poll(self) -> list[JournalRecord]:
         """Every complete record appended since the last poll."""

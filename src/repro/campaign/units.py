@@ -305,6 +305,7 @@ def _run_fleet_replicate(
     camera: CameraModel,
     seed: int,
 ) -> tuple[dict[str, float], RunTelemetry | None]:
+    from repro.faults.plan import encode_faults_value
     from repro.serve.cohort import parse_cohorts
     from repro.serve.fanout import run_fleet
     from repro.serve.session import BroadcastSession, deterministic_payload
@@ -315,7 +316,7 @@ def _run_fleet_replicate(
         f"dwell={params['dwell']:g},distance={params['distance']:g}"
     )
     if unit.faults_spec:
-        spec += ",faults=" + unit.faults_spec.replace(";", "/").replace(",", "+")
+        spec += ",faults=" + encode_faults_value(unit.faults_spec)
     if unit.heal is not None:
         spec += f",heal={int(unit.heal)}"
     cohorts = parse_cohorts(spec, seed=unit.fault_seed)

@@ -30,7 +30,7 @@ out-of-band plan), rateless coding and retransmission, see
 Erasure amplification: a GOB carries 3 bits, so one message byte spans 3-4
 GOBs and a GOB-loss rate ``p`` becomes a byte-erasure rate of roughly
 ``1 - (1 - p)**3.5``.  Size the RS overhead accordingly (parity fraction
-comfortably above the amplified rate), or rely on ``repeat=True`` --
+comfortably above the amplified rate), or rely on the schedule cycling --
 retransmission passes shrink the *unknown* GOB set geometrically, which is
 how the lossy video-content channel delivers payloads in practice.
 """
@@ -149,9 +149,9 @@ class PayloadSchedule:
         The bytes to deliver.
     rs_n, rs_k:
         Reed-Solomon codeword/message sizes.
-    repeat:
-        If True the whole message cycles forever, so streams longer than
-        one message keep retransmitting (receivers can combine passes).
+
+    The whole message cycles forever, so streams longer than one message
+    keep retransmitting (receivers combine passes).
     """
 
     def __init__(
@@ -160,13 +160,11 @@ class PayloadSchedule:
         payload: bytes,
         rs_n: int = 60,
         rs_k: int = 40,
-        repeat: bool = True,
     ) -> None:
         if not payload:
             raise ValueError("payload must not be empty")
         self.config = config
         self.payload = bytes(payload)
-        self.repeat = repeat
         codec = ReedSolomonCodec(rs_n, rs_k)
         buffer = len(self.payload).to_bytes(4, "big") + crc16_append(self.payload)
         if len(buffer) % rs_k:
@@ -186,14 +184,9 @@ class PayloadSchedule:
         return self._frame_bits.shape[0]
 
     def bits(self, index: int) -> np.ndarray:
-        """Grid for data frame *index* (cycling when ``repeat``)."""
+        """Grid for data frame *index* (the message cycles)."""
         if index < 0:
             raise IndexError(f"data frame index must be >= 0, got {index}")
-        if index >= self.n_payload_frames and not self.repeat:
-            raise IndexError(
-                f"data frame {index} beyond single-shot payload "
-                f"({self.n_payload_frames} frames)"
-            )
         frame_bits = self._frame_bits[index % self.n_payload_frames]
         return data_bits_to_grid(frame_bits, self.config)
 
@@ -209,32 +202,22 @@ class PayloadAssembler:
     ----------
     config, plan:
         The sender's configuration and framing plan.
-    combine:
-        How repeated observations of the same bit are merged across
-        retransmission passes.  ``"first"`` (default) keeps the first
-        confident reading; ``"vote"`` takes the majority, which helps when
-        per-pass errors are independent (e.g. noise-driven) but not
-        against the dominant *systematic* errors of textured content,
-        where every pass misreads the same Blocks the same way.
+
+    Repeated observations of the same bit across retransmission passes
+    keep the first confident reading.
     """
 
-    def __init__(
-        self, config: InFrameConfig, plan: FramingPlan, combine: str = "first"
-    ) -> None:
+    def __init__(self, config: InFrameConfig, plan: FramingPlan) -> None:
         if plan.n_codewords < 1:
             raise ValueError("plan.n_codewords must be set (take it from the sender)")
-        if combine not in ("vote", "first"):
-            raise ValueError(f"combine must be 'vote' or 'first', got {combine!r}")
         self.config = config
         self.plan = plan
-        self.combine = combine
         total_bits = plan.message_bytes * 8
         per_frame = config.bits_per_frame
         self.n_payload_frames = (total_bits + per_frame - 1) // per_frame
         n_slots = self.n_payload_frames * per_frame
         self._bits = np.zeros(n_slots, dtype=bool)
         self._known = np.zeros(n_slots, dtype=bool)
-        self._votes = np.zeros(n_slots, dtype=np.int32)
 
     # ------------------------------------------------------------------
     # Accumulation
@@ -245,15 +228,9 @@ class PayloadAssembler:
         frame_bits, frame_known = decoded_frame_bits(decoded, self.config)
         start = slot * self.config.bits_per_frame
         stop = start + self.config.bits_per_frame
-        if self.combine == "vote":
-            signed = np.where(frame_bits, 1, -1)
-            self._votes[start:stop][frame_known] += signed[frame_known]
-            self._bits[start:stop] = self._votes[start:stop] > 0
-            self._known[start:stop] |= frame_known
-        else:
-            fresh = frame_known & ~self._known[start:stop]
-            self._bits[start:stop][fresh] = frame_bits[fresh]
-            self._known[start:stop] |= frame_known
+        fresh = frame_known & ~self._known[start:stop]
+        self._bits[start:stop][fresh] = frame_bits[fresh]
+        self._known[start:stop] |= frame_known
 
     def coverage(self) -> float:
         """Fraction of message bits currently known."""

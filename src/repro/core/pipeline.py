@@ -118,7 +118,6 @@ class InFrameReceiver:
         geometry: FrameGeometry,
         camera: CameraModel,
         plan: FramingPlan | None = None,
-        inset: float = 0.2,
     ) -> None:
         self.config = config
         self.camera = camera
@@ -127,7 +126,6 @@ class InFrameReceiver:
             geometry,
             camera.height,
             camera.width,
-            inset=inset,
             screen_rect=camera.screen_rect() if camera.screen_fill < 1.0 else None,
             view=camera.view,
         )
@@ -408,16 +406,11 @@ def run_transport_link(
     mode: str = "fountain",
     *,
     camera: CameraModel | None = None,
-    panel: DisplayPanel | None = None,
     rs_n: int = 60,
     rs_k: int = 24,
-    packet_bytes: int | None = None,
-    session_id: int = 1,
     seed: int = 0,
     max_rounds: int = 6,
-    fountain_margin: float = 0.35,
     extra_gob_loss: float = 0.0,
-    burst_loss: bool = True,
     feedback_loss: float = 0.0,
     join_offset: int = 0,
     workers: int | None = None,
@@ -430,11 +423,14 @@ def run_transport_link(
     """Deliver *payload* over the screen->camera PHY with a transport scheme.
 
     Each round multiplexes a batch of transport packets onto *video*
-    (one packet per data frame, inner RS(rs_n, rs_k) protection), runs
+    (one packet per data frame, filled to the frame codec's capacity,
+    inner RS(rs_n, rs_k) protection) on a panel matching the video, runs
     the full display->capture->decode loop, and feeds whatever packets
     survive to the mode's receiver.  The receiver never sees a
     :class:`~repro.core.framing.FramingPlan`: every parameter it needs
-    travels in the packet headers.
+    travels in the packet headers, which carry session id 1.  Fountain
+    and carousel rounds send
+    :func:`~repro.transport.carousel.fountain_batch` packets.
 
     Parameters
     ----------
@@ -450,16 +446,11 @@ def run_transport_link(
         up on textured content, where 2-bit GOB misreads slip past the
         XOR parity and the decoder must spend budget on *errors* as well
         as erasures (2e + f <= n - k per codeword).
-    packet_bytes:
-        Payload bytes per packet; defaults to (and is capped at) the
-        frame codec's capacity.
     max_rounds:
         Bound on forward passes (each pass replays the clip once).
-    fountain_margin:
-        Extra fraction of packets sent per fountain/carousel round.
-    extra_gob_loss, burst_loss:
-        Additional GOB erasures stacked on the PHY's own impairments
-        (see :class:`repro.transport.GobLossModel`).
+    extra_gob_loss:
+        Additional bursty GOB erasures stacked on the PHY's own
+        impairments (see :class:`repro.transport.GobLossModel`).
     feedback_loss:
         NACK loss probability for ARQ mode.
     join_offset:
@@ -489,7 +480,11 @@ def run_transport_link(
         ``TransportRun.telemetry``.
     """
     from repro.transport.arq import ArqReceiver, ArqSender, ArqSession
-    from repro.transport.carousel import BroadcastCarousel, CarouselReceiver
+    from repro.transport.carousel import (
+        BroadcastCarousel,
+        CarouselReceiver,
+        fountain_batch,
+    )
     from repro.transport.erasures import GobLossModel
     from repro.transport.packet import (
         FramePacketCodec,
@@ -504,10 +499,8 @@ def run_transport_link(
     payload = bytes(payload)
     codec = FramePacketCodec(config, rs_n=rs_n, rs_k=rs_k)
     chunk = codec.max_payload_bytes
-    if packet_bytes is not None:
-        chunk = min(int(packet_bytes), chunk)
     k_packets = (len(payload) + chunk - 1) // chunk
-    loss = GobLossModel(extra_gob_loss, burst=burst_loss) if extra_gob_loss else None
+    loss = GobLossModel(extra_gob_loss, burst=True) if extra_gob_loss else None
     loss_rng = np.random.default_rng((seed, 0xEA5E))
     link_stats: list[LinkStats] = []
     runtime_reports: list[RuntimeReport] = []
@@ -541,7 +534,6 @@ def run_transport_link(
                 video,
                 camera=camera,
                 schedule=schedule,
-                panel=panel,
                 seed=seed + counters["rounds"],
                 workers=workers,
                 faults=round_plan,
@@ -579,7 +571,7 @@ def run_transport_link(
     budget_exhausted = False
 
     if mode == "plain":
-        sender = ArqSender(payload, chunk, session_id=session_id)
+        sender = ArqSender(payload, chunk)
         receiver = ArqReceiver()
         for raw in forward(sender.all_packets()):
             receiver.receive(raw)
@@ -591,7 +583,6 @@ def run_transport_link(
             payload,
             chunk,
             forward,
-            session_id=session_id,
             feedback_loss=feedback_loss,
             packet_airtime_s=config.tau / config.refresh_hz,
             max_rounds=max_rounds,
@@ -609,14 +600,14 @@ def run_transport_link(
 
             record_arq_telemetry(arq_stats, telemetry)
     else:  # fountain / carousel
-        carousel = BroadcastCarousel(payload, chunk, session_id=session_id)
+        carousel = BroadcastCarousel(payload, chunk)
         receiver = CarouselReceiver()
         next_seq = join_offset if mode == "carousel" else 0
         for _ in range(max_rounds):
             missing = (
                 carousel.k if receiver.decoder is None else receiver.decoder.n_missing
             )
-            batch = max(2, int(np.ceil(missing * (1.0 + fountain_margin))))
+            batch = fountain_batch(missing)
             if telemetry is not None:
                 telemetry.metrics.histogram(
                     "fountain.degree", _FOUNTAIN_DEGREE_EDGES

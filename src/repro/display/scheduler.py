@@ -95,12 +95,11 @@ class DisplayTimeline:
     every field :meth:`frame_average_luminance` returns.
 
     When the source has pixel ``classes``, the luminance, the LC state
-    and both caches are palettes of one value per class, and the per-frame
-    lag holds the class map's distinct rows.  :meth:`luminance_rows`, the
-    one sampler, computes samples on those rows only (a super Pixel repeats
-    its class row: 58 of the flicker study panel's 240); fields are expanded
-    through the class map (cropped to ``rect``) only when
-    :meth:`frame_average_luminance`, :meth:`luminance_at` or
+    and both caches are palettes of one value per class.
+    :meth:`luminance_rows`, the one sampler, computes samples on the class
+    map's distinct rows only (a super Pixel repeats its class row: 58 of
+    the flicker study panel's 240); fields are expanded through the class
+    map only when :meth:`frame_average_luminance`, :meth:`luminance_at` or
     :meth:`integrate` hands one out.
     """
 
@@ -134,9 +133,6 @@ class DisplayTimeline:
         self._recent: list[tuple[np.ndarray, np.ndarray]] = []
         self._state_index = -1
         self._state: np.ndarray | None = None
-        # (index, state, state - target, target), the last two on distinct
-        # rows: one LC lag per display frame.
-        self._lag: tuple[int, np.ndarray, np.ndarray, np.ndarray] | None = None
         # The last two distinct (luminance, its distinct rows) pairs, kept
         # like _recent, so a repeated target is taken through the rows once.
         self._target_rows: list[tuple[np.ndarray, np.ndarray]] = []
@@ -189,56 +185,34 @@ class DisplayTimeline:
         # State first; see _frame_luminance.
         previous_state = self._state_before(index)
         target = self._frame_luminance(index)
-        # Every sample of a frame shares its lag, until a re-warm or a
-        # backward jump hands back a different state array for the index.
-        lag = self._lag
-        if lag is None or lag[0] != index or lag[1] is not previous_state:
-            lag = self._lag = (
-                index,
-                previous_state,
-                self._distinct_rows(previous_state - target),
-                self._rows_of_target(target),
-            )
+        lag = self._distinct_rows(previous_state - target)
         latch = self.latch_time(index)
         # One scalar exp per time: a vectorised exp may round differently.
         decays = np.array(
             [np.float32(np.exp(-max(t - latch, 0.0) / tau)) for t in times], dtype=np.float32
         )
-        samples = lag[2] * decays[:, None, None]
-        samples += lag[3]
+        samples = lag * decays[:, None, None]
+        samples += self._rows_of_target(target)
         return samples, row_of
 
-    def luminance_at(self, t: float, rect: tuple[int, int, int, int] | None = None) -> np.ndarray:
+    def luminance_at(self, t: float) -> np.ndarray:
         """Instantaneous luminance field at time *t* (cd/m^2).
 
-        Parameters
-        ----------
-        t:
-            Time in seconds from playback start; clamped into the stream.
-        rect:
-            Optional ``(row0, row1, col0, col1)`` crop evaluated instead of
-            the full field (the full-field state is still tracked so the
-            liquid-crystal recursion stays exact).
-
+        *t* is in seconds from playback start and clamped into the stream.
         One sample of :meth:`luminance_rows`, expanded to its field.
         """
         samples, row_of = self.luminance_rows((t,))
         if row_of is None:
-            return self._crop(samples[0], rect)
-        return _expand_rows(samples[0], row_of, rect)
+            return samples[0]
+        return np.take(samples[0], row_of, axis=0)
 
-    def integrate(
-        self,
-        t0: float,
-        t1: float,
-        rect: tuple[int, int, int, int] | None = None,
-    ) -> np.ndarray:
+    def integrate(self, t0: float, t1: float) -> np.ndarray:
         """Mean luminance over the window [t0, t1] (cd/m^2).
 
         The window is split at frame boundaries and each piece is integrated
         analytically (exponential relaxation toward the latched frame).
         """
-        return self._expand(self._integrate(t0, t1), rect)
+        return self._expand(self._integrate(t0, t1))
 
     def _integrate(self, t0: float, t1: float) -> np.ndarray:
         """:meth:`integrate` as a fresh full field or palette."""
@@ -311,15 +285,6 @@ class DisplayTimeline:
         if len(order) > self._CACHE_FRAMES:
             cache.pop(order.pop(0), None)
 
-    @staticmethod
-    def _crop(
-        field: np.ndarray, rect: tuple[int, int, int, int] | None
-    ) -> np.ndarray:
-        if rect is None:
-            return field
-        row0, row1, col0, col1 = rect
-        return field[row0:row1, col0:col1]
-
     def _distinct_rows(self, values: np.ndarray) -> np.ndarray:
         """A full field as is, or a palette taken through the class map's distinct rows."""
         if self._class_rows is None:
@@ -335,17 +300,16 @@ class DisplayTimeline:
         ][:2]
         return rows
 
-    def _expand(
-        self, values: np.ndarray, rect: tuple[int, int, int, int] | None = None
-    ) -> np.ndarray:
-        """The field of a full field or palette *values*, cropped to *rect*.
+    def _expand(self, values: np.ndarray) -> np.ndarray:
+        """The field of a full field or palette *values*.
 
-        A full field is cropped as a view.  A palette is taken through the
-        class map's distinct rows into a fresh field.
+        A full field is returned as is.  A palette is taken through the
+        class map's distinct rows into a fresh field, distinct rows copied
+        whole.
         """
         if self._class_rows is None:
-            return self._crop(values, rect)
-        return _expand_rows(self._distinct_rows(values), self._class_rows[1], rect)
+            return values
+        return np.take(self._distinct_rows(values), self._class_rows[1], axis=0)
 
     def _frame_luminance(self, index: int) -> np.ndarray:
         # Sources may cache only their latest frame (FunctionVideoSource),
@@ -392,16 +356,6 @@ class DisplayTimeline:
         self._state = state
         self._state_index = index
         return state
-
-
-def _expand_rows(
-    rows: np.ndarray, row_of: np.ndarray, rect: tuple[int, int, int, int] | None
-) -> np.ndarray:
-    """The fresh field ``rows[row_of]``, cropped to *rect*: distinct rows copied whole."""
-    if rect is not None:
-        row0, row1, col0, col1 = rect
-        rows, row_of = rows[:, col0:col1], row_of[row0:row1]
-    return np.take(rows, row_of, axis=0)
 
 
 def _row_runs(classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

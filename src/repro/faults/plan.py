@@ -11,6 +11,13 @@ for example::
 
     drop:p=0.10,burst=3;flip:at=0.35;exposure:at=0.55,gain=0.65;blackout:at=0.7,dur=0.5
 
+The cohort and campaign grammars separate their own fields with ``;``
+and ``,``, so a spec nested inside them is written with ``/`` for ``;``
+and ``+`` for ``,`` (:func:`encode_faults_value`,
+:func:`decode_faults_value`)::
+
+    drop:p=0.1+burst=3/flip:at=0.35
+
 Faults and their parameters (``at`` values are fractions of the capture
 stream's duration, so a spec is scale-independent):
 
@@ -80,6 +87,16 @@ _OCCLUDER_LEVEL = 24.0
 
 class FaultSpecError(ValueError):
     """Raised when a ``--faults`` spec string cannot be parsed."""
+
+
+def encode_faults_value(native: str) -> str:
+    """A native faults spec in the embedded (``/``/``+``) grammar."""
+    return native.replace(";", "/").replace(",", "+")
+
+
+def decode_faults_value(embedded: str) -> str:
+    """An embedded faults value back in the native ``;``/``,`` grammar."""
+    return embedded.replace("/", ";").replace("+", ",")
 
 
 @dataclass(frozen=True)

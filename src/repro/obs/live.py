@@ -37,7 +37,6 @@ import json
 import threading
 import time
 from collections.abc import Callable
-from typing import TextIO
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -49,9 +48,6 @@ DEFAULT_CAPACITY = 240
 
 #: Default snapshot cadence (seconds).
 DEFAULT_INTERVAL_S = 1.0
-
-#: ``probe() -> {series_name: value}`` -- sampled on every snapshot.
-ProbeFn = Callable[[], dict[str, float]]
 
 
 class TimeSeries:
@@ -156,7 +152,6 @@ class LiveCollector:
         self.snapshots = 0
         self._series: dict[str, TimeSeries] = {}
         self._registries: dict[str, MetricsRegistry] = {}
-        self._probes: list[ProbeFn] = []
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
@@ -200,16 +195,11 @@ class LiveCollector:
         with self._lock:
             self._registries[prefix] = registry
 
-    def add_probe(self, probe: ProbeFn) -> None:
-        """Call ``probe()`` on every snapshot; record the returned values."""
-        with self._lock:
-            self._probes.append(probe)
-
     # ------------------------------------------------------------------
     # Snapshotting
     # ------------------------------------------------------------------
     def snapshot(self) -> dict[str, object]:
-        """Sample every probe and attached registry; return the record.
+        """Sample every attached registry; return the record.
 
         The record is the JSONL stream's line format: ``format``,
         ``seq``, wall time ``t``, and the latest value of every series.
@@ -230,9 +220,6 @@ class LiveCollector:
                         self._series_locked(prefix + name).record(
                             float(sampled), t=now
                         )
-            for probe in self._probes:
-                for name in sorted(readings := probe()):
-                    self._series_locked(name).record(float(readings[name]), t=now)
             values = {
                 name: self._series[name].latest() for name in sorted(self._series)
             }
@@ -278,14 +265,13 @@ class LiveCollector:
         self._thread.start()
         return self
 
-    def stop(self, final_snapshot: bool = True) -> None:
-        """Stop the sampler; by default take one last snapshot."""
+    def stop(self) -> None:
+        """Stop the sampler and take one last snapshot."""
         self._stop.set()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
-        if final_snapshot:
-            self.snapshot()
+        self.snapshot()
 
     def __enter__(self) -> "LiveCollector":
         return self.start()
@@ -385,23 +371,3 @@ def record_live(name: str, value: float) -> None:
     if collector is not None:
         collector.record(name, value)
 
-
-def read_snapshots(stream: TextIO) -> list[dict[str, object]]:
-    """Parse a snapshot JSONL stream, skipping torn or foreign lines.
-
-    Mirrors the journal-tail torn-line policy: only complete,
-    well-formed :data:`LIVE_FORMAT` records count; a line being written
-    this instant (or half a line left by a crash) is silently dropped.
-    """
-    out: list[dict[str, object]] = []
-    for line in stream:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(payload, dict) and payload.get("format") == LIVE_FORMAT:
-            out.append(payload)
-    return out

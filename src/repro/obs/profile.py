@@ -3,14 +3,14 @@
 The stage spans of :mod:`repro.obs.trace` answer "how long did each
 stage take" (``RuntimeReport.stages``); they cannot answer "where
 *inside* render is the time going" without instrumenting every
-function.  This sampler answers that statistically: a daemon thread (or,
-opt-in, a SIGPROF timer) captures the target thread's Python stack every
-few milliseconds, aggregates identical stacks, and buckets every sample
-by the innermost pipeline stage on the stack.  The buckets carry the
-span names, so the sampled split and the timed split line up.  One
-profile shows both the stage split and the hot call paths, exportable
-as collapsed stacks for any flamegraph renderer (``stackcollapse``
-format: one ``frame;frame;frame count`` line per unique stack).
+function.  This sampler answers that statistically: a daemon thread
+captures the target thread's Python stack every few milliseconds,
+aggregates identical stacks, and buckets every sample by the innermost
+pipeline stage on the stack.  The buckets carry the span names, so the
+sampled split and the timed split line up.  One profile shows both the
+stage split and the hot call paths, exportable as collapsed stacks for
+any flamegraph renderer (``stackcollapse`` format: one
+``frame;frame;frame count`` line per unique stack).
 
 Sampling is exec-scoped by nature (which samples land depends on
 scheduling, never on the work), so the profiler lives entirely outside
@@ -30,7 +30,6 @@ campaign CLIs.
 
 from __future__ import annotations
 
-import signal
 import sys
 import threading
 import time
@@ -159,49 +158,32 @@ class ProfileReport:
 class SamplingProfiler:
     """Samples one thread's Python stack on a fixed period.
 
+    A daemon thread reads the stack of the thread that calls
+    :meth:`start` out of :func:`sys._current_frames`, so it works from
+    any thread and never interrupts the target.
+
     Parameters
     ----------
     interval_s:
         Sampling period.
-    mode:
-        ``"thread"`` (default) runs a daemon thread reading the target
-        thread's frame out of :func:`sys._current_frames` -- works from
-        any thread and never interrupts the target.  ``"signal"`` uses
-        ``SIGPROF`` via :func:`signal.setitimer` (CPU-time driven, main
-        thread only) -- closer to a classic profiler, but unavailable
-        inside embedded interpreters or off the main thread.
-    target_thread_id:
-        Thread to sample in ``"thread"`` mode; defaults to the thread
-        that calls :meth:`start`.
 
     The profiler samples only -- it never mutates the target thread, so
     attaching it cannot change any pipeline output.
     """
 
-    def __init__(
-        self,
-        interval_s: float = DEFAULT_INTERVAL_S,
-        *,
-        mode: str = "thread",
-        target_thread_id: int | None = None,
-    ) -> None:
+    def __init__(self, interval_s: float = DEFAULT_INTERVAL_S) -> None:
         if interval_s <= 0.0:
             raise ValueError(f"interval_s must be > 0, got {interval_s}")
-        if mode not in ("thread", "signal"):
-            raise ValueError(f"mode must be 'thread' or 'signal', got {mode!r}")
         self.interval_s = float(interval_s)
-        self.mode = mode
-        self.target_thread_id = target_thread_id
         self._stacks: dict[tuple[str, ...], int] = {}
         self._samples = 0
         self._started_at = 0.0
         self._duration_s = 0.0
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-        self._previous_handler: object = None
 
     # ------------------------------------------------------------------
-    # Sample capture (shared by both modes)
+    # Sample capture
     # ------------------------------------------------------------------
     def _record_frame(self, frame: types.FrameType | None) -> None:
         if frame is None:
@@ -218,34 +200,18 @@ class SamplingProfiler:
             self._record_frame(frame)
             self._stop.wait(self.interval_s)
 
-    def _on_sigprof(self, signum: int, frame: types.FrameType | None) -> None:
-        self._record_frame(frame)
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "SamplingProfiler":
-        """Begin sampling (idempotent)."""
-        if self._thread is not None or self._started_at:
+        """Begin sampling the calling thread (idempotent)."""
+        if self._thread is not None:
             return self
         self._started_at = time.perf_counter()
-        if self.mode == "signal":
-            if threading.current_thread() is not threading.main_thread():
-                raise RuntimeError("signal-mode profiling requires the main thread")
-            self._previous_handler = signal.signal(
-                signal.SIGPROF, self._on_sigprof
-            )
-            signal.setitimer(signal.ITIMER_PROF, self.interval_s, self.interval_s)
-            return self
-        target = (
-            self.target_thread_id
-            if self.target_thread_id is not None
-            else threading.get_ident()
-        )
         self._stop.clear()
         self._thread = threading.Thread(
             target=self._sample_thread_loop,
-            args=(target,),
+            args=(threading.get_ident(),),
             name="sampling-profiler",
             daemon=True,
         )
@@ -257,12 +223,6 @@ class SamplingProfiler:
         if self._started_at:
             self._duration_s += time.perf_counter() - self._started_at
             self._started_at = 0.0
-        if self.mode == "signal":
-            signal.setitimer(signal.ITIMER_PROF, 0.0)
-            if self._previous_handler is not None:
-                signal.signal(signal.SIGPROF, self._previous_handler)  # type: ignore[arg-type]
-                self._previous_handler = None
-            return
         self._stop.set()
         if self._thread is not None:
             self._thread.join(timeout=5.0)

@@ -133,13 +133,9 @@ class ExecutionEngine:
         Worker processes; ``None`` picks :func:`default_workers`, and
         ``<= 1`` runs everything in-process.
     max_retries:
-        Pool rebuilds allowed after crashes before falling back.
-    max_inflight:
-        Bound on concurrently dispatched items (default ``workers + 2``);
-        the campaign master narrows it to bound its lease window.
-    fallback_serial:
-        Complete unfinished items in-process once retries are exhausted
-        (or the pool cannot be built at all) instead of raising.
+        Pool rebuilds allowed after crashes before unfinished items are
+        completed in-process (as they are when the pool cannot be built
+        at all).
     telemetry:
         Optional :class:`~repro.obs.Telemetry` that receives exec-scoped
         pool accounting: one ``exec.pool_pass`` span per pool lifetime
@@ -150,18 +146,15 @@ class ExecutionEngine:
         self,
         workers: int | None = None,
         max_retries: int = 2,
-        max_inflight: int | None = None,
-        fallback_serial: bool = True,
         telemetry: Telemetry | None = None,
     ) -> None:
         self.workers = default_workers() if workers is None else max(int(workers), 1)
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         self.max_retries = int(max_retries)
-        self.max_inflight = (
-            self.workers + 2 if max_inflight is None else max(int(max_inflight), 1)
-        )
-        self.fallback_serial = bool(fallback_serial)
+        #: Bound on concurrently dispatched items; the campaign master
+        #: narrows it to bound its lease window.
+        self.max_inflight = self.workers + 2
         self.start_method = resolve_start_method()
         self.telemetry = telemetry
         self.stats = EngineStats()
@@ -297,11 +290,6 @@ class ExecutionEngine:
                 self.stats.undispatched_items.extend(pending)
                 return results
         if pending:
-            if not self.fallback_serial:
-                raise BrokenProcessPool(
-                    f"{len(pending)} work items unfinished after "
-                    f"{self.max_retries} pool retries"
-                )
             self.stats.mode = "serial-fallback"
             self._run_serial(
                 func, items, context, list(pending), results, on_result, prepare,

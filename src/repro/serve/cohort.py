@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.camera.capture import CameraModel
-from repro.faults.plan import FaultPlan, FaultSpecError
+from repro.faults.plan import FaultPlan, FaultSpecError, decode_faults_value
 from repro.runtime.scheduler import spawn_rng
 
 #: Known cohort parameters and their defaults (``None`` = inherit).
@@ -191,9 +191,8 @@ def _parse_params(name: str, body: str) -> dict[str, object]:
 
 def _cohort_faults(name: str, embedded: str, seed: int) -> FaultPlan:
     """Translate the embedded fault grammar back and parse it."""
-    translated = embedded.replace("/", ";").replace("+", ",")
     try:
-        return FaultPlan.parse(translated, seed=seed)
+        return FaultPlan.parse(decode_faults_value(embedded), seed=seed)
     except FaultSpecError as exc:
         raise CohortSpecError(f"cohort {name!r}: faults: {exc}") from exc
 

@@ -27,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.camera.capture import CameraModel, CapturedFrame
-from repro.core.decoder import BlockObservation, InFrameDecoder
+from repro.core.decoder import BlockObservation
+from repro.core.pipeline import InFrameReceiver
 from repro.display.scheduler import MemoizedTimeline
 from repro.faults.inject import FaultInjectedCamera, apply_stream_faults
 from repro.obs import RunTelemetry, Telemetry
@@ -107,13 +108,7 @@ def _simulate_receiver(
         if compiled is not None and compiled.perturbs_captures
         else camera
     )
-    decoder = InFrameDecoder(
-        config,
-        session.geometry,
-        camera.height,
-        camera.width,
-        screen_rect=camera.screen_rect() if camera.screen_fill < 1.0 else None,
-    )
+    decoder = InFrameReceiver(config, session.geometry, camera).decoder
     captures: list[CapturedFrame] = []
     observations: list[BlockObservation] = []
     for i in range(n_captures):

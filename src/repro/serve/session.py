@@ -50,13 +50,9 @@ from repro.core.geometry import FrameGeometry
 from repro.core.multiplexer import MultiplexedStream
 from repro.display.panel import DisplayPanel
 from repro.display.scheduler import DisplayTimeline, MemoizedTimeline
-from repro.transport.carousel import BroadcastCarousel
+from repro.transport.carousel import BroadcastCarousel, fountain_batch
 from repro.transport.packet import FramePacketCodec, PacketSchedule
 from repro.video.source import LoopingVideoSource, VideoSource
-
-#: Extra fraction of fountain symbols in the carousel cycle beyond ``k``
-#: (before cycle alignment rounds further up).
-_CYCLE_MARGIN = 0.35
 
 
 class BroadcastSession:
@@ -75,9 +71,6 @@ class BroadcastSession:
         ``config.refresh_hz``.
     session_id:
         Stamped on every packet; doubles as the fountain seed.
-    rs_n, rs_k:
-        The per-frame inner Reed-Solomon code (see
-        :func:`repro.core.pipeline.run_transport_link`).
     shm_budget_bytes:
         Ignored.  The render cache uses no shared memory, so every
         budget is met.  Accepted only because the benchmark suite still
@@ -92,10 +85,6 @@ class BroadcastSession:
         *,
         panel: DisplayPanel | None = None,
         session_id: int = 1,
-        rs_n: int = 60,
-        rs_k: int = 24,
-        c: float = 0.1,
-        delta: float = 0.5,
         shm_budget_bytes: int = 0,
     ) -> None:
         if not payload:
@@ -115,28 +104,23 @@ class BroadcastSession:
         self.panel = panel
         self.session_id = int(session_id)
 
-        self.codec = FramePacketCodec(config, rs_n=rs_n, rs_k=rs_k)
+        # The inner code of run_transport_link's default: RS(60, 24) per
+        # frame holds up on textured content.
+        self.codec = FramePacketCodec(config, rs_n=60, rs_k=24)
         self.carousel = BroadcastCarousel(
-            self.payload,
-            self.codec.max_payload_bytes,
-            session_id=self.session_id,
-            c=c,
-            delta=delta,
+            self.payload, self.codec.max_payload_bytes, session_id=self.session_id
         )
         # Cycle alignment: round the batch up so one carousel cycle spans
         # a whole number of video loops -- then the joint period of the
         # emitted stream IS the cycle (see the module docstring).
-        batch = max(2, math.ceil(self.carousel.k * (1.0 + _CYCLE_MARGIN)))
+        batch = fountain_batch(self.carousel.k)
         loop_frames = video.n_frames * config.frame_duplication
         align = loop_frames // math.gcd(loop_frames, config.tau)
         self.cycle_packets = math.ceil(batch / align) * align
         self.period_frames = self.cycle_packets * config.tau
         self.loop_frames = loop_frames
         self.schedule = PacketSchedule(
-            config,
-            self.codec,
-            self.carousel.packets(0, self.cycle_packets),
-            repeat=True,
+            config, self.codec, self.carousel.packets(0, self.cycle_packets)
         )
         self.geometry = FrameGeometry(config, video.height, video.width)
         self._memo: MemoizedTimeline | None = None

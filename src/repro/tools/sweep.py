@@ -22,8 +22,8 @@ from repro.campaign import (
     CampaignMaster,
     CampaignSpecError,
     coerce_sweep_values,
-    encode_faults_value,
 )
+from repro.faults.plan import encode_faults_value
 from repro.obs import RunTelemetry
 from repro.tools.simulate import add_fault_arguments, add_telemetry_argument, write_telemetry
 

@@ -29,7 +29,11 @@ from repro.transport.arq import (
     ArqStats,
     parse_nack,
 )
-from repro.transport.carousel import BroadcastCarousel, CarouselReceiver
+from repro.transport.carousel import (
+    BroadcastCarousel,
+    CarouselReceiver,
+    fountain_batch,
+)
 from repro.transport.erasures import GobLossModel, simulate_packet_channel
 from repro.transport.fountain import (
     LTDecoder,
@@ -74,6 +78,7 @@ __all__ = [
     "PacketSchedule",
     "PacketType",
     "build_packet",
+    "fountain_batch",
     "parse_header",
     "parse_nack",
     "parse_packet",

@@ -13,6 +13,7 @@ valid header it sees.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 
 from repro._util import check_positive_int
@@ -23,6 +24,19 @@ from repro.transport.packet import (
     build_packet,
     parse_packet,
 )
+
+#: Extra fraction of fountain symbols sent beyond the blocks still missing.
+_FOUNTAIN_MARGIN = 0.35
+
+
+def fountain_batch(missing: int) -> int:
+    """Fountain symbols to send while *missing* source blocks are unknown.
+
+    The margin covers the packets the PHY will erase on the way, and the
+    floor of two keeps a nearly finished decode moving.  Every fountain
+    and carousel sender sizes its batches here.
+    """
+    return max(2, math.ceil(missing * (1.0 + _FOUNTAIN_MARGIN)))
 
 
 class BroadcastCarousel:
@@ -37,23 +51,12 @@ class BroadcastCarousel:
     session_id:
         Stamped on every packet; doubles as the fountain seed, so the
         receiver needs nothing out of band.
-    c, delta:
-        Robust-soliton parameters handed to the LT encoder.
     """
 
-    def __init__(
-        self,
-        payload: bytes,
-        symbol_bytes: int,
-        session_id: int = 1,
-        c: float = 0.1,
-        delta: float = 0.5,
-    ) -> None:
+    def __init__(self, payload: bytes, symbol_bytes: int, session_id: int = 1) -> None:
         check_positive_int(symbol_bytes, "symbol_bytes")
         self.session_id = int(session_id)
-        self.encoder = LTEncoder(
-            payload, symbol_bytes, seed=self.session_id, c=c, delta=delta
-        )
+        self.encoder = LTEncoder(payload, symbol_bytes, seed=self.session_id)
 
     @property
     def k(self) -> int:
@@ -103,9 +106,7 @@ class CarouselReceiver:
     payload).
     """
 
-    def __init__(self, c: float = 0.1, delta: float = 0.5) -> None:
-        self._c = c
-        self._delta = delta
+    def __init__(self) -> None:
         self.session_id: int | None = None
         self.decoder: LTDecoder | None = None
         self.n_received = 0
@@ -131,12 +132,7 @@ class CarouselReceiver:
             self.session_id = header.session_id
             k = (header.total_len + header.length - 1) // header.length
             self.decoder = LTDecoder(
-                k,
-                header.length,
-                header.total_len,
-                seed=header.session_id,
-                c=self._c,
-                delta=self._delta,
+                k, header.length, header.total_len, seed=header.session_id
             )
         self.n_received += 1
         if self._join_offset is None:

@@ -21,9 +21,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro._util import check_in_range, check_positive_int
+from repro._util import check_in_range
 from repro.core.decoder import DecodedDataFrame
 from repro.transport.packet import FramePacketCodec
+
+#: Mean height of a burst band, in GOB rows.
+_MEAN_BURST_ROWS = 3
 
 
 @dataclass(frozen=True)
@@ -36,18 +39,15 @@ class GobLossModel:
         Expected fraction of GOBs erased per frame.
     burst:
         If True, losses arrive as contiguous GOB-row bands (the
-        rolling-shutter shape) instead of independent GOBs.
-    mean_burst_rows:
-        Mean band height in GOB rows when ``burst`` is set.
+        rolling-shutter shape, three rows high on average) instead of
+        independent GOBs.
     """
 
     rate: float
     burst: bool = False
-    mean_burst_rows: int = 3
 
     def __post_init__(self) -> None:
         check_in_range(self.rate, "rate", 0.0, 1.0)
-        check_positive_int(self.mean_burst_rows, "mean_burst_rows")
 
     def mask(
         self, gob_shape: tuple[int, int], rng: np.random.Generator
@@ -63,7 +63,7 @@ class GobLossModel:
         # Draw geometric-length bands at random rows until the target
         # erased mass is reached.
         while mask.sum() < target:
-            height = min(rows, 1 + int(rng.geometric(1.0 / self.mean_burst_rows)))
+            height = min(rows, 1 + int(rng.geometric(1.0 / _MEAN_BURST_ROWS)))
             top = int(rng.integers(0, rows))
             mask[top : top + height, :] = True
             if mask.all():

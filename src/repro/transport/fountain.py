@@ -21,45 +21,42 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._util import check_in_range, check_positive_int
+from repro._util import check_positive_int
 
 #: Domain-separation constant mixed into every symbol RNG seed.
 _SEED_DOMAIN = 0x1F5E
 
+#: Robust-soliton ripple constant: larger means more low degrees, so more
+#: overhead but a more robust ripple.  Encoder and decoder both read it,
+#: so a sender and a receiver always derive the same degrees.
+_SOLITON_C = 0.1
 
-def robust_soliton_distribution(
-    k: int, c: float = 0.1, delta: float = 0.5
-) -> np.ndarray:
+#: Robust-soliton target bound on the decoder's failure probability.
+_SOLITON_DELTA = 0.5
+
+
+def robust_soliton_distribution(k: int) -> np.ndarray:
     """The robust-soliton degree probabilities for ``k`` source blocks.
 
     Returns a length-``k`` vector where entry ``d-1`` is the probability
-    of degree ``d``.
-
-    Parameters
-    ----------
-    k:
-        Number of source blocks.
-    c:
-        Ripple-size tuning constant (larger = more low degrees = more
-        overhead but a more robust ripple).
-    delta:
-        Target decoder failure probability bound.
+    of degree ``d``, at the module's ripple constant ``_SOLITON_C``
+    and failure bound ``_SOLITON_DELTA``.
     """
     check_positive_int(k, "k")
-    check_in_range(c, "c", 1e-6, 10.0)
-    check_in_range(delta, "delta", 1e-9, 1.0)
     if k == 1:
         return np.ones(1)
     degrees = np.arange(1, k + 1, dtype=np.float64)
     rho = np.zeros(k)
     rho[0] = 1.0 / k
     rho[1:] = 1.0 / (degrees[1:] * (degrees[1:] - 1.0))
-    ripple = c * np.log(k / delta) * np.sqrt(k)
+    ripple = _SOLITON_C * np.log(k / _SOLITON_DELTA) * np.sqrt(k)
     spike = max(1, min(k, int(round(k / ripple))))
     tau = np.zeros(k)
     small = degrees < spike
     tau[small] = ripple / (degrees[small] * k)
-    tau[spike - 1] = ripple * np.log(ripple / delta) / k if ripple > delta else 0.0
+    tau[spike - 1] = (
+        ripple * np.log(ripple / _SOLITON_DELTA) / k if ripple > _SOLITON_DELTA else 0.0
+    )
     tau = np.maximum(tau, 0.0)
     dist = rho + tau
     return dist / dist.sum()
@@ -106,18 +103,9 @@ class LTEncoder:
     seed:
         Session seed shared with the decoder (typically the session id,
         which travels in every packet header).
-    c, delta:
-        Robust-soliton parameters.
     """
 
-    def __init__(
-        self,
-        data: bytes,
-        symbol_size: int,
-        seed: int = 0,
-        c: float = 0.1,
-        delta: float = 0.5,
-    ) -> None:
+    def __init__(self, data: bytes, symbol_size: int, seed: int = 0) -> None:
         if not data:
             raise ValueError("data must not be empty")
         check_positive_int(symbol_size, "symbol_size")
@@ -129,7 +117,7 @@ class LTEncoder:
         self._blocks = np.frombuffer(padded, dtype=np.uint8).reshape(
             self.k, symbol_size
         )
-        self._distribution = robust_soliton_distribution(self.k, c=c, delta=delta)
+        self._distribution = robust_soliton_distribution(self.k)
 
     def neighbors(self, seq: int) -> np.ndarray:
         """The source blocks combined into symbol *seq*."""
@@ -165,8 +153,6 @@ class LTDecoder:
         symbol_size: int,
         total_len: int,
         seed: int = 0,
-        c: float = 0.1,
-        delta: float = 0.5,
     ) -> None:
         check_positive_int(k, "k")
         check_positive_int(symbol_size, "symbol_size")
@@ -179,7 +165,7 @@ class LTDecoder:
         self.symbol_size = symbol_size
         self.total_len = total_len
         self.seed = int(seed)
-        self._distribution = robust_soliton_distribution(k, c=c, delta=delta)
+        self._distribution = robust_soliton_distribution(k)
         self._blocks = np.zeros((k, symbol_size), dtype=np.uint8)
         self._known = np.zeros(k, dtype=bool)
         self._pending: dict[int, tuple[set[int], np.ndarray]] = {}

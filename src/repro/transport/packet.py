@@ -387,13 +387,11 @@ class PacketSchedule:
         config: InFrameConfig,
         codec: FramePacketCodec,
         packets: list[bytes],
-        repeat: bool = True,
     ) -> None:
         if not packets:
             raise ValueError("need at least one packet")
         self.config = config
         self.codec = codec
-        self.repeat = repeat
         self._grids = [codec.encode(p) for p in packets]
 
     @property
@@ -402,11 +400,7 @@ class PacketSchedule:
         return len(self._grids)
 
     def bits(self, index: int) -> np.ndarray:
-        """Grid for data frame *index* (cycling when ``repeat``)."""
+        """Grid for data frame *index* (the batch cycles)."""
         if index < 0:
             raise IndexError(f"data frame index must be >= 0, got {index}")
-        if index >= self.n_packets and not self.repeat:
-            raise IndexError(
-                f"data frame {index} beyond single-shot batch ({self.n_packets})"
-            )
         return self._grids[index % self.n_packets]

@@ -200,11 +200,11 @@ class TestPayloadPipeline:
             assembler.payload()
 
     def test_multi_pass_repeat_convergence(self, small_config):
-        # With repeat=True the schedule cycles; at 70% GOB loss a single
+        # The schedule cycles; at 70% GOB loss a single
         # pass is hopeless, but the unknown set shrinks geometrically and
         # the assembler converges within a bounded number of passes.
         payload = bytes(range(48))
-        schedule = PayloadSchedule(small_config, payload, rs_n=30, rs_k=16, repeat=True)
+        schedule = PayloadSchedule(small_config, payload, rs_n=30, rs_k=16)
         assembler = PayloadAssembler(small_config, schedule.plan)
         rng = np.random.default_rng(4)
         n = schedule.n_payload_frames
@@ -231,11 +231,6 @@ class TestPayloadPipeline:
     def test_empty_payload_rejected(self, small_config):
         with pytest.raises(ValueError):
             PayloadSchedule(small_config, b"")
-
-    def test_single_shot_schedule_bounds(self, small_config):
-        schedule = PayloadSchedule(small_config, b"x", repeat=False)
-        with pytest.raises(IndexError):
-            schedule.bits(schedule.n_payload_frames)
 
     def test_plan_requires_codeword_count(self, small_config):
         with pytest.raises(ValueError):
@@ -315,37 +310,15 @@ class TestMetrics:
 
 
 class TestVotingAssembler:
-    def test_vote_outvotes_poisoned_pass(self, small_config):
-        # A GOB that passed parity with wrong bits in one pass must be
-        # washed out by two clean passes.
-        payload = bytes(range(32))
-        schedule = PayloadSchedule(small_config, payload, rs_n=30, rs_k=16)
-        assembler = PayloadAssembler(small_config, schedule.plan, combine="vote")
-        n = schedule.n_payload_frames
-        for k in range(3 * n):
-            grid = schedule.bits(k).copy()
-            if k < n:  # first pass: silently corrupt one GOB per frame
-                grid[0, 0] = ~grid[0, 0]
-                grid[0, 1] = ~grid[0, 1]  # double flip keeps XOR parity valid
-            assembler.add_frame(
-                _decoded_from_grid(
-                    small_config,
-                    grid,
-                    index=k,
-                    parity_ok=np.ones((small_config.gob_rows, small_config.gob_cols), bool),
-                )
-            )
-        assert assembler.payload() == payload
-
     def test_first_mode_keeps_initial_reading(self, small_config):
         payload = bytes(range(32))
         schedule = PayloadSchedule(small_config, payload, rs_n=30, rs_k=16)
-        voter = PayloadAssembler(small_config, schedule.plan, combine="first")
+        assembler = PayloadAssembler(small_config, schedule.plan)
         clean = _decoded_from_grid(small_config, schedule.bits(0), index=0)
-        voter.add_frame(clean)
+        assembler.add_frame(clean)
         # A later conflicting frame must not overwrite the first reading.
         wrong_grid = ~schedule.bits(0)
-        voter.add_frame(
+        assembler.add_frame(
             _decoded_from_grid(
                 small_config,
                 wrong_grid,
@@ -355,12 +328,7 @@ class TestVotingAssembler:
         )
         from repro.core.parity import grid_to_data_bits
 
-        start_bits = voter._bits[: small_config.bits_per_frame]
+        start_bits = assembler._bits[: small_config.bits_per_frame]
         assert np.array_equal(
             start_bits, grid_to_data_bits(schedule.bits(0), small_config)
         )
-
-    def test_unknown_combine_rejected(self, small_config):
-        schedule = PayloadSchedule(small_config, b"x", rs_n=30, rs_k=16)
-        with pytest.raises(ValueError):
-            PayloadAssembler(small_config, schedule.plan, combine="median")

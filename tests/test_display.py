@@ -186,16 +186,11 @@ class TestDisplayTimeline:
         direct = timeline.integrate(2 / 120, 3 / 120)
         assert np.allclose(avg, direct)
 
-    def test_rect_crop(self):
-        timeline = _two_frame_timeline()
-        crop = timeline.luminance_at(0.001, rect=(0, 2, 1, 3))
-        assert crop.shape == (2, 2)
-
     def test_region_and_pixel_waveforms(self):
         timeline = _two_frame_timeline()
         times = np.linspace(0.0, timeline.duration_s - 1e-4, 16)
         wave = np.array([timeline.luminance_at(t).mean() for t in times])
-        pixel = np.array([timeline.luminance_at(t, (0, 1, 0, 1)).mean() for t in times])
+        pixel = np.array([timeline.luminance_at(t)[0, 0] for t in times])
         assert wave.shape == pixel.shape == (16,)
         # Alternating frames produce an alternating waveform.
         assert wave.std() > 10
@@ -347,16 +342,16 @@ def reference_emitted_luminance(panel: DisplayPanel, frame: np.ndarray) -> np.nd
     return (lum * np.float32(panel.brightness)).astype(np.float32)
 
 
-def reference_luminance_at(timeline: DisplayTimeline, t: float, rect=None) -> np.ndarray:
+def reference_luminance_at(timeline: DisplayTimeline, t: float) -> np.ndarray:
     """``DisplayTimeline.luminance_at`` (the test oracle)."""
     index = timeline.frame_index_at(t)
     if timeline.panel.response_time_s <= 0.0:
-        return timeline._crop(timeline._frame_luminance(index), rect)
+        return timeline._frame_luminance(index)
     previous_state = timeline._state_before(index)
     target = timeline._frame_luminance(index)
     elapsed = max(t - timeline.latch_time(index), 0.0)
     decay = np.float32(np.exp(-elapsed / timeline.panel.response_time_s))
-    return timeline._crop(target + (previous_state - target) * decay, rect)
+    return target + (previous_state - target) * decay
 
 
 def reference_luminance_rows(timeline: DisplayTimeline, times) -> tuple[np.ndarray, None]:
@@ -364,7 +359,7 @@ def reference_luminance_rows(timeline: DisplayTimeline, times) -> tuple[np.ndarr
     return np.stack([reference_luminance_at(timeline, t) for t in times]), None
 
 
-def reference_integrate(timeline: DisplayTimeline, t0: float, t1: float, rect=None) -> np.ndarray:
+def reference_integrate(timeline: DisplayTimeline, t0: float, t1: float) -> np.ndarray:
     """``DisplayTimeline.integrate`` (the test oracle)."""
     tau = timeline.panel.response_time_s
     total = None
@@ -378,10 +373,8 @@ def reference_integrate(timeline: DisplayTimeline, t0: float, t1: float, rect=No
         seg_len = seg_end - seg_start
         if seg_len <= 0:
             continue
-        previous_state = (
-            timeline._crop(timeline._state_before(index), rect) if tau > 0.0 else None
-        )
-        target = timeline._crop(timeline._frame_luminance(index), rect)
+        previous_state = timeline._state_before(index) if tau > 0.0 else None
+        target = timeline._frame_luminance(index)
         piece = target * np.float32(seg_len)
         if previous_state is not None:
             a = max(seg_start - timeline.latch_time(index), 0.0)
@@ -501,15 +494,12 @@ def _emit_everything(
     """
     stream, timeline = _stream_and_timeline(video, config, panel)
     interval = panel.frame_interval_s
-    crop = (2, 14, 3, 21)
     reads = [
         stream.frame,
         timeline.frame_average_luminance,
         lambda i: timeline.luminance_at((i + 0.4) * interval),
-        lambda i: timeline.luminance_at((i + 0.7) * interval, crop),
         lambda i: _sampled_fields(timeline, [(i + f) * interval for f in (0.1, 0.45, 0.8)]),
         lambda i: timeline.integrate((i + 0.2) * interval, (i + 2.7) * interval),
-        lambda i: timeline.integrate(i * interval, (i + 1.5) * interval, crop),
     ]
     return [seen(read(i)) for read in reads for i in _ORDER]
 
@@ -594,8 +584,8 @@ class TestDisplayEmitOracle:
     @staticmethod
     def _interleaved_matches_reference(video, config, reference_chain, warmup_frames=None):
         # The reference frames are fresh writeable arrays, so the reference
-        # run reuses no luminance and no lag: any reuse across a re-warm of
-        # the LC state differs from it.
+        # run reuses no luminance: any reuse across a re-warm of the LC
+        # state differs from it.
         args = (_CONFIGS[config], _PANELS["slow-lc"], warmup_frames)
         fast = _emit_interleaved(_VIDEOS[video](_N_LONG_VIDEO_FRAMES), *args)
         reference_chain()
@@ -614,7 +604,7 @@ class TestDisplayEmitOracle:
     @pytest.mark.parametrize("video", list(_VIDEOS))
     def test_interleaved_reads_after_shallow_rewarms(self, video, config, reference_chain):
         # A re-warm of the panel's depth reproduces the walked state to
-        # 1e-10, so a lag reused across it would not show.  Eight frames
+        # 1e-10, so a value reused across it would not show.  Eight frames
         # leave exp(-8 * 8.3 / 50) = 26 % of the old state, and it does.
         self._interleaved_matches_reference(video, config, reference_chain, warmup_frames=8)
 

@@ -10,16 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.camera.capture import CameraModel, CapturedFrame
+from repro.campaign import CampaignSpec
 from repro.core.decoder import HealingReport, InFrameDecoder
 from repro.core.pipeline import InFrameSender, run_link, run_transport_link
 from repro.faults import (
+    FAULT_KINDS,
     FaultInjectedCamera,
     FaultPlan,
+    FaultSpec,
     InjectionLog,
     PacketFaults,
     apply_stream_faults,
 )
+from repro.faults.plan import encode_faults_value
 from repro.faults.report import DegradationReport
+from repro.serve import parse_cohorts
 from repro.transport.arq import ArqReceiver, ArqSender
 from repro.transport.packet import PacketType, build_packet
 from repro.video.synthetic import pure_color_video
@@ -52,6 +57,24 @@ class TestFaultPlanParsing:
     def test_empty_spec_rejected(self):
         with pytest.raises(ValueError):
             FaultPlan.parse("", seed=0)
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_embedded_spec_round_trips_through_cohort_and_campaign(self, data):
+        faults = []
+        kinds = data.draw(st.lists(st.sampled_from(sorted(FAULT_KINDS)), min_size=1, max_size=4))
+        for kind in kinds:
+            keys = data.draw(st.lists(st.sampled_from(sorted(FAULT_KINDS[kind])), unique=True))
+            # From 1e6 up a value prints as "1e+06", and the embedded
+            # grammar reads that "+" as a separator.
+            values = [data.draw(st.floats(-1e5, 1e5, allow_nan=False)) for _ in keys]
+            faults.append(FaultSpec(kind=kind, params=tuple(zip(keys, values))))
+        native = FaultPlan(faults=tuple(faults)).spec()
+        embedded = encode_faults_value(native)
+        (cohort,) = parse_cohorts(f"c:faults={embedded}", seed=3)
+        (unit,) = CampaignSpec.parse(f"faults={embedded}").expand(scale="quick")
+        assert cohort.faults.spec() == native
+        assert FaultPlan.parse(unit.faults_spec).spec() == native
 
     def test_compile_is_deterministic(self):
         kwargs = dict(n_captures=24, fps=30.0, duration_s=0.8, refresh_hz=120.0)

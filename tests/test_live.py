@@ -29,7 +29,6 @@ from repro.obs.live import (
     install_live,
     live_collector,
     parse_prometheus,
-    read_snapshots,
     record_live,
     render_prometheus,
 )
@@ -120,13 +119,6 @@ class TestLiveCollector:
         collector.attach(b.metrics)
         assert collector.snapshot()["values"]["n"] == 10.0
 
-    def test_probe_sampled_every_snapshot(self):
-        collector = self._collector()
-        collector.add_probe(lambda: {"probe.x": 1.5})
-        collector.snapshot()
-        collector.snapshot()
-        assert collector.series("probe.x").values() == [1.5, 1.5]
-
     def test_jsonl_stream_round_trip(self, tmp_path):
         path = tmp_path / "live.jsonl"
         collector = self._collector(snapshot_path=str(path))
@@ -138,8 +130,7 @@ class TestLiveCollector:
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"format":"other/1","values":{}}\n')
             handle.write('{"format":"repro.obs.live/1","seq":9')
-        with open(path, encoding="utf-8") as handle:
-            records = read_snapshots(handle)
+        records = [r for r in JournalTail(path).poll() if r.get("format") == LIVE_FORMAT]
         assert [r["seq"] for r in records] == [0, 1]
         assert records[1]["values"]["x"] == 2.0
 
@@ -289,8 +280,6 @@ class TestSamplingProfiler:
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="interval_s"):
             SamplingProfiler(interval_s=0.0)
-        with pytest.raises(ValueError, match="mode"):
-            SamplingProfiler(mode="hardware")
 
 
 class TestLiveByteIdentity:
@@ -330,8 +319,7 @@ class TestLiveByteIdentity:
         # Both exporters run over the collected state.
         exposition = render_prometheus(collector)
         parse_prometheus(exposition)
-        with open(tmp_path / "live.jsonl", encoding="utf-8") as handle:
-            snapshots = read_snapshots(handle)
+        snapshots = JournalTail(tmp_path / "live.jsonl").poll()
         assert snapshots and all(s["format"] == LIVE_FORMAT for s in snapshots)
 
         assert serial.telemetry.metrics_json() == parallel.telemetry.metrics_json()

@@ -172,16 +172,6 @@ class TestExecutionEngine:
         assert engine.stats.retries == 1
         assert engine.stats.serial_items >= 1
 
-    @pytest.mark.skipif(
-        resolve_start_method() is None, reason="no multiprocessing here"
-    )
-    def test_worker_crash_without_fallback_raises(self):
-        from concurrent.futures.process import BrokenProcessPool
-
-        engine = ExecutionEngine(workers=2, max_retries=0, fallback_serial=False)
-        with pytest.raises(BrokenProcessPool):
-            engine.map(_crash_in_worker, ["bomb"] * 2 + ["c"])
-
     def test_ordinary_exception_propagates_unretried(self):
         engine = ExecutionEngine(workers=1)
         with pytest.raises(ValueError, match="bad item"):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.analysis.experiments import ExperimentScale
+from repro.camera.geometry import PerspectiveView
 from repro.display.scheduler import DisplayTimeline
 from repro.serve import (
     BroadcastSession,
@@ -322,3 +325,16 @@ class TestFleet:
         assert result.delivered
         assert result.join_offset is not None
         assert result.join_offset > 0  # tuned in mid-carousel-cycle
+
+    def test_tilted_camera_receivers_decode_through_its_view(self, quick_session):
+        # Fleet receivers build their decoder as the link receiver does,
+        # so the camera's perspective view reaches the Block sampling.
+        camera = QUICK.camera()
+        view = PerspectiveView.tilted(camera.height, camera.width, yaw_deg=20)
+        fleet = run_fleet(
+            quick_session,
+            parse_cohorts("tilted:n=2,dwell=2.5", seed=1),
+            base_camera=replace(camera, view=view),
+            seed=1,
+        )
+        assert fleet.report.delivered == fleet.report.receivers == 2
