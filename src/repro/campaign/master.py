@@ -20,8 +20,9 @@ with ``ok=False``.
 
 **Supervision.**  While a batch executes, the engine's ``tick`` hook
 gives control back to the master every ``policy.tick_s``: it tails the
-journal for worker heartbeats, feeds them to a
-:class:`~repro.campaign.supervise.Supervisor`, and honors its decisions
+journal for worker heartbeats, applies them to its queue, asks a
+:class:`~repro.campaign.supervise.Supervisor` (which reads the queue's
+leases), and honors its decisions
 -- *slow* leases are extended with bounded backoff, *stuck* leases
 (heartbeat-stale) are fenced, journaled as ``reclaimed``, and their
 engine futures abandoned immediately, no wall-timeout wait.  A worker
@@ -40,7 +41,9 @@ Journal *state transitions* happen in the master only -- ``leased`` from
 the engine's ``prepare`` hook, ``done``/``failed`` from ``on_result``,
 ``extended``/``reclaimed``/``quarantined`` from the tick -- workers
 append only advisory ``heartbeat`` records, so every transition still
-has exactly one writer.
+has exactly one writer.  The master records each transition through
+:meth:`CampaignMaster._record`, which appends it and then applies the
+same record to the queue: the live queue is the replay of the journal.
 """
 
 from __future__ import annotations
@@ -304,9 +307,16 @@ class CampaignMaster:
             fault_seed=self.fault_seed,
         )
 
-    def _append(self, record: JournalRecord) -> None:
+    def _record(self, queue: QueueState, record: JournalRecord) -> None:
+        """Journal *record* (when journaled), then apply it to *queue*."""
         if self.journal is not None:
             self.journal.append(record)
+        queue.apply(record)
+        if live_collector() is not None:
+            # Exec-scoped, advisory: the unit counts watch draws.
+            counts = queue.counts()
+            for name in sorted(counts):
+                record_live(f"campaign.units.{name}", counts[name])
 
     def _start_fresh(self) -> QueueState:
         if self.journal is not None and self.journal.exists:
@@ -314,11 +324,14 @@ class CampaignMaster:
                 f"journal {self.journal.path} already exists; "
                 "use resume to continue it"
             )
-        self._append(self._header_record())
+        queue = QueueState.for_units(self.units)
+        self._record(queue, self._header_record())
         for unit in self.units:
-            self._append({"event": "queued", "unit": unit.key, "index": unit.index})
-        self._append({"event": "master", "incarnation": self.incarnation})
-        return QueueState.for_units(self.units)
+            self._record(
+                queue, {"event": "queued", "unit": unit.key, "index": unit.index}
+            )
+        self._record(queue, {"event": "master", "incarnation": self.incarnation})
+        return queue
 
     def _start_resumed(self, stats: CampaignRunStats) -> QueueState:
         if self.journal is None:
@@ -342,7 +355,7 @@ class CampaignMaster:
             for entry in queue.units.values()
             if entry.status is UnitStatus.DONE
         )
-        self._append({"event": "master", "incarnation": self.incarnation})
+        self._record(queue, {"event": "master", "incarnation": self.incarnation})
         return queue
 
     # ------------------------------------------------------------------
@@ -351,7 +364,6 @@ class CampaignMaster:
     def _reclaim(
         self,
         queue: QueueState,
-        supervisor: Supervisor,
         stats: CampaignRunStats,
         key: str,
         fence: int,
@@ -359,12 +371,11 @@ class CampaignMaster:
         now: float,
     ) -> None:
         """Fence a lease off, journal the reclaim, maybe quarantine."""
-        self._append(
+        self._record(
+            queue,
             {"event": "reclaimed", "unit": key, "fence": fence,
-             "reason": reason, "t": now}
+             "reason": reason, "t": now},
         )
-        queue.mark_reclaimed(key, reason)
-        supervisor.untrack(key)
         if reason in RECLAIM_FAULT_REASONS:
             stats.reclaims += 1
         self._maybe_quarantine(queue, stats, key)
@@ -385,11 +396,11 @@ class CampaignMaster:
             f"quarantined after {entry.reclaims} lease reclamations "
             f"and {entry.deaths} worker deaths"
         )
-        self._append(
+        self._record(
+            queue,
             {"event": "quarantined", "unit": key, "reclaims": entry.reclaims,
-             "deaths": entry.deaths, "error": error}
+             "deaths": entry.deaths, "error": error},
         )
-        queue.mark_quarantined(key, error)
         stats.quarantined += 1
 
     def _handle_sigterm(self, signum: int, frame: object) -> None:
@@ -417,7 +428,7 @@ class CampaignMaster:
         by_key = {unit.key: unit for unit in self.units}
         engine = ExecutionEngine(workers=self.workers)
         policy = self.supervise
-        supervisor = Supervisor(policy)
+        supervisor = Supervisor(policy, queue, self.incarnation)
         supervised = self.journal is not None
         if supervised:
             # Leases are granted at dispatch but execution starts when a
@@ -441,16 +452,15 @@ class CampaignMaster:
             # Belt and braces: nothing of ours should still be leased
             # (in-flight work either finished or was drain-reclaimed in
             # the tick), but the drained marker promises it.
-            for entry in queue.leases():
-                if entry.lease_owner == self.incarnation:
-                    self._reclaim(
-                        queue, supervisor, stats, entry.key, entry.fence,
-                        "drain", time.time(),
-                    )
+            for entry in supervisor.held():
+                self._reclaim(
+                    queue, stats, entry.key, entry.fence, "drain", time.time()
+                )
             outstanding = sum(1 for e in queue.units.values() if not e.terminal)
-            self._append(
+            self._record(
+                queue,
                 {"event": "drained", "incarnation": self.incarnation,
-                 "outstanding": outstanding, "t": time.time()}
+                 "outstanding": outstanding, "t": time.time()},
             )
             stats.drained = True
 
@@ -504,10 +514,7 @@ class CampaignMaster:
                         if entry.lease_owner == self.incarnation
                         else "takeover"
                     )
-                    self._reclaim(
-                        queue, supervisor, stats, entry.key, entry.fence,
-                        reason, now,
-                    )
+                    self._reclaim(queue, stats, entry.key, entry.fence, reason, now)
                     if queue.units[entry.key].terminal:
                         continue  # the reclaim tipped it into quarantine
                 batch.append(by_key[entry.key])
@@ -522,14 +529,12 @@ class CampaignMaster:
                 unit = payload.unit if isinstance(payload, LeasedUnit) else payload
                 fence = queue.next_fence(unit.key)
                 granted = time.time()
-                expires = granted + self.lease_timeout_s
-                self._append(
+                self._record(
+                    queue,
                     {"event": "leased", "unit": unit.key, "index": unit.index,
                      "worker": self.incarnation, "fence": fence,
-                     "granted": granted, "expires": expires}
+                     "granted": granted, "expires": granted + self.lease_timeout_s},
                 )
-                queue.lease(unit.key, self.incarnation, expires, fence, granted)
-                supervisor.track(unit.key, unit.index, fence, granted, expires)
                 if self.journal is None:
                     return unit
                 return LeasedUnit(
@@ -541,64 +546,52 @@ class CampaignMaster:
                 )
 
             def on_result(_index: int, result: UnitResult) -> None:
-                key = result.key
-                fence = queue.units[key].fence
-                supervisor.untrack(key)
+                entry = queue.units[result.key]
                 if result.ok or not result.retryable:
-                    if queue.mark_done(key, result, fence):
-                        self._append(
-                            {"event": "done", "unit": key, "fence": fence,
-                             "result": result.as_dict()}
+                    # First valid fence wins: a terminal unit or a
+                    # reclaimed lease's late completion is not recorded.
+                    if not entry.terminal and entry.fence_valid(entry.fence):
+                        self._record(
+                            queue,
+                            {"event": "done", "unit": entry.key,
+                             "fence": entry.fence, "result": result.as_dict()},
                         )
                 else:
-                    attempts = queue.mark_failed(
-                        key, kind="crash", error=result.error
-                    )
                     stats.retries += 1
-                    self._append(
-                        {"event": "failed", "unit": key, "fence": fence,
+                    self._record(
+                        queue,
+                        {"event": "failed", "unit": entry.key, "fence": entry.fence,
                          "kind": "crash", "error": result.error,
-                         "attempt": attempts}
+                         "attempt": entry.attempts + 1},
                     )
 
             def on_abandon(index: int, reason: str) -> None:
                 if reason != "crash":
                     return  # tick reclaims journal their own records
-                key = batch[index].key
-                entry = queue.units[key]
+                entry = queue.units[batch[index].key]
                 if entry.terminal:
                     return
-                supervisor.untrack(key)
-                deaths = queue.mark_failed(
-                    key, kind="died", error=WORKER_DIED_ERROR
-                )
                 stats.deaths += 1
-                self._append(
-                    {"event": "failed", "unit": key, "fence": entry.fence,
+                self._record(
+                    queue,
+                    {"event": "failed", "unit": entry.key, "fence": entry.fence,
                      "kind": "died", "error": WORKER_DIED_ERROR,
-                     "death": deaths}
+                     "death": entry.deaths + 1},
                 )
-                self._maybe_quarantine(queue, stats, key)
+                self._maybe_quarantine(queue, stats, entry.key)
 
             def tick(inflight: "tuple[int, ...] | list[int]") -> set[int]:
                 if tail is not None:
                     for record in tail.poll():
-                        if record.get("event") != "heartbeat":
-                            continue
-                        supervisor.observe(record)
-                        queue.observe_heartbeat(
-                            str(record.get("unit")),
-                            cast("int | None", record.get("fence")),
-                            int(cast(int, record.get("seq", 0))),
-                            float(cast(float, record.get("t", 0.0))),
-                        )
+                        # Every other kind was applied when the master
+                        # appended it; a second `leased` would reset the
+                        # lease's heartbeat.
+                        if record.get("event") == "heartbeat":
+                            queue.apply(record)
                 now = time.time()
                 if live_collector() is not None:
-                    # Exec-scoped, advisory: queue counts and lease
-                    # health for the snapshot stream watch tails.
-                    counts = queue.counts()
-                    for name in sorted(counts):
-                        record_live(f"campaign.units.{name}", counts[name])
+                    # Exec-scoped, advisory: lease health for the
+                    # snapshot stream watch tails.
                     health = supervisor.health_counts(now)
                     for name in sorted(health):
                         record_live(f"campaign.leases.{name}", health[name])
@@ -607,31 +600,28 @@ class CampaignMaster:
                     if self._drain_deadline is None:
                         self._drain_deadline = now + self.drain_timeout_s
                     if now >= self._drain_deadline:
-                        for key, lease in list(supervisor.leases.items()):
+                        for entry in supervisor.held():
                             self._reclaim(
-                                queue, supervisor, stats, key, lease.fence,
-                                "drain", now,
+                                queue, stats, entry.key, entry.fence, "drain", now
                             )
-                            i = index_of.get(key)
+                            i = index_of.get(entry.key)
                             if i is not None:
                                 abandon.add(i)
                     return abandon
                 for decision in supervisor.decide(now):
                     if isinstance(decision, Extend):
-                        self._append(
+                        self._record(
+                            queue,
                             {"event": "extended", "unit": decision.key,
                              "fence": decision.fence,
                              "expires": decision.expires_s,
-                             "extension": decision.extension}
-                        )
-                        queue.extend(
-                            decision.key, decision.expires_s, decision.extension
+                             "extension": decision.extension},
                         )
                         stats.extensions += 1
                     else:
                         self._reclaim(
-                            queue, supervisor, stats, decision.key,
-                            decision.fence, decision.reason, now,
+                            queue, stats, decision.key, decision.fence,
+                            decision.reason, now,
                         )
                         i = index_of.get(decision.key)
                         if i is not None:

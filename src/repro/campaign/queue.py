@@ -3,9 +3,11 @@
 The persistent queue is *derived*, never stored: replaying a journal's
 records through :meth:`QueueState.apply` reconstructs exactly the state
 the dead master had durably recorded, which is what makes ``--resume``
-safe after any crash.  The in-memory mirrors (:meth:`QueueState.lease`,
-:meth:`QueueState.mark_done`, :meth:`QueueState.mark_failed`, ...) keep
-a live master's view in step with what it appends.
+safe after any crash.  :meth:`QueueState.apply` is the only code that
+changes a unit's state: a live master applies each record right after it
+appends it (and the heartbeats it tails), so its queue is the replay of
+its own journal by construction, and ``repro.tools.watch`` folds a
+journal tail through the same method.
 
 Lifecycle::
 
@@ -125,7 +127,7 @@ def _record_fence(record: JournalRecord) -> int | None:
 
 @dataclass
 class QueueState:
-    """Every unit's state, derived from (and mirrored ahead of) the journal."""
+    """Every unit's state, derived from the journal."""
 
     units: dict[str, UnitState] = field(default_factory=dict)
 
@@ -143,13 +145,19 @@ class QueueState:
         ``report`` and ``compact`` use; no spec expansion needed."""
         state = QueueState()
         for record in records:
-            if record.get("event") == "queued":
-                key = str(record.get("unit"))
-                state.units[key] = UnitState(
-                    key=key, index=int(cast(int, record.get("index", 0)))
-                )
-        state.replay(records)
+            state.fold(record)
         return state
+
+    def fold(self, record: JournalRecord) -> None:
+        """Fold one record of a journal read from its start: a ``queued``
+        record registers its unit, every other record is applied."""
+        if record.get("event") == "queued":
+            key = str(record.get("unit"))
+            self.units.setdefault(
+                key, UnitState(key=key, index=int(cast(int, record.get("index", 0))))
+            )
+        else:
+            self.apply(record)
 
     def _entry(self, record: JournalRecord) -> UnitState:
         key = str(record.get("unit"))
@@ -185,7 +193,9 @@ class QueueState:
             entry = self._entry(record)
             if entry.terminal or not entry.fence_valid(_record_fence(record)):
                 return
-            entry.last_heartbeat_s = float(cast(float, record.get("t", 0.0)))
+            entry.last_heartbeat_s = max(
+                entry.last_heartbeat_s, float(cast(float, record.get("t", 0.0)))
+            )
             entry.heartbeat_seq = max(
                 entry.heartbeat_seq, int(cast(int, record.get("seq", 0)))
             )
@@ -222,8 +232,15 @@ class QueueState:
                 raise CampaignQueueError(
                     f"done record for unit {entry.key!r} has no result payload"
                 )
+            try:
+                result = UnitResult.from_dict(payload)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CampaignQueueError(
+                    f"done record for unit {entry.key!r} has an unreadable "
+                    f"result payload ({exc!r})"
+                ) from exc
             entry.status = UnitStatus.DONE
-            entry.result = UnitResult.from_dict(payload)
+            entry.result = result
         elif event == "failed":
             entry = self._entry(record)
             if entry.terminal:
@@ -256,83 +273,9 @@ class QueueState:
         for record in records:
             self.apply(record)
 
-    # ------------------------------------------------------------------
-    # Live-master mirrors (keep in step with journal appends)
-    # ------------------------------------------------------------------
-    def lease(
-        self, key: str, owner: str, expires_s: float, fence: int, granted_s: float = 0.0
-    ) -> None:
-        entry = self.units[key]
-        entry.status = UnitStatus.LEASED
-        entry.lease_owner = owner
-        entry.lease_expires_s = expires_s
-        entry.lease_granted_s = granted_s
-        entry.fence = max(entry.fence, fence)
-        entry.last_heartbeat_s = granted_s
-        entry.heartbeat_seq = -1
-        entry.extensions = 0
-
     def next_fence(self, key: str) -> int:
         """The fence token the next lease of *key* must carry."""
         return self.units[key].fence + 1
-
-    def observe_heartbeat(self, key: str, fence: int | None, seq: int, t: float) -> None:
-        """Fold one heartbeat into the live view (stale fences ignored)."""
-        entry = self.units[key]
-        if entry.terminal or not entry.fence_valid(fence):
-            return
-        entry.last_heartbeat_s = max(entry.last_heartbeat_s, t)
-        entry.heartbeat_seq = max(entry.heartbeat_seq, seq)
-
-    def extend(self, key: str, expires_s: float, extension: int) -> None:
-        entry = self.units[key]
-        entry.lease_expires_s = expires_s
-        entry.extensions = max(entry.extensions, extension)
-
-    def mark_reclaimed(self, key: str, reason: str) -> int:
-        """Fence off the current lease; returns the fault-reclaim count."""
-        entry = self.units[key]
-        if entry.terminal:
-            return entry.reclaims
-        entry.revoked.add(entry.fence)
-        if reason in RECLAIM_FAULT_REASONS:
-            entry.reclaims += 1
-        if entry.status is UnitStatus.LEASED:
-            entry.status = UnitStatus.QUEUED
-            entry.lease_owner = None
-        return entry.reclaims
-
-    def mark_done(self, key: str, result: UnitResult, fence: int | None = None) -> bool:
-        """Record a completion; False if fenced off or already standing."""
-        entry = self.units[key]
-        if entry.terminal or not entry.fence_valid(fence):
-            return False
-        entry.status = UnitStatus.DONE
-        entry.result = result
-        return True
-
-    def mark_failed(self, key: str, kind: str = "crash", error: str | None = None) -> int:
-        """Record a retryable failure; returns the new budget count."""
-        entry = self.units[key]
-        if entry.terminal:
-            return entry.attempts if kind == "crash" else entry.deaths
-        entry.status = UnitStatus.FAILED
-        entry.last_error = error if error is not None else entry.last_error
-        entry.lease_owner = None
-        if kind == "died":
-            entry.deaths += 1
-            return entry.deaths
-        entry.attempts += 1
-        return entry.attempts
-
-    def mark_quarantined(self, key: str, error: str) -> None:
-        """Move a poison unit to its terminal quarantine state."""
-        entry = self.units[key]
-        if entry.status is UnitStatus.DONE:
-            return
-        entry.status = UnitStatus.QUARANTINED
-        entry.quarantine_error = error
-        entry.lease_owner = None
 
     # ------------------------------------------------------------------
     # Views

@@ -18,7 +18,9 @@ three cooperating pieces:
   (fresh heartbeats), **SLOW** (heartbeating, but past its soft
   deadline -- the lease is *extended* with bounded exponential backoff),
   or **STUCK** (heartbeat-stale -- the lease is *fenced and reclaimed
-  immediately*, no wall-timeout wait).  Decisions are returned to the
+  immediately*, no wall-timeout wait).  It reads the leases from the
+  master's :class:`~repro.campaign.queue.QueueState`, into which the
+  master applies the heartbeats it tails; decisions are returned to the
   master, which journals them; the supervisor never writes.
 
 The classification rule, given ``policy``::
@@ -51,6 +53,7 @@ from enum import Enum
 from pathlib import Path
 
 from repro.campaign.journal import CampaignJournal, JournalRecord
+from repro.campaign.queue import QueueState, UnitState
 
 #: ``chaos(unit_index, seq) -> (emit, delay_s)`` -- lets the chaos
 #: harness drop or delay heartbeats inside a worker (see
@@ -178,25 +181,14 @@ def classify_lease(
     return LeaseHealth.LIVE
 
 
-@dataclass
-class LeaseTracker:
-    """The supervisor's view of one in-flight lease."""
-
-    key: str
-    index: int
-    fence: int
-    granted_s: float
-    expires_s: float
-    last_heartbeat_s: float
-    heartbeat_seq: int = -1
-    extensions: int = 0
-    next_soft_s: float = 0.0
-
-    def health(self, now: float, policy: SupervisePolicy) -> LeaseHealth:
-        return classify_lease(
-            now, self.granted_s, self.last_heartbeat_s, policy,
-            has_beats=self.heartbeat_seq >= 0,
-        )
+def lease_health(
+    entry: UnitState, now: float, policy: SupervisePolicy
+) -> LeaseHealth:
+    """:func:`classify_lease` applied to one queue entry's lease."""
+    return classify_lease(
+        now, entry.lease_granted_s, entry.last_heartbeat_s, policy,
+        has_beats=entry.heartbeat_seq >= 0,
+    )
 
 
 @dataclass(frozen=True)
@@ -221,66 +213,31 @@ class Reclaim:
 
 
 class Supervisor:
-    """Classifies tracked leases and emits extend/reclaim decisions.
+    """Classifies a master's leases and emits extend/reclaim decisions.
 
-    The supervisor holds no journal handle and appends nothing: the
-    master feeds it heartbeats (:meth:`observe`), asks for decisions
-    (:meth:`decide`), and journals what it chooses to honor.  That keeps
-    the journal single-writer for state transitions and makes the
-    supervisor trivially unit-testable with synthetic clocks.
+    The supervisor keeps no lease table: it reads the leases *owner*
+    holds in *queue*, the master's fold of its own journal.  It holds no
+    journal handle and appends nothing either: the master asks for
+    decisions (:meth:`decide`) and journals -- and so applies -- what it
+    chooses to honor.  That keeps the journal single-writer for state
+    transitions and makes the supervisor trivially unit-testable with
+    synthetic clocks.
     """
 
-    def __init__(self, policy: SupervisePolicy) -> None:
+    def __init__(self, policy: SupervisePolicy, queue: QueueState, owner: str) -> None:
         self.policy = policy
-        self.leases: dict[str, LeaseTracker] = {}
+        self.queue = queue
+        self.owner = owner
+        # When each slow lease, keyed by (unit, fence), may be extended
+        # next: the one supervision fact no journal record carries.
+        self._next_extension_s: dict[tuple[str, int], float] = {}
 
-    def track(
-        self, key: str, index: int, fence: int, granted_s: float, expires_s: float
-    ) -> None:
-        """Start supervising a just-granted lease."""
-        self.leases[key] = LeaseTracker(
-            key=key,
-            index=index,
-            fence=fence,
-            granted_s=granted_s,
-            expires_s=expires_s,
-            last_heartbeat_s=granted_s,
-            next_soft_s=granted_s + self.policy.soft_deadline_s,
-        )
-
-    def untrack(self, key: str) -> None:
-        """Stop supervising (the unit completed, failed, or was reclaimed)."""
-        self.leases.pop(key, None)
-
-    def observe(self, record: JournalRecord) -> bool:
-        """Fold one journal record into the tracked view.
-
-        Only ``heartbeat`` records for a currently tracked lease with a
-        matching fence count; everything else is ignored.  Returns
-        whether the record advanced a tracked lease.
-        """
-        if record.get("event") != "heartbeat":
-            return False
-        lease = self.leases.get(str(record.get("unit")))
-        if lease is None:
-            return False
-        fence = record.get("fence")
-        if fence is not None and int(fence) != lease.fence:  # type: ignore[call-overload]
-            return False  # a fenced-off incarnation's late beat
-        t = float(record.get("t", 0.0))  # type: ignore[arg-type]
-        seq = int(record.get("seq", 0))  # type: ignore[call-overload]
-        lease.last_heartbeat_s = max(lease.last_heartbeat_s, t)
-        lease.heartbeat_seq = max(lease.heartbeat_seq, seq)
-        return True
-
-    def classify(self, now: float) -> dict[str, LeaseHealth]:
-        """Health of every tracked lease at time *now* (keyed by unit)."""
-        return {
-            key: lease.health(now, self.policy) for key, lease in self.leases.items()
-        }
+    def held(self) -> list[UnitState]:
+        """The queue's leases granted by *owner*, in index order."""
+        return [entry for entry in self.queue.leases() if entry.lease_owner == self.owner]
 
     def health_counts(self, now: float) -> dict[str, int]:
-        """How many tracked leases are live / slow / stuck at time *now*.
+        """How many held leases are live / slow / stuck at time *now*.
 
         The campaign master records these into the live telemetry
         side-channel each tick; the snapshot stream is what lets
@@ -288,51 +245,50 @@ class Supervisor:
         journal itself.
         """
         counts = {health.value: 0 for health in LeaseHealth}
-        for lease in self.leases.values():
-            counts[lease.health(now, self.policy).value] += 1
+        for entry in self.held():
+            counts[lease_health(entry, now, self.policy).value] += 1
         return counts
 
     def decide(self, now: float) -> list[Extend | Reclaim]:
-        """Extend the SLOW, reclaim the STUCK; updates tracker state.
+        """Extend the SLOW, reclaim the STUCK.
 
         Decisions come back in lease index order so the journal record
         sequence is deterministic given the same classification outcome.
         """
         decisions: list[Extend | Reclaim] = []
-        for key in sorted(self.leases, key=lambda k: self.leases[k].index):
-            lease = self.leases[key]
-            health = lease.health(now, self.policy)
+        for entry in self.held():
+            health = lease_health(entry, now, self.policy)
             if health is LeaseHealth.STUCK:
                 # A lease that never beat is reclaimed as `unstarted`,
                 # which does not count toward quarantine: the silence
                 # indicts the worker slot, not the unit.
-                reason = "stuck" if lease.heartbeat_seq >= 0 else "unstarted"
+                reason = "stuck" if entry.heartbeat_seq >= 0 else "unstarted"
                 decisions.append(
-                    Reclaim(key=key, index=lease.index, fence=lease.fence,
+                    Reclaim(key=entry.key, index=entry.index, fence=entry.fence,
                             reason=reason)
                 )
                 continue
+            lease = (entry.key, entry.fence)
+            due_s = self._next_extension_s.get(
+                lease, entry.lease_granted_s + self.policy.soft_deadline_s
+            )
             if (
                 health is LeaseHealth.SLOW
-                and now >= lease.next_soft_s
-                and lease.extensions < self.policy.max_extensions
+                and now >= due_s
+                and entry.extensions < self.policy.max_extensions
             ):
-                lease.extensions += 1
-                backoff = self.policy.soft_deadline_s * (2.0 ** lease.extensions)
-                lease.expires_s += backoff
-                lease.next_soft_s = now + backoff
+                extension = entry.extensions + 1
+                backoff = self.policy.soft_deadline_s * (2.0 ** extension)
+                self._next_extension_s[lease] = now + backoff
                 decisions.append(
                     Extend(
-                        key=key,
-                        index=lease.index,
-                        fence=lease.fence,
-                        expires_s=lease.expires_s,
-                        extension=lease.extensions,
+                        key=entry.key,
+                        index=entry.index,
+                        fence=entry.fence,
+                        expires_s=entry.lease_expires_s + backoff,
+                        extension=extension,
                     )
                 )
-        for decision in decisions:
-            if isinstance(decision, Reclaim):
-                self.untrack(decision.key)
         return decisions
 
 

@@ -99,6 +99,19 @@ def decode_faults_value(embedded: str) -> str:
     return embedded.replace("/", ";").replace("+", ",")
 
 
+def _format_value(value: float) -> str:
+    """*value* as spec text that parses back to the same float.
+
+    The short ``:g`` form is kept when it is exact; otherwise the shortest
+    round-trip form.  Neither may carry an exponent ``+``, which the
+    embedded grammar reads as a separator (``float("2e06")`` parses).
+    """
+    text = f"{value:g}"
+    if "+" not in text and float(text) == value:
+        return text
+    return repr(value).replace("+", "")
+
+
 @dataclass(frozen=True)
 class FaultSpec:
     """One named fault process with its parameter overrides."""
@@ -129,7 +142,7 @@ class FaultSpec:
         """The spec-grammar form of this fault."""
         if not self.params:
             return self.kind
-        body = ",".join(f"{k}={v:g}" for k, v in self.params)
+        body = ",".join(f"{k}={_format_value(v)}" for k, v in self.params)
         return f"{self.kind}:{body}"
 
 

@@ -78,7 +78,8 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=None,
-        help="worker processes for unit execution (default: serial)",
+        help="worker processes for unit execution "
+        "(default: one per CPU, at most 8)",
     )
     parser.add_argument(
         "--heartbeat-s", type=float, default=1.0, metavar="SECONDS",

@@ -54,7 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="run sweep cells on this many worker processes (default: serial)",
+        help="run sweep cells on this many worker processes "
+        "(default: one per CPU, at most 8)",
     )
     add_telemetry_argument(parser)
     add_fault_arguments(parser)

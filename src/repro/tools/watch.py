@@ -19,7 +19,10 @@ instant -- are simply picked up on the next poll, and torn mid-file
 heartbeat lines are skipped, exactly like the master's own supervision
 tail.
 
-Lease health (LIVE / SLOW / STUCK) is classified with the same rule the
+The journal is folded through :class:`repro.campaign.queue.QueueState`,
+the same fold resume, ``campaign status`` and the master itself use, so
+fence rules hold here too: a fenced-off ``done`` is not counted.  Lease
+health (LIVE / SLOW / STUCK) is classified with the same rule the
 supervisor uses, so a SIGSTOPped worker shows up as STUCK here within
 one heartbeat-staleness window even before the master reclaims it.
 Pass the campaign's ``--heartbeat-s``/``--stuck-after`` values if they
@@ -34,19 +37,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.campaign.supervise import (
-    JournalTail,
-    LeaseHealth,
-    SupervisePolicy,
-    classify_lease,
-)
+from repro.campaign.queue import CampaignQueueError, QueueState, UnitState, UnitStatus
+from repro.campaign.supervise import JournalTail, SupervisePolicy, lease_health
 from repro.obs.live import LIVE_FORMAT, LiveCollector, render_prometheus
 
 #: Unicode block ramp for sparklines (min .. max of the window).
 _BLOCKS = "▁▂▃▄▅▆▇█"
-
-#: Display order for the unit-status counts line.
-_STATUSES = ("queued", "leased", "done", "failed", "quarantined")
 
 
 def sparkline(values: Sequence[float], width: int = 32) -> str:
@@ -63,31 +59,6 @@ def sparkline(values: Sequence[float], width: int = 32) -> str:
         _BLOCKS[min(len(_BLOCKS) - 1, int((v - lo) / span * len(_BLOCKS)))]
         for v in window
     )
-
-
-@dataclass
-class UnitView:
-    """The watcher's folded view of one campaign unit."""
-
-    key: str
-    index: int
-    status: str = "queued"
-    fence: int = -1
-    owner: str = ""
-    granted: float = 0.0
-    expires: float = 0.0
-    last_beat: float = 0.0
-    beat_seq: int = -1
-    attempts: int = 0
-    deaths: int = 0
-    reclaims: int = 0
-    error: str = ""
-
-    def health(self, now: float, policy: SupervisePolicy) -> LeaseHealth:
-        return classify_lease(
-            now, self.granted, self.last_beat, policy,
-            has_beats=self.beat_seq >= 0,
-        )
 
 
 def _as_str(record: dict[str, object], key: str, default: str = "") -> str:
@@ -111,34 +82,22 @@ def _as_float(record: dict[str, object], key: str, default: float = 0.0) -> floa
 
 @dataclass
 class WatchState:
-    """Campaign state folded from a journal tail.
+    """A campaign journal tail folded through a :class:`QueueState`.
 
-    The fold mirrors :class:`repro.campaign.queue.QueueState` closely
-    enough for display purposes, but stays deliberately forgiving: an
-    unknown event kind is ignored, a heartbeat for a fenced-off lease is
-    dropped, and a journal that starts mid-stream (``compact``\\ ed, or
-    tailed from an offset) still renders whatever it can prove.
+    The queue holds every unit; the watcher keeps only what a queue does
+    not: the header, the master-incarnation count, the ``drained``
+    marker, and how many records it read.  A record the queue rejects (a
+    unit that no ``queued`` record introduced, an unreadable ``done``
+    payload) is counted in :attr:`skipped`, not raised: the watcher
+    renders whatever the journal proves.
     """
 
     header: dict[str, object] | None = None
-    units: dict[str, UnitView] = field(default_factory=dict)
+    queue: QueueState = field(default_factory=QueueState)
     drained: bool = False
     incarnations: int = 0
     records: int = 0
-
-    def _unit(self, record: dict[str, object]) -> UnitView:
-        key = _as_str(record, "unit")
-        view = self.units.get(key)
-        if view is None:
-            view = UnitView(key=key, index=_as_int(record, "index", len(self.units)))
-            self.units[key] = view
-        return view
-
-    @property
-    def max_attempts(self) -> int:
-        if self.header is None:
-            return 3
-        return _as_int(self.header, "max_attempts", 3)
+    skipped: int = 0
 
     def feed(self, records: Sequence[dict[str, object]]) -> None:
         """Fold a batch of journal records into the view."""
@@ -149,73 +108,38 @@ class WatchState:
                 self.header = record
             elif event == "master":
                 self.incarnations += 1
-            elif event == "queued":
-                self._unit(record)
-            elif event == "leased":
-                view = self._unit(record)
-                view.status = "leased"
-                view.fence = _as_int(record, "fence")
-                view.owner = _as_str(record, "worker")
-                view.granted = _as_float(record, "granted")
-                view.expires = _as_float(record, "expires")
-                view.last_beat = view.granted
-                view.beat_seq = -1
-            elif event == "heartbeat":
-                view = self._unit(record)
-                fence = record.get("fence")
-                if fence is None or _as_int(record, "fence") == view.fence:
-                    view.last_beat = max(view.last_beat, _as_float(record, "t"))
-                    view.beat_seq = max(view.beat_seq, _as_int(record, "seq"))
-            elif event == "extended":
-                self._unit(record).expires = _as_float(record, "expires")
-            elif event == "reclaimed":
-                view = self._unit(record)
-                view.status = "queued"
-                view.reclaims += 1
-                view.beat_seq = -1
-            elif event == "done":
-                self._unit(record).status = "done"
-            elif event == "failed":
-                view = self._unit(record)
-                if _as_str(record, "kind") == "died":
-                    view.deaths = max(view.deaths, _as_int(record, "death"))
-                else:
-                    view.attempts = max(view.attempts, _as_int(record, "attempt"))
-                view.error = _as_str(record, "error")
-                view.status = (
-                    "failed" if view.attempts >= self.max_attempts else "queued"
-                )
-            elif event == "quarantined":
-                view = self._unit(record)
-                view.status = "quarantined"
-                view.error = _as_str(record, "error")
             elif event == "drained":
                 self.drained = True
+            try:
+                self.queue.fold(record)
+            except CampaignQueueError:
+                self.skipped += 1
+
+    def status(self, entry: UnitState) -> str:
+        """The shown status: a failed unit with attempts left is queued."""
+        max_attempts = _as_int(self.header or {}, "max_attempts", 3)
+        if entry.status is UnitStatus.FAILED and entry.attempts < max_attempts:
+            return UnitStatus.QUEUED.value
+        return entry.status.value
 
     def counts(self) -> dict[str, int]:
-        counts = {status: 0 for status in _STATUSES}
-        for view in self.units.values():
-            counts[view.status] = counts.get(view.status, 0) + 1
+        """Units per shown status."""
+        counts = {status.value: 0 for status in UnitStatus}
+        for entry in self.queue.units.values():
+            counts[self.status(entry)] += 1
         return counts
-
-    def leased(self) -> list[UnitView]:
-        views = [v for v in self.units.values() if v.status == "leased"]
-        return sorted(views, key=lambda v: v.index)
 
     @property
     def complete(self) -> bool:
-        """Every expected unit reached a terminal state (or drain)."""
+        """Every expected unit is done, quarantined or out of attempts,
+        or the campaign drained."""
         if self.drained:
             return True
-        if self.header is None or not self.units:
+        if self.header is None or not self.queue.units:
             return False
-        expected = _as_int(self.header, "units", len(self.units))
-        terminal = sum(
-            1
-            for view in self.units.values()
-            if view.status in ("done", "failed", "quarantined")
-        )
-        return terminal >= expected
+        counts = self.counts()
+        finished = counts["done"] + counts["failed"] + counts["quarantined"]
+        return finished >= _as_int(self.header, "units", len(self.queue.units))
 
 
 def feed_snapshots(
@@ -266,22 +190,22 @@ def render_frame(
             f"units={_as_int(state.header, 'units')}{suffix}"
         )
         counts = state.counts()
-        lines.append("  " + " ".join(f"{s}={counts[s]}" for s in _STATUSES))
-        for view in state.leased():
-            health = view.health(now, policy).value.upper()
+        lines.append("  " + " ".join(f"{s}={n}" for s, n in counts.items()))
+        for entry in state.queue.leases():
+            health = lease_health(entry, now, policy).value.upper()
             beat = (
-                f"{_format_age(now, view.last_beat)} (seq {view.beat_seq})"
-                if view.beat_seq >= 0
+                f"{_format_age(now, entry.last_heartbeat_s)} "
+                f"(seq {entry.heartbeat_seq})"
+                if entry.heartbeat_seq >= 0
                 else "never"
             )
             lines.append(
-                f"    [{health:>6}] {view.key}  owner={view.owner} "
-                f"fence={view.fence} age={_format_age(now, view.granted)} "
+                f"    [{health:>6}] {entry.key}  owner={entry.lease_owner} "
+                f"fence={entry.fence} age={_format_age(now, entry.lease_granted_s)} "
                 f"heartbeat={beat}"
             )
-        for view in sorted(state.units.values(), key=lambda v: v.index):
-            if view.status == "quarantined":
-                lines.append(f"    [poison] {view.key}  {view.error}")
+        for entry in state.queue.quarantined():
+            lines.append(f"    [poison] {entry.key}  {entry.quarantine_error or ''}")
     elif state.records:
         lines.append(f"journal: {state.records} records, no campaign header yet")
     names = collector.names()
@@ -296,6 +220,7 @@ def render_frame(
             )
     if not lines:
         lines.append("waiting for journal/snapshot data...")
+    skipped += state.skipped
     if skipped:
         lines.append(f"  note: {skipped} torn/foreign lines skipped")
     return "\n".join(lines)

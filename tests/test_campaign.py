@@ -37,7 +37,7 @@ from repro.campaign.chaos import (
     heartbeat_filter_from_env,
     tamper_from_env,
 )
-from repro.campaign.supervise import HeartbeatEmitter, JournalTail
+from repro.campaign.supervise import HeartbeatEmitter, JournalTail, Reclaim, lease_health
 from repro.runtime.engine import resolve_start_method
 from repro.tools import campaign as campaign_cli
 
@@ -240,6 +240,12 @@ class TestQueue:
         state = _queue_for(["a"])
         with pytest.raises(CampaignQueueError, match="unknown unit"):
             state.apply({"event": "queued", "unit": "zzz", "index": 9})
+
+    def test_unreadable_result_payload_rejected(self):
+        state = _queue_for(["a"])
+        with pytest.raises(CampaignQueueError, match="unreadable result payload"):
+            state.apply({"event": "done", "unit": "a", "result": {"index": 0}})
+        assert state.units["a"].status is UnitStatus.QUEUED
 
 
 class TestExecuteUnit:
@@ -632,6 +638,34 @@ _POLICY = SupervisePolicy(
 )
 
 
+def _supervised(keys):
+    """A queue of *keys* and a supervisor judging master "m"'s leases."""
+    queue = _queue_for(keys)
+    return queue, Supervisor(_POLICY, queue, "m")
+
+
+def _lease(key, fence, worker="m"):
+    return {"event": "leased", "unit": key, "worker": worker, "fence": fence,
+            "granted": 0.0, "expires": 600.0}
+
+
+def _beat(key, fence, seq, t):
+    return {"event": "heartbeat", "unit": key, "fence": fence, "seq": seq, "t": t}
+
+
+def _honor(queue, decisions, now):
+    """Apply the records the master journals for *decisions*."""
+    for decision in decisions:
+        if isinstance(decision, Reclaim):
+            queue.apply({"event": "reclaimed", "unit": decision.key,
+                         "fence": decision.fence, "reason": decision.reason,
+                         "t": now})
+        else:
+            queue.apply({"event": "extended", "unit": decision.key,
+                         "fence": decision.fence, "expires": decision.expires_s,
+                         "extension": decision.extension})
+
+
 class TestSupervisor:
     def test_classify_lease_rule(self):
         # Beating lease: judged on heartbeat staleness.
@@ -650,67 +684,68 @@ class TestSupervisor:
         assert classify_lease(151.0, 0.0, 150.0, _POLICY) is LeaseHealth.SLOW
 
     def test_stale_heartbeats_make_a_lease_stuck(self):
-        supervisor = Supervisor(_POLICY)
-        supervisor.track("a", 0, 1, granted_s=0.0, expires_s=600.0)
-        supervisor.observe(
-            {"event": "heartbeat", "unit": "a", "fence": 1, "seq": 0, "t": 1.0}
-        )
-        assert supervisor.classify(2.0) == {"a": LeaseHealth.LIVE}
+        queue, supervisor = _supervised(["a"])
+        queue.apply(_lease("a", fence=1))
+        queue.apply(_beat("a", fence=1, seq=0, t=1.0))
+        assert lease_health(queue.units["a"], 2.0, _POLICY) is LeaseHealth.LIVE
         decisions = supervisor.decide(6.0)  # 5s since the last beat
         assert len(decisions) == 1
         assert decisions[0].reason == "stuck"
         assert decisions[0].fence == 1
-        assert "a" not in supervisor.leases  # reclaimed leases stop being tracked
+        _honor(queue, decisions, now=6.0)
+        # A reclaimed lease is no longer held, so it is no longer judged.
+        assert supervisor.held() == []
 
     def test_silent_lease_reclaimed_as_unstarted(self):
-        supervisor = Supervisor(_POLICY)
-        supervisor.track("a", 0, 1, granted_s=0.0, expires_s=600.0)
+        queue, supervisor = _supervised(["a"])
+        queue.apply(_lease("a", fence=1))
         assert supervisor.decide(10.0) == []  # within first-beat grace
         decisions = supervisor.decide(17.0)
         assert [d.reason for d in decisions] == ["unstarted"]
 
     def test_slow_lease_extended_with_bounded_backoff(self):
-        supervisor = Supervisor(_POLICY)
-        supervisor.track("a", 0, 1, granted_s=0.0, expires_s=600.0)
-        supervisor.observe(
-            {"event": "heartbeat", "unit": "a", "fence": 1, "seq": 0, "t": 150.0}
-        )
+        queue, supervisor = _supervised(["a"])
+        queue.apply(_lease("a", fence=1))
+        queue.apply(_beat("a", fence=1, seq=0, t=150.0))
         (first,) = supervisor.decide(151.0)
         assert first.extension == 1
         assert first.expires_s == 600.0 + 300.0  # soft_deadline * 2**1
+        _honor(queue, [first], now=151.0)
         assert supervisor.decide(152.0) == []  # backoff: not due again yet
-        supervisor.observe(
-            {"event": "heartbeat", "unit": "a", "fence": 1, "seq": 1, "t": 450.0}
-        )
+        queue.apply(_beat("a", fence=1, seq=1, t=450.0))
         (second,) = supervisor.decide(451.0)
         assert second.extension == 2
         assert second.expires_s == 900.0 + 600.0  # soft_deadline * 2**2
-        supervisor.observe(
-            {"event": "heartbeat", "unit": "a", "fence": 1, "seq": 2, "t": 1051.0}
-        )
+        _honor(queue, [second], now=451.0)
+        queue.apply(_beat("a", fence=1, seq=2, t=1051.0))
         (third,) = supervisor.decide(1051.5)
         assert third.extension == 3
+        _honor(queue, [third], now=1051.5)
         # The extension budget is spent; the hard timeout is now final.
-        supervisor.observe(
-            {"event": "heartbeat", "unit": "a", "fence": 1, "seq": 3, "t": 3451.0}
-        )
+        queue.apply(_beat("a", fence=1, seq=3, t=3451.0))
         assert supervisor.decide(3451.5) == []
-        assert "a" in supervisor.leases
+        assert [entry.key for entry in supervisor.held()] == ["a"]
 
     def test_fenced_off_heartbeats_are_ignored(self):
-        supervisor = Supervisor(_POLICY)
-        supervisor.track("a", 0, 2, granted_s=0.0, expires_s=600.0)
-        assert not supervisor.observe(
-            {"event": "heartbeat", "unit": "a", "fence": 1, "seq": 7, "t": 5.0}
-        )
-        assert supervisor.leases["a"].heartbeat_seq == -1
+        queue, _ = _supervised(["a"])
+        queue.apply(_lease("a", fence=2))
+        queue.apply(_beat("a", fence=1, seq=7, t=5.0))
+        assert queue.units["a"].heartbeat_seq == -1
+        assert queue.units["a"].last_heartbeat_s == 0.0
 
     def test_decisions_come_in_index_order(self):
-        supervisor = Supervisor(_POLICY)
-        supervisor.track("b", 1, 1, granted_s=0.0, expires_s=600.0)
-        supervisor.track("a", 0, 1, granted_s=0.0, expires_s=600.0)
+        queue, supervisor = _supervised(["a", "b"])
+        queue.apply(_lease("b", fence=1))
+        queue.apply(_lease("a", fence=1))
         decisions = supervisor.decide(17.0)
         assert [d.key for d in decisions] == ["a", "b"]
+
+    def test_only_this_masters_leases_are_judged(self):
+        queue, supervisor = _supervised(["a", "b"])
+        queue.apply(_lease("a", fence=1, worker="dead"))
+        queue.apply(_lease("b", fence=1))
+        assert [d.key for d in supervisor.decide(17.0)] == ["b"]
+        assert supervisor.health_counts(17.0) == {"live": 0, "slow": 0, "stuck": 1}
 
 
 class TestHeartbeatEmitter:
@@ -996,6 +1031,57 @@ class TestCompact:
         assert state.units[key].attempts == 2
         assert state.units[key].deaths == 1
         assert state.units[key].status is UnitStatus.FAILED
+
+
+class TestLiveQueueIsTheReplay:
+    """Every transition is a record the live master applies to its queue."""
+
+    def test_master_queue_matches_its_journal_replay(
+        self, journaled_run, tmp_path, monkeypatch
+    ):
+        from repro.campaign import master as master_module
+
+        # Cut the journal off mid-unit: the resumed master must take the
+        # dead incarnation's lease over (a revoked fence), and one unit's
+        # first attempt crashes (a retried failure).
+        _, path = journaled_run
+        lines = path.read_text().splitlines(keepends=True)
+        leased = [i for i, line in enumerate(lines) if '"event":"leased"' in line]
+        copy = tmp_path / "j.jsonl"
+        copy.write_text("".join(lines[: leased[2] + 1]))
+        real_execute = master_module.execute_unit
+        crashed = []
+
+        def flaky(unit):
+            if unit.index == 5 and not crashed:
+                crashed.append(unit.key)
+                raise RuntimeError("transient")
+            return real_execute(unit)
+
+        monkeypatch.setattr(master_module, "execute_unit", flaky)
+        queues = []
+        real_record = CampaignMaster._record
+
+        def spy(self, queue, record):
+            queues.append(queue)
+            real_record(self, queue, record)
+
+        monkeypatch.setattr(CampaignMaster, "_record", spy)
+        CampaignMaster.resume(CampaignJournal(copy), workers=1).run(resume=True)
+        live = queues[-1]
+        assert all(queue is live for queue in queues)
+        replayed = QueueState.from_journal(CampaignJournal(copy).read().records)
+
+        def fields(entry):
+            return (entry.status, entry.fence, entry.revoked, entry.attempts,
+                    entry.deaths, entry.reclaims, entry.result)
+
+        assert {k: fields(e) for k, e in live.units.items()} == {
+            k: fields(e) for k, e in replayed.units.items()
+        }
+        assert live.units[crashed[0]].attempts == 1
+        assert any(entry.revoked for entry in live.units.values())
+        assert live.complete
 
 
 class TestChaosGrammar:

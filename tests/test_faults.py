@@ -65,14 +65,14 @@ class TestFaultPlanParsing:
         kinds = data.draw(st.lists(st.sampled_from(sorted(FAULT_KINDS)), min_size=1, max_size=4))
         for kind in kinds:
             keys = data.draw(st.lists(st.sampled_from(sorted(FAULT_KINDS[kind])), unique=True))
-            # From 1e6 up a value prints as "1e+06", and the embedded
-            # grammar reads that "+" as a separator.
-            values = [data.draw(st.floats(-1e5, 1e5, allow_nan=False)) for _ in keys]
+            values = [data.draw(st.floats(-1e12, 1e12, allow_nan=False)) for _ in keys]
             faults.append(FaultSpec(kind=kind, params=tuple(zip(keys, values))))
-        native = FaultPlan(faults=tuple(faults)).spec()
+        plan = FaultPlan(faults=tuple(faults))
+        native = plan.spec()
         embedded = encode_faults_value(native)
         (cohort,) = parse_cohorts(f"c:faults={embedded}", seed=3)
         (unit,) = CampaignSpec.parse(f"faults={embedded}").expand(scale="quick")
+        assert FaultPlan.parse(native) == plan
         assert cohort.faults.spec() == native
         assert FaultPlan.parse(unit.faults_spec).spec() == native
 

@@ -18,7 +18,8 @@ import pytest
 
 from repro.analysis.experiments import ExperimentScale
 from repro.camera.capture import CameraModel
-from repro.campaign.supervise import JournalTail, LeaseHealth, SupervisePolicy
+from repro.campaign import CampaignJournal, CampaignMaster, QueueState
+from repro.campaign.supervise import JournalTail, LeaseHealth, SupervisePolicy, lease_health
 from repro.core.pipeline import run_link
 from repro.faults import FaultPlan
 from repro.obs import Telemetry
@@ -340,6 +341,22 @@ class TestLiveByteIdentity:
         assert "engine.items_done" in names
         assert any(name.startswith("link.") for name in names)
 
+    def test_fast_campaign_records_unit_counts(self, tmp_path):
+        # Four quick units at two workers finish before the engine's first
+        # supervision tick, so the counts must come from the recording path.
+        collector = LiveCollector()
+        install_live(collector)
+        try:
+            CampaignMaster(
+                "parameter=tau:8,12|heal=on,off",
+                journal=CampaignJournal(tmp_path / "j.jsonl"),
+                scale="quick",
+                workers=2,
+            ).run()
+        finally:
+            install_live(None)
+        assert collector.series("campaign.units.done").latest() == 4.0
+
 
 def _journal_lines(now: float) -> list[str]:
     """A synthetic mid-flight campaign journal (one stuck, one live lease)."""
@@ -381,7 +398,14 @@ def _journal_lines(now: float) -> list[str]:
             "event": "heartbeat", "unit": "u1", "index": 1, "fence": 1,
             "seq": 99, "t": now,
         },
-        {"event": "done", "unit": "u2", "fence": 3, "result": {"index": 2}},
+        {
+            "event": "leased", "unit": "u2", "index": 2, "worker": "w1",
+            "fence": 3, "granted": now - 60.0, "expires": now + 540.0,
+        },
+        {
+            "event": "done", "unit": "u2", "fence": 3,
+            "result": {"index": 2, "key": "u2", "ok": True},
+        },
         {
             "event": "quarantined", "unit": "u3", "reclaims": 3, "deaths": 1,
             "error": "poison unit",
@@ -403,20 +427,20 @@ class TestWatchState:
         assert state.counts() == {
             "queued": 0, "leased": 2, "done": 1, "failed": 0, "quarantined": 1,
         }
-        assert [v.key for v in state.leased()] == ["u0", "u1"]
+        assert [e.key for e in state.queue.leases()] == ["u0", "u1"]
         assert not state.complete
 
     def test_stuck_lease_classified_within_policy_window(self):
         now = time.time()
         state = self._fed(now)
         policy = SupervisePolicy.resolve(heartbeat_s=1.0, stuck_after_s=4.0)
-        healths = {v.key: v.health(now, policy) for v in state.leased()}
+        healths = {e.key: lease_health(e, now, policy) for e in state.queue.leases()}
         assert healths["u0"] is LeaseHealth.LIVE
         assert healths["u1"] is LeaseHealth.STUCK
 
     def test_fenced_off_heartbeat_ignored(self):
         state = self._fed(time.time())
-        assert state.units["u1"].beat_seq == 0  # not the fence-1 seq 99
+        assert state.queue.units["u1"].heartbeat_seq == 0  # not the fence-1 seq 99
 
     def test_failed_respects_max_attempts(self):
         state = WatchState()
@@ -425,12 +449,12 @@ class TestWatchState:
             {"event": "failed", "unit": "u0", "fence": 1, "kind": "crash",
              "attempt": 1, "error": "boom"},
         ])
-        assert state.units["u0"].status == "queued"  # 1 < max_attempts=2
+        assert state.status(state.queue.units["u0"]) == "queued"  # 1 < max_attempts=2
         state.feed([
             {"event": "failed", "unit": "u0", "fence": 1, "kind": "crash",
              "attempt": 2, "error": "boom"},
         ])
-        assert state.units["u0"].status == "failed"
+        assert state.status(state.queue.units["u0"]) == "failed"
 
     def test_complete_on_drain_or_terminal_units(self):
         state = WatchState()
@@ -441,7 +465,55 @@ class TestWatchState:
     def test_unknown_events_ignored(self):
         state = WatchState()
         state.feed([{"event": "futuristic", "unit": "u9"}])
-        assert state.units == {}
+        assert state.queue.units == {}
+
+
+class TestWatchFoldsThroughTheQueue:
+    """The watcher's fold is the queue's: fence rules included."""
+
+    _HEADER = {"event": "campaign", "format": "repro.campaign/1", "spec": "s",
+               "scale": "quick", "seed": 1, "units": 1, "max_attempts": 3}
+
+    def test_fenced_off_done_is_not_counted(self):
+        result = {"index": 0, "key": "u0", "ok": True}
+        records = [
+            self._HEADER,
+            {"event": "queued", "unit": "u0", "index": 0},
+            {"event": "leased", "unit": "u0", "index": 0, "worker": "w1",
+             "fence": 1, "granted": 0.0, "expires": 600.0},
+            {"event": "reclaimed", "unit": "u0", "fence": 1, "reason": "stuck",
+             "t": 5.0},
+            {"event": "done", "unit": "u0", "fence": 1, "result": result},
+        ]
+        state = WatchState()
+        state.feed(records)
+        frame = render_frame(
+            state, LiveCollector(), now=10.0, policy=SupervisePolicy.resolve()
+        )
+        assert "queued=1 leased=0 done=0 failed=0 quarantined=0" in frame
+        assert not state.complete
+        assert state.queue.counts() == QueueState.from_journal(records).counts()
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"event": "leased", "unit": "ghost", "worker": "w1", "fence": 1,
+             "granted": 0.0, "expires": 600.0},
+            {"event": "done", "unit": "u0", "result": {"index": 0}},
+        ],
+        ids=["unknown-unit", "unreadable-result"],
+    )
+    def test_record_the_queue_rejects_is_skipped(self, record):
+        state = WatchState()
+        state.feed([self._HEADER, {"event": "queued", "unit": "u0", "index": 0}])
+        state.feed([record])
+        assert state.skipped == 1
+        assert list(state.queue.units) == ["u0"]
+        assert state.counts()["queued"] == 1
+        frame = render_frame(
+            state, LiveCollector(), now=0.0, policy=SupervisePolicy.resolve()
+        )
+        assert "1 torn/foreign lines skipped" in frame
 
 
 class TestSparkline:
@@ -518,7 +590,7 @@ class TestWatchTailUnderConcurrentAppends:
         tail = JournalTail(path)
         state = WatchState()
         state.feed(tail.poll())
-        assert len(state.units) == 2  # u2's queued line is still torn
+        assert len(state.queue.units) == 2  # u2's queued line is still torn
         # The writer finishes the line and keeps appending.
         with open(path, "a", encoding="utf-8") as handle:
             rest = (lines[4] + "\n")[len(self._torn(lines[4] + "\n")):]
@@ -526,7 +598,7 @@ class TestWatchTailUnderConcurrentAppends:
             for line in lines[5:]:
                 handle.write(line + "\n")
         state.feed(tail.poll())
-        assert len(state.units) == 4
+        assert len(state.queue.units) == 4
         assert state.counts()["quarantined"] == 1
         assert tail.skipped == 0
 
@@ -549,8 +621,8 @@ class TestWatchTailUnderConcurrentAppends:
         state = WatchState()
         state.feed(tail.poll())
         assert tail.skipped == 1
-        assert len(state.units) == 4
-        assert state.units["u0"].beat_seq == 2  # the torn beat never landed
+        assert len(state.queue.units) == 4
+        assert state.queue.units["u0"].heartbeat_seq == 2  # the torn beat never landed
 
     def test_watch_once_cli_renders_and_exports(self, tmp_path, capsys):
         now = time.time()
