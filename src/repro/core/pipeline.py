@@ -1,28 +1,36 @@
 """End-to-end API: sender, receiver, and the one-call link runners.
 
 :class:`InFrameSender` wires a video source and a data schedule into a
-playable display timeline; :class:`InFrameReceiver` wires the decoder and
-payload assembler for a camera; :func:`run_link` runs the whole loop --
-multiplex, display, capture, decode, score -- and returns Figure-7 style
-statistics.  :func:`run_transport_link` layers :mod:`repro.transport` on
-top: the payload travels as self-describing packets (plain sequential,
-rateless fountain, NACK-driven ARQ, or a broadcast carousel), and the
-receiver bootstraps from packet headers alone -- no out-of-band
-:class:`FramingPlan`.  This is the surface the examples, tools and
-benchmarks use.
+playable display timeline; :class:`InFrameReceiver` is the receive chain
+link runs and fleet receivers share; :func:`run_link` runs the whole
+loop -- multiplex, display, capture, decode, score -- and returns
+Figure-7 style statistics.  :func:`run_transport_link` layers
+:mod:`repro.transport` on top: the payload travels as self-describing
+packets (plain sequential, rateless fountain, NACK-driven ARQ, or a
+broadcast carousel), and the receiver bootstraps from packet headers
+alone -- no out-of-band :class:`FramingPlan`.  This is the surface the
+examples, tools and benchmarks use.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, replace as dataclass_replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.camera.capture import CameraModel, CapturedFrame
+from repro.camera.capture import CameraModel, CapturedFrame, TimelineLike
 from repro.core.config import InFrameConfig
-from repro.core.decoder import DecodedDataFrame, InFrameDecoder
+from repro.core.decoder import (
+    BlockObservation,
+    DecodedDataFrame,
+    InFrameDecoder,
+    record_decode_telemetry,
+    record_healing_telemetry,
+    record_observation_telemetry,
+)
 from repro.core.framing import (
     FramingPlan,
     PayloadAssembler,
@@ -37,14 +45,41 @@ from repro.display.scheduler import DisplayTimeline
 from repro.obs import RunTelemetry, SpanTracer, Telemetry, stage_totals
 from repro.obs.live import live_collector
 from repro.obs.metrics import WORK
-from repro.runtime.link_exec import CaptureSource, execute_link_captures
+from repro.runtime.link_exec import execute_link_captures
 from repro.runtime.profiler import LINK_STAGES, RuntimeReport
+from repro.runtime.scheduler import spawn_rng
 from repro.video.source import VideoSource
 
 if TYPE_CHECKING:  # imported lazily at run time to keep layering acyclic
     from repro.core.decoder import HealingReport
-    from repro.faults.plan import FaultPlan
+    from repro.faults.inject import FaultInjectedCamera
+    from repro.faults.plan import CompiledFaults, FaultPlan
     from repro.faults.report import DegradationReport, InjectionLog
+
+
+def matched_panel(
+    config: InFrameConfig, video: VideoSource, panel: DisplayPanel | None = None
+) -> DisplayPanel:
+    """*panel*, or by default a panel of the video's size at ``config.refresh_hz``.
+
+    Raises ValueError when *panel* differs from the video in size or from
+    the config in refresh rate.
+    """
+    if panel is None:
+        return DisplayPanel(
+            width=video.width, height=video.height, refresh_hz=config.refresh_hz
+        )
+    if (panel.height, panel.width) != (video.height, video.width):
+        raise ValueError(
+            f"panel {panel.height}x{panel.width} does not match video "
+            f"{video.height}x{video.width}"
+        )
+    if abs(panel.refresh_hz - config.refresh_hz) > 1e-9:
+        raise ValueError(
+            f"panel refresh {panel.refresh_hz} does not match config "
+            f"refresh_hz {config.refresh_hz}"
+        )
+    return panel
 
 
 class InFrameSender:
@@ -60,8 +95,8 @@ class InFrameSender:
     schedule:
         Data supplier; defaults to the paper's pseudo-random generator.
     panel:
-        The display; defaults to the paper's 120 Hz panel at the video's
-        resolution.
+        The display; defaults to a panel of the video's size at
+        ``config.refresh_hz`` (see :func:`matched_panel`).
     """
 
     def __init__(
@@ -71,26 +106,12 @@ class InFrameSender:
         schedule: DataFrameSchedule | None = None,
         panel: DisplayPanel | None = None,
     ) -> None:
-        if panel is None:
-            panel = DisplayPanel(
-                width=video.width, height=video.height, refresh_hz=config.refresh_hz
-            )
-        if (panel.height, panel.width) != (video.height, video.width):
-            raise ValueError(
-                f"panel {panel.height}x{panel.width} does not match video "
-                f"{video.height}x{video.width}"
-            )
-        if abs(panel.refresh_hz - config.refresh_hz) > 1e-9:
-            raise ValueError(
-                f"panel refresh {panel.refresh_hz} does not match config "
-                f"refresh_hz {config.refresh_hz}"
-            )
         self.config = config
         self.video = video
-        self.panel = panel
+        self.panel = matched_panel(config, video, panel)
         self.schedule = schedule if schedule is not None else PseudoRandomSchedule(config)
         self.stream = MultiplexedStream(
-            config, video, self.schedule, gamma_curve=panel.gamma_curve
+            config, video, self.schedule, gamma_curve=self.panel.gamma_curve
         )
 
     @property
@@ -109,8 +130,23 @@ class InFrameSender:
         return None
 
 
+@dataclass(frozen=True)
+class Reception:
+    """A stream as :meth:`InFrameReceiver.decide` left it (captures after stream faults)."""
+
+    decoded: list[DecodedDataFrame]
+    captures: list[CapturedFrame]
+    healing: HealingReport | None
+    injected: InjectionLog | None
+
+
 class InFrameReceiver:
-    """Receiver: decodes captures and (optionally) reassembles payloads."""
+    """Receiver: films, decodes and (optionally) reassembles payloads.
+
+    :meth:`capture` and :meth:`decide` are the one receive chain.  A link
+    run calls :meth:`capture` once per chunk of its capture range and
+    :meth:`decide` once; a fleet receiver calls each once.
+    """
 
     def __init__(
         self,
@@ -131,9 +167,92 @@ class InFrameReceiver:
         )
         self.plan = plan
 
-    def decode(self, captures: list[CapturedFrame]) -> list[DecodedDataFrame]:
-        """Decode captured frames into data-frame verdicts."""
-        return self.decoder.decode(captures)
+    def compile_faults(
+        self, faults: FaultPlan | None, n_captures: int, duration_s: float, origin_s: float = 0.0
+    ) -> CompiledFaults | None:
+        """*faults* compiled for this camera's captures; None without a plan.
+
+        See :meth:`~repro.faults.FaultPlan.compile`: the ``at`` fractions
+        span *duration_s* from the first capture at *origin_s*.
+        """
+        if faults is None:
+            return None
+        return faults.compile(
+            n_captures, self.camera.fps, duration_s, self.config.refresh_hz, origin_s
+        )
+
+    def capture(  # checks: worker-scope
+        self,
+        timeline: TimelineLike,
+        indices: Iterable[int],
+        seed: int,
+        key: tuple[int, ...],
+        tracer: SpanTracer,
+        *,
+        faults: CompiledFaults | None = None,
+        keep: bool = True,
+        telemetry: Telemetry | None = None,
+    ) -> tuple[list[CapturedFrame], list[BlockObservation]]:
+        """Film and observe camera frames *indices* of *timeline*.
+
+        Frame ``i`` draws its noise from ``spawn_rng(seed, *key, i)`` and
+        runs in a ``render`` and an ``observe`` span on *tracer*;
+        *telemetry*, when given, also takes its Block noise evidence.  The
+        camera films through *faults*' clock and pixel faults.  The
+        captures come back when *keep* is set or a stream fault needs
+        them, and as an empty list otherwise.
+        """
+        source: CameraModel | FaultInjectedCamera = self.camera
+        if faults is not None and faults.perturbs_captures:
+            from repro.faults import inject
+
+            source = inject.FaultInjectedCamera(self.camera, faults)
+        keep = keep or (faults is not None and faults.perturbs_stream)
+        captures: list[CapturedFrame] = []
+        observations: list[BlockObservation] = []
+        for i in indices:
+            rng = spawn_rng(seed, *key, i)
+            with tracer.span("render", capture=i):
+                capture = source.capture_frame(timeline, i, rng=rng)
+            with tracer.span("observe", capture=i):
+                observation = self.decoder.observe(capture)
+            if telemetry is not None:
+                record_observation_telemetry(observation, telemetry)
+            if keep:
+                captures.append(capture)
+            observations.append(observation)
+        return captures, observations
+
+    def decide(  # checks: worker-scope
+        self,
+        captures: list[CapturedFrame],
+        observations: list[BlockObservation],
+        tracer: SpanTracer,
+        *,
+        faults: CompiledFaults | None = None,
+        heal: bool = False,
+    ) -> Reception:
+        """Decide data frames from the observations :meth:`capture` made.
+
+        *faults*' stream faults (drop, duplicate, reorder) first act on
+        the kept captures; :meth:`capture` keeps them whenever a stream
+        fault is active.  The decision runs in a ``decide`` span on
+        *tracer*, through the self-healing decoder when *heal* is set.
+        """
+        injected: InjectionLog | None = None
+        if faults is not None and captures:
+            from repro.faults import inject
+
+            captures, observations, injected = inject.apply_stream_faults(
+                faults, captures, observations
+            )
+        healing: HealingReport | None = None
+        with tracer.span("decide"):
+            if heal:
+                decoded, healing = self.decoder.decide_observations_healed(observations)
+            else:
+                decoded = self.decoder.decide_observations(observations)
+        return Reception(decoded, captures, healing, injected)
 
     def assemble_payload(self, decoded: list[DecodedDataFrame]) -> bytes:
         """Reassemble the payload carried by the decoded frames.
@@ -223,8 +342,7 @@ def run_link(
     sender = InFrameSender(config, video, schedule=schedule, panel=panel)
     timeline = sender.timeline()
     if camera is None:
-        peak = sender.panel.gamma_curve.peak_luminance * sender.panel.brightness
-        camera = CameraModel().auto_exposed(peak)
+        camera = CameraModel().auto_exposed(sender.panel.peak_luminance)
     receiver = InFrameReceiver(config, sender.geometry, camera, plan=sender.plan())
     max_frames = camera.frames_covering(timeline)
     if max_frames < 1:
@@ -232,53 +350,23 @@ def run_link(
     if n_camera_frames is None:
         n_camera_frames = max_frames
     n_camera_frames = min(n_camera_frames, max_frames)
-    compiled = None
-    if faults is not None:
-        compiled = faults.compile(
-            n_captures=n_camera_frames,
-            fps=camera.fps,
-            duration_s=video.duration_s,
-            refresh_hz=config.refresh_hz,
-        )
-    exec_camera: CaptureSource = camera
-    if compiled is not None and compiled.perturbs_captures:
-        from repro.faults.inject import FaultInjectedCamera
-
-        exec_camera = FaultInjectedCamera(camera, compiled)
-    telemetry = Telemetry(track="main") if collect_telemetry else None
+    compiled = receiver.compile_faults(faults, n_camera_frames, video.duration_s)
+    telemetry = Telemetry(track="main")
     live = live_collector()
-    if telemetry is not None and live is not None:
+    if collect_telemetry and live is not None:
         # The installed LiveCollector samples this run's registry at its
         # snapshot cadence (read-only: the exact-merge contract holds).
         live.attach(telemetry.metrics, prefix="link.")
     execution = execute_link_captures(
-        timeline,
-        exec_camera,
-        receiver.decoder,
-        n_camera_frames,
-        seed,
-        workers=workers,
-        telemetry=telemetry,
+        timeline, receiver, n_camera_frames, seed, telemetry,
+        workers=workers, faults=compiled, collect_telemetry=collect_telemetry,
     )
-    captures = execution.captures
-    observations = execution.observations
-    injected: InjectionLog | None = None
-    if compiled is not None:
-        from repro.faults.inject import apply_stream_faults
-
-        captures, observations, injected = apply_stream_faults(
-            compiled, captures, observations
-        )
     heal_on = heal if heal is not None else compiled is not None
-    healing: HealingReport | None = None
-    tracer = execution.tracer
-    with tracer.span("decide"):
-        if heal_on:
-            decoded_all, healing = receiver.decoder.decide_observations_healed(
-                observations
-            )
-        else:
-            decoded_all = receiver.decoder.decide_observations(observations)
+    reception = receiver.decide(
+        execution.captures, execution.observations, telemetry.tracer,
+        faults=compiled, heal=heal_on,
+    )
+    captures = reception.captures
     # Score only fully covered data frames: drop the warmup frames, whose
     # cycles the captures only partly cover, and the tail frame whose cycle
     # the capture window may have clipped.
@@ -286,50 +374,51 @@ def run_link(
         np.floor(captures[-1].mid_exposure_s * config.refresh_hz / config.tau)
     )
     decoded = [
-        d for d in decoded_all if _WARMUP_DATA_FRAMES <= d.index < last_complete
+        d for d in reception.decoded if _WARMUP_DATA_FRAMES <= d.index < last_complete
     ]
     if not decoded:
         raise ValueError("no fully covered data frames; lengthen the video")
-    with tracer.span("score"):
+    with telemetry.tracer.span("score"):
         truths = [sender.stream.ground_truth(d.index) for d in decoded]
         stats = summarize_link(truths, decoded, config)
+    exec_stats = execution.stats
     run_telemetry: RunTelemetry | None = None
-    if telemetry is not None:
-        from repro.core.decoder import record_decode_telemetry, record_healing_telemetry
-
-        record_decode_telemetry(decoded_all, telemetry)
-        if healing is not None:
-            record_healing_telemetry(healing, telemetry)
-        if injected is not None:
+    if collect_telemetry:
+        record_decode_telemetry(reception.decoded, telemetry)
+        if reception.healing is not None:
+            record_healing_telemetry(reception.healing, telemetry)
+        if reception.injected is not None:
             from repro.faults.report import record_injection_telemetry
 
-            record_injection_telemetry(injected, telemetry)
+            record_injection_telemetry(reception.injected, telemetry)
         run_telemetry = telemetry.finish(
             meta={
                 "run": "link",
                 "seed": seed,
                 "frames": len(captures),
-                "workers": execution.workers,
-                "mode": execution.mode,
+                "workers": exec_stats.workers,
+                "mode": exec_stats.mode,
             }
         )
     report = RuntimeReport(
-        mode=execution.mode,
-        workers=execution.workers,
+        mode=exec_stats.mode,
+        workers=exec_stats.workers,
         chunks=execution.chunks,
         frames=len(captures),
         bits=stats.n_data_frames * config.bits_per_frame,
         elapsed_s=time.perf_counter() - wall0,
-        retries=execution.retries,
-        stages=stage_totals(s for s in tracer.records if s.name in LINK_STAGES),
-        crashed_chunks=execution.crashed_chunks,
-        serial_fallback=execution.serial_fallback,
+        retries=exec_stats.retries,
+        stages=stage_totals(s for s in telemetry.tracer.records if s.name in LINK_STAGES),
+        crashed_chunks=tuple(exec_stats.crashed_items),
+        serial_fallback=exec_stats.mode == "serial-fallback",
     )
     degradation: DegradationReport | None = None
     if compiled is not None or heal_on:
         from repro.faults.report import DegradationReport as _DegradationReport
 
-        degradation = _DegradationReport(injected=injected, healing=healing)
+        degradation = _DegradationReport(
+            injected=reception.injected, healing=reception.healing
+        )
     return LinkRun(
         stats=stats,
         decoded=decoded,

@@ -67,6 +67,11 @@ class DisplayPanel:
         return 1.0 / self.refresh_hz
 
     @property
+    def peak_luminance(self) -> float:
+        """Luminance (cd/m^2) of full white at this backlight brightness."""
+        return self.gamma_curve.peak_luminance * self.brightness
+
+    @property
     def pixel_pitch_mm(self) -> float:
         """Physical size of one pixel in millimetres."""
         diagonal_mm = self.diagonal_inches * 25.4

@@ -39,27 +39,14 @@ from repro.faults.report import InjectionLog
 class FaultInjectedCamera:
     """A camera whose clock and optics misbehave per a compiled plan.
 
-    Duck-types the slice of :class:`~repro.camera.capture.CameraModel`
-    the runtime workers use (``capture_frame`` plus the geometry
-    attributes).  The returned frames carry the *nominal* timestamps --
-    the injected time offset is invisible to the receiver, which is the
-    whole point.
+    Duck-types the one :class:`~repro.camera.capture.CameraModel` call
+    the receive chain makes (``capture_frame``).  The returned frames
+    carry the *nominal* timestamps -- the injected time offset is
+    invisible to the receiver, which is the whole point.
     """
 
     camera: CameraModel
     compiled: CompiledFaults
-
-    @property
-    def height(self) -> int:
-        return self.camera.height
-
-    @property
-    def width(self) -> int:
-        return self.camera.width
-
-    @property
-    def fps(self) -> float:
-        return self.camera.fps
 
     def capture_frame(
         self,
@@ -95,7 +82,7 @@ def apply_stream_faults(
     """Drop, duplicate and reorder the ordered capture stream.
 
     *captures* and *observations* must be index-aligned (as produced by
-    :func:`repro.runtime.link_exec.execute_link_captures`).  Returns the
+    :meth:`repro.core.pipeline.InFrameReceiver.capture`).  Returns the
     faulted stream plus the :class:`InjectionLog` accounting every event
     that actually landed inside the stream.
 

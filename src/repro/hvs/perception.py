@@ -72,7 +72,7 @@ def perception_artifacts(
         )
     error = np.abs(perceived.astype(np.float64) - reference.astype(np.float64))
     local = np.maximum(reference.astype(np.float64), 1e-3)
-    peak = timeline.panel.gamma_curve.peak_luminance * timeline.panel.brightness
+    peak = timeline.panel.peak_luminance
     mse = float(np.mean(error**2))
     psnr = float("inf") if mse == 0 else 10.0 * np.log10(peak**2 / mse)
     return {

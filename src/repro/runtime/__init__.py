@@ -12,8 +12,8 @@ bit:
   reach workers by fork inheritance and results return pickled;
 * :mod:`~repro.runtime.profiler` -- the :class:`RuntimeReport`
   (frames/sec, bits/sec, and the stage breakdown rolled up from spans);
-* :mod:`~repro.runtime.link_exec` -- the capture+observe job that
-  ``run_link(..., workers=N)`` dispatches.
+* :mod:`~repro.runtime.link_exec` -- the one chunk fan-out, and the
+  capture+observe job ``run_link(..., workers=N)`` runs through it.
 
 See ``docs/runtime.md`` for the design.
 """

@@ -1,58 +1,86 @@
 """The photon pipeline on the execution engine.
 
-One work item is a :class:`~repro.runtime.scheduler.WorkChunk` of camera
-frame indices.  A worker renders each capture from the display timeline
-(with the capture's own spawn-keyed RNG), extracts the decoder's noise
-observation, and returns the captures, observations and its stage spans
-through the pool's result queue.  The parent drains chunks as they
-complete and reassembles the ordered capture/observation lists --
-bit-identical to serial execution, because no randomness is shared
-across captures (see ``docs/runtime.md`` for the contract).
+:func:`map_chunks` is the one fan-out: it maps a worker function over
+contiguous, seed-stamped :class:`~repro.runtime.scheduler.WorkChunk`
+units on an :class:`~repro.runtime.engine.ExecutionEngine` and folds
+each chunk's telemetry export in as the chunk drains.  A link run's
+chunks are capture ranges (:func:`execute_link_captures`), a fleet's
+are receivers (``repro.serve.fanout.run_fleet``).
 
-Chunks are contiguous so each worker's timeline cache stays warm: one
-capture integrates a handful of consecutive display frames, and
-consecutive captures overlap only at chunk boundaries.
+A link worker films and observes its captures through
+:meth:`~repro.core.pipeline.InFrameReceiver.capture`, each on its own
+spawn-keyed RNG, and returns them with its stage spans through the
+pool's result queue.  Concatenated in chunk order they are the ordered
+stream -- bit-identical to serial execution, because no randomness is
+shared across captures (see ``docs/runtime.md`` for the contract).
+Chunks are contiguous so each worker's timeline cache stays warm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
-from repro.camera.capture import CapturedFrame, TimelineLike
+from repro.camera.capture import CapturedFrame
 from repro.display.scheduler import DisplayTimeline
-from repro.obs import SpanTracer, Telemetry
+from repro.obs import Telemetry
 from repro.obs.telemetry import TelemetryDict
 from repro.obs.trace import EXEC
-from repro.runtime.engine import ExecutionEngine
+from repro.runtime.engine import EngineStats, ExecutionEngine, ResultFn, WorkFn
 from repro.runtime.scheduler import WorkChunk, plan_chunks
 
 if TYPE_CHECKING:  # imported lazily to keep repro.runtime free of repro.core
-    from repro.core.decoder import BlockObservation, InFrameDecoder
+    from repro.core.decoder import BlockObservation
+    from repro.core.pipeline import InFrameReceiver
+    from repro.faults.plan import CompiledFaults
 
 
-class CaptureSource(Protocol):
-    """The camera-shaped surface the capture workers drive.
+@dataclass(frozen=True)
+class ChunkMap:
+    """One fan-out's chunk results in plan order, and what it cost."""
 
-    Satisfied by :class:`~repro.camera.capture.CameraModel` and by
-    wrappers that perturb it (``repro.faults.FaultInjectedCamera``); the
-    runtime layer only needs the sensor geometry and the render call.
+    results: list[Any]
+    chunks: int
+    stats: EngineStats
+
+
+def map_chunks(
+    func: WorkFn,
+    n_items: int,
+    context: object,
+    seed: int,
+    workers: int | None,
+    telemetry: Telemetry,
+    on_result: ResultFn | None = None,
+) -> ChunkMap:
+    """Map ``func(chunk, context)`` over contiguous chunks of ``range(n_items)``.
+
+    ``workers in (None, 0, 1)`` runs one chunk in-process; otherwise the
+    engine gets two chunks per worker, or one when it cannot build a
+    pool.  Two per worker leave slack for stragglers, and every extra
+    chunk pays a cold timeline cache again.  Each result's ``telemetry``
+    export folds into *telemetry*, in an exec-scoped ``transfer`` span,
+    before *on_result* sees it; the plan and the engine's accounting
+    land in ``exec.*`` counters.
     """
+    engine = ExecutionEngine(workers=workers or 1, telemetry=telemetry)
+    chunks = plan_chunks(
+        n_items, n_chunks=2 * engine.workers if engine.parallel else 1, seed=seed
+    )
 
-    @property
-    def height(self) -> int: ...
+    def drain(index: int, result: Any) -> None:
+        with telemetry.tracer.span("transfer", category=EXEC):
+            telemetry.merge_export(result.telemetry)
+        if on_result is not None:
+            on_result(index, result)
 
-    @property
-    def width(self) -> int: ...
-
-    def capture_frame(
-        self,
-        timeline: TimelineLike,
-        index: int,
-        rng: np.random.Generator | None = None,
-    ) -> CapturedFrame: ...
+    results = engine.map(func, chunks, context=context, on_result=drain)
+    stats, metrics = engine.stats, telemetry.metrics
+    metrics.counter("exec.chunks", scope=EXEC).inc(len(chunks))
+    metrics.counter("exec.retries", scope=EXEC).inc(stats.retries)
+    metrics.counter("exec.crashes", scope=EXEC).inc(stats.crashes)
+    metrics.counter("exec.serial_items", scope=EXEC).inc(stats.serial_items)
+    return ChunkMap(results=results, chunks=len(chunks), stats=stats)
 
 
 @dataclass(frozen=True)
@@ -60,132 +88,63 @@ class _LinkContext:
     """Everything a worker needs; inherited whole under a forked pool."""
 
     timeline: DisplayTimeline
-    camera: CaptureSource
-    decoder: InFrameDecoder
-    collect_telemetry: bool = True
+    receiver: InFrameReceiver
+    faults: CompiledFaults | None
+    collect_telemetry: bool
 
 
 @dataclass(frozen=True)
 class _ChunkResult:
-    captures: tuple[CapturedFrame, ...]
-    observations: tuple[BlockObservation, ...]
+    captures: list[CapturedFrame]
+    observations: list[BlockObservation]
     telemetry: TelemetryDict  # the chunk's spans, plus metrics when collected
 
 
 @dataclass(frozen=True)
 class LinkExecution:
-    """Ordered outputs of the capture+observe stages, plus accounting.
-
-    ``tracer`` holds every stage span of the run so far (the caller's
-    telemetry tracer when one was given); the caller adds its own stages
-    and rolls them up into ``RuntimeReport.stages``.
-    """
+    """Ordered outputs of the capture+observe stages, and what they cost."""
 
     captures: list[CapturedFrame]
     observations: list[BlockObservation]
-    mode: str
-    workers: int
     chunks: int
-    retries: int
-    tracer: SpanTracer
-    crashed_chunks: tuple[int, ...] = ()
-    serial_fallback: bool = False
+    stats: EngineStats
 
 
-def _capture_chunk(chunk: WorkChunk, ctx: _LinkContext) -> _ChunkResult:
-    """Render, film and observe every capture of one chunk (worker side)."""
-    from repro.core.decoder import record_observation_telemetry
-
+def _capture_chunk(chunk: WorkChunk, ctx: _LinkContext) -> _ChunkResult:  # checks: worker-scope
+    """Film and observe every capture of one chunk (worker side)."""
     # A deterministic track name from the chunk plan keeps (track,
     # span_id) unique after the parent merges all chunk exports.
     telemetry = Telemetry(track=f"chunk-{chunk.index:03d}")
-    tracer = telemetry.tracer
-    captures = []
-    observations = []
-    for index in chunk.items:
-        rng = chunk.item_rng(index)
-        with tracer.span("render", capture=index):
-            capture = ctx.camera.capture_frame(ctx.timeline, index, rng=rng)
-        with tracer.span("observe", capture=index):
-            observation = ctx.decoder.observe(capture)
-        if ctx.collect_telemetry:
-            record_observation_telemetry(observation, telemetry)
-        captures.append(capture)
-        observations.append(observation)
-    return _ChunkResult(
-        captures=tuple(captures),
-        observations=tuple(observations),
-        telemetry=telemetry.export(),
+    captures, observations = ctx.receiver.capture(
+        ctx.timeline, chunk.items, chunk.seed, (), telemetry.tracer, faults=ctx.faults,
+        telemetry=telemetry if ctx.collect_telemetry else None,
     )
+    return _ChunkResult(captures, observations, telemetry.export())
 
 
 def execute_link_captures(
     timeline: DisplayTimeline,
-    camera: CaptureSource,
-    decoder: InFrameDecoder,
+    receiver: InFrameReceiver,
     n_frames: int,
     seed: int,
+    telemetry: Telemetry,
     workers: int | None = None,
-    telemetry: Telemetry | None = None,
+    faults: CompiledFaults | None = None,
+    collect_telemetry: bool = True,
 ) -> LinkExecution:
-    """Run capture + observe for *n_frames* camera frames, possibly in parallel.
+    """Film and observe *n_frames* camera frames, possibly in parallel.
 
-    ``workers in (None, 0, 1)`` executes in-process (no pool) but on the
-    same per-capture RNG streams and the same code path, so the results
-    are identical either way.
-
+    Capture ``i`` draws from ``spawn_rng(seed, i)`` on whichever process
+    runs it, so in-process and pooled runs give identical results.
     Workers always record ``render``/``observe`` spans on ``chunk-NNN``
-    tracks, folded into ``LinkExecution.tracer`` as chunks drain; the
-    parent times each drain as ``transfer``.  When *telemetry* is given,
-    that tracer is its own, workers also collect per-capture metrics, and
-    scheduling accounting lands in exec-scoped metrics on the parent side.
+    tracks, folded into *telemetry* as chunks drain; with
+    *collect_telemetry* they also record per-capture metrics.
     """
-    serial = workers is None or int(workers) <= 1
-    engine = ExecutionEngine(workers=1 if serial else int(workers), telemetry=telemetry)
-    if serial or not engine.parallel:
-        chunks = plan_chunks(n_frames, n_chunks=1, seed=seed)
-    else:
-        # Two chunks per worker: capture cost is homogeneous, so near-equal
-        # chunks already balance load, and every extra chunk pays a cold
-        # timeline cache (the LC-state warmup plus a few display-frame
-        # renders) again.
-        chunks = plan_chunks(n_frames, n_chunks=engine.workers * 2, seed=seed)
-    ctx = _LinkContext(
-        timeline=timeline,
-        camera=camera,
-        decoder=decoder,
-        collect_telemetry=telemetry is not None,
-    )
-    # Chunk exports fold into a throwaway collector when the caller takes
-    # no telemetry: their spans are still the run's stage timings.
-    sink = telemetry if telemetry is not None else Telemetry(track="main")
-    by_index: dict[int, tuple[CapturedFrame, BlockObservation]] = {}
-    if telemetry is not None:
-        telemetry.metrics.counter("exec.chunks", scope=EXEC).inc(len(chunks))
-
-    def drain(_i: int, result: _ChunkResult) -> None:
-        sink.merge_export(result.telemetry)
-        with sink.tracer.span("transfer", category=EXEC):
-            for capture, observation in zip(result.captures, result.observations):
-                by_index[capture.index] = (capture, observation)
-
-    engine.map(_capture_chunk, chunks, context=ctx, on_result=drain)
-    if telemetry is not None:
-        stats = engine.stats
-        telemetry.metrics.counter("exec.retries", scope=EXEC).inc(stats.retries)
-        telemetry.metrics.counter("exec.crashes", scope=EXEC).inc(stats.crashes)
-        telemetry.metrics.counter("exec.serial_items", scope=EXEC).inc(
-            stats.serial_items
-        )
-    ordered = [by_index[i] for i in sorted(by_index)]
+    context = _LinkContext(timeline, receiver, faults, collect_telemetry)
+    fanout = map_chunks(_capture_chunk, n_frames, context, seed, workers, telemetry)
     return LinkExecution(
-        captures=[pair[0] for pair in ordered],
-        observations=[pair[1] for pair in ordered],
-        mode=engine.stats.mode,
-        workers=engine.workers,
-        chunks=len(chunks),
-        retries=engine.stats.retries,
-        tracer=sink.tracer,
-        crashed_chunks=tuple(engine.stats.crashed_items),
-        serial_fallback=engine.stats.mode == "serial-fallback",
+        captures=[c for result in fanout.results for c in result.captures],
+        observations=[o for result in fanout.results for o in result.observations],
+        chunks=fanout.chunks,
+        stats=fanout.stats,
     )

@@ -5,7 +5,8 @@ scheduled: every camera capture renders, films and measures independently
 of every other.  The scheduler splits an index range into contiguous
 :class:`WorkChunk` units -- contiguous so each worker's display-frame
 cache stays warm (consecutive captures share the display frames at their
-boundary) -- and stamps every *item* with its own RNG stream.
+boundary) -- and stamps every chunk with the run seed its items' RNG
+streams spawn from.
 
 Determinism contract
 --------------------
@@ -59,12 +60,6 @@ class WorkChunk:
     def items(self) -> range:
         """The item indices this chunk covers."""
         return range(self.start, self.stop)
-
-    def item_rng(self, item: int) -> np.random.Generator:  # checks: worker-scope
-        """The spawned generator for *item* (must lie inside the chunk)."""
-        if item not in self.items:
-            raise ValueError(f"item {item} outside chunk [{self.start}, {self.stop})")
-        return spawn_rng(self.seed, item)
 
 
 def spawn_rng(seed: int, *key: int) -> np.random.Generator:  # checks: worker-scope

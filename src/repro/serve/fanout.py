@@ -6,9 +6,11 @@ fan-out renders nothing per receiver.  The session's memoized timeline
 (warmed over one carousel cycle) travels to the workers through fork
 inheritance, its dict of fields shared copy-on-write, so a receiver's
 captures are pure cache hits.  Per receiver the worker still pays for
-what genuinely differs: the rolling-shutter blend at its own
-clock/exposure, sensor noise on its own RNG stream, decode, and the
-carousel collect.
+what genuinely differs: the link's receive chain
+(:meth:`~repro.core.pipeline.InFrameReceiver.capture` and ``decide``:
+the rolling-shutter blend at its own clock/exposure, sensor noise on its
+own RNG stream, decode) and the carousel collect.  Receivers fan out
+through the link's chunk map, :func:`repro.runtime.link_exec.map_chunks`.
 
 Determinism contract
 --------------------
@@ -26,17 +28,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.camera.capture import CameraModel, CapturedFrame
-from repro.core.decoder import BlockObservation
+from repro.camera.capture import CameraModel
 from repro.core.pipeline import InFrameReceiver
 from repro.display.scheduler import MemoizedTimeline
-from repro.faults.inject import FaultInjectedCamera, apply_stream_faults
 from repro.obs import RunTelemetry, Telemetry
 from repro.obs.live import live_collector, record_live
 from repro.obs.metrics import EXEC
 from repro.obs.telemetry import TelemetryDict
-from repro.runtime.engine import ExecutionEngine
-from repro.runtime.scheduler import WorkChunk, plan_chunks, spawn_rng
+from repro.runtime.link_exec import map_chunks
+from repro.runtime.scheduler import WorkChunk
 from repro.serve.cohort import CohortSpec, ReceiverSpec, compile_receivers
 from repro.serve.report import (
     FleetReport,
@@ -94,38 +94,21 @@ def _simulate_receiver(
             goodput_kbps=None,
         )
 
-    compiled = None
-    if spec.faults is not None:
-        compiled = spec.faults.compile(
-            n_captures,
-            camera.fps,
-            duration_s=n_captures / camera.fps,
-            refresh_hz=config.refresh_hz,
-            origin_s=spec.join_s,
-        )
-    source = (
-        FaultInjectedCamera(camera, compiled)
-        if compiled is not None and compiled.perturbs_captures
-        else camera
+    # The link's receive chain on this receiver's own noise streams.  No
+    # capture is kept unless a stream fault needs it.
+    phy = InFrameReceiver(config, session.geometry, camera)
+    faults = phy.compile_faults(
+        spec.faults, n_captures, n_captures / camera.fps, origin_s=spec.join_s
     )
-    decoder = InFrameReceiver(config, session.geometry, camera).decoder
-    captures: list[CapturedFrame] = []
-    observations: list[BlockObservation] = []
-    for i in range(n_captures):
-        rng = spawn_rng(ctx.seed, _KEY_RECEIVER, spec.receiver_id, i)
-        capture = source.capture_frame(ctx.timeline, i, rng=rng)
-        observations.append(decoder.observe(capture))
-        if compiled is not None and compiled.perturbs_stream:
-            captures.append(capture)
-    if compiled is not None and compiled.perturbs_stream:
-        _, observations, _ = apply_stream_faults(compiled, captures, observations)
-
-    resyncs = 0
-    if spec.heal:
-        decoded, healing = decoder.decide_observations_healed(observations)
-        resyncs = healing.n_resyncs
-    else:
-        decoded = decoder.decide_observations(observations)
+    captures, observations = phy.capture(
+        ctx.timeline, range(n_captures), ctx.seed, (_KEY_RECEIVER, spec.receiver_id),
+        telemetry.tracer, faults=faults, keep=False,
+    )
+    reception = phy.decide(
+        captures, observations, telemetry.tracer, faults=faults, heal=spec.heal
+    )
+    decoded = reception.decoded
+    resyncs = reception.healing.n_resyncs if reception.healing is not None else 0
 
     # Collect the carousel incrementally: each decoded data frame merges
     # into its cycle slot, and a slot is delivered the moment it becomes
@@ -191,28 +174,27 @@ class _ChunkOutput:
     results: tuple[ReceiverResult, ...]
     telemetry: TelemetryDict
     cache_hits: int
-    cache_misses: int
 
 
-def _simulate_fleet_chunk(chunk: WorkChunk, ctx: _FleetContext) -> _ChunkOutput:
+def _simulate_fleet_chunk(  # checks: worker-scope
+    chunk: WorkChunk, ctx: _FleetContext
+) -> _ChunkOutput:
     """Worker entry: simulate one chunk of receivers against the shared timeline."""
     telemetry = Telemetry(track=f"fleet-{chunk.index:03d}")
     hits0, misses0 = ctx.timeline.hits, ctx.timeline.misses
-    results = []
     with telemetry.tracer.span(
         "serve.fleet_chunk", category=EXEC, receivers=len(chunk)
     ):
-        for item in chunk.items:
-            results.append(_simulate_receiver(ctx.specs[item], ctx, telemetry))
+        results = tuple(
+            _simulate_receiver(ctx.specs[item], ctx, telemetry) for item in chunk.items
+        )
     cache_hits = ctx.timeline.hits - hits0
-    cache_misses = ctx.timeline.misses - misses0
     telemetry.metrics.counter("serve.render_cache.hits", scope=EXEC).inc(cache_hits)
-    telemetry.metrics.counter("serve.render_cache.misses", scope=EXEC).inc(cache_misses)
+    telemetry.metrics.counter("serve.render_cache.misses", scope=EXEC).inc(
+        ctx.timeline.misses - misses0
+    )
     return _ChunkOutput(
-        results=tuple(results),
-        telemetry=telemetry.export(),
-        cache_hits=cache_hits,
-        cache_misses=cache_misses,
+        results=results, telemetry=telemetry.export(), cache_hits=cache_hits
     )
 
 
@@ -258,9 +240,7 @@ def run_fleet(
         raise ValueError(f"default_dwell_s must be > 0, got {default_dwell_s}")
     specs = compile_receivers(cohorts, seed=seed)
     if base_camera is None:
-        base_camera = CameraModel().auto_exposed(
-            session.panel.gamma_curve.peak_luminance * session.panel.brightness
-        )
+        base_camera = CameraModel().auto_exposed(session.panel.peak_luminance)
     telemetry = Telemetry(track="serve")
     live = live_collector()
     if live is not None:
@@ -282,11 +262,6 @@ def run_fleet(
     telemetry.metrics.counter("serve.render_cache.renders", scope=EXEC).inc(renders)
     telemetry.metrics.gauge("serve.fleet_size").set(len(specs))
 
-    serial = workers is None or int(workers) <= 1
-    engine = ExecutionEngine(workers=1 if serial else int(workers), telemetry=telemetry)
-    chunks = plan_chunks(
-        len(specs), n_chunks=1 if serial else engine.workers * 2, seed=seed
-    )
     context = _FleetContext(
         timeline=timeline,
         session=session,
@@ -297,8 +272,9 @@ def run_fleet(
     )
     # Live delivery progress: chunk results arrive in completion order,
     # so the counters here are exec-scoped by nature.  They feed only
-    # the advisory snapshot stream; the report below still merges the
-    # ordered `outputs` list, so report/metrics bytes are untouched.
+    # the advisory snapshot stream; the report below folds the results in
+    # plan order and metric merges are exact, so report/metrics bytes are
+    # untouched.
     progress = {"done": 0, "delivered": 0}
 
     def _on_chunk(_index: int, output: _ChunkOutput) -> None:
@@ -311,27 +287,21 @@ def run_fleet(
                 "serve.delivery_rate", progress["delivered"] / progress["done"]
             )
 
-    with telemetry.tracer.span(
-        "serve.fanout", category=EXEC, receivers=len(specs), chunks=len(chunks)
-    ):
-        outputs = engine.map(
-            _simulate_fleet_chunk, chunks, context=context, on_result=_on_chunk
+    with telemetry.tracer.span("serve.fanout", category=EXEC, receivers=len(specs)):
+        fanout = map_chunks(
+            _simulate_fleet_chunk, len(specs), context, seed, workers, telemetry,
+            on_result=_on_chunk,
         )
-
-    results: list[ReceiverResult] = []
-    cache_hits = 0
-    for output in outputs:
-        telemetry.merge_export(output.telemetry)
-        results.extend(output.results)
-        cache_hits += output.cache_hits
-    results.sort(key=lambda r: r.receiver_id)
+    outputs: list[_ChunkOutput] = fanout.results
+    # Chunks are contiguous runs of spec order, which is receiver-id order.
+    results = [result for output in outputs for result in output.results]
     report = build_fleet_report(
         results,
         payload_bytes=len(session.payload),
         k=session.k,
         cycle_packets=session.cycle_packets,
         cycle_s=session.cycle_s,
-        render_reads=cache_hits,
+        render_reads=sum(output.cache_hits for output in outputs),
         renders=session.render_cache_misses,
     )
     run = telemetry.finish(
@@ -340,7 +310,7 @@ def run_fleet(
             "receivers": len(specs),
             "cohorts": [c.name for c in cohorts],
             "seed": seed,
-            "workers": engine.workers,
+            "workers": fanout.stats.workers,
             "delivery_rate": report.delivery_rate,
         }
     )

@@ -48,6 +48,7 @@ from repro._util import check_positive_int
 from repro.core.config import InFrameConfig
 from repro.core.geometry import FrameGeometry
 from repro.core.multiplexer import MultiplexedStream
+from repro.core.pipeline import matched_panel
 from repro.display.panel import DisplayPanel
 from repro.display.scheduler import DisplayTimeline, MemoizedTimeline
 from repro.transport.carousel import BroadcastCarousel, fountain_batch
@@ -67,8 +68,9 @@ class BroadcastSession:
     payload:
         The bytes on the carousel.
     panel:
-        The display; defaults to a panel matching the video at
-        ``config.refresh_hz``.
+        The display; defaults to a panel of the video's size at
+        ``config.refresh_hz``.  A panel of another size or refresh rate
+        is rejected, as :class:`~repro.core.pipeline.InFrameSender` does.
     session_id:
         Stamped on every packet; doubles as the fountain seed.
     shm_budget_bytes:
@@ -89,19 +91,10 @@ class BroadcastSession:
     ) -> None:
         if not payload:
             raise ValueError("payload must be non-empty")
-        if panel is None:
-            panel = DisplayPanel(
-                width=video.width, height=video.height, refresh_hz=config.refresh_hz
-            )
-        if (panel.height, panel.width) != (video.height, video.width):
-            raise ValueError(
-                f"panel {panel.height}x{panel.width} does not match video "
-                f"{video.height}x{video.width}"
-            )
         self.config = config
         self.video = video
         self.payload = bytes(payload)
-        self.panel = panel
+        self.panel = matched_panel(config, video, panel)
         self.session_id = int(session_id)
 
         # The inner code of run_transport_link's default: RS(60, 24) per

@@ -127,8 +127,9 @@ def main(argv: list[str] | None = None) -> int:
         panel = DisplayPanel(gamma_curve=GammaCurve(peak_luminance=args.peak))
         # Auto-expose for the brightest thing in view: panel white plus
         # the ambient pedestal.
-        peak = panel.gamma_curve.peak_luminance * panel.brightness + pedestal
-        camera = CameraModel(exposure_s=args.exposure).auto_exposed(peak)
+        camera = CameraModel(exposure_s=args.exposure).auto_exposed(
+            panel.peak_luminance + pedestal
+        )
         budget = link_budget(panel, camera, pedestal, args.brightness)
     except ValueError as exc:
         parser.error(str(exc))

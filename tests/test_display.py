@@ -112,6 +112,12 @@ class TestDisplayPanel:
         with pytest.raises(ValueError):
             DisplayPanel(brightness=1.5)
 
+    def test_peak_luminance_is_white_at_the_backlight_setting(self):
+        panel = DisplayPanel(width=4, height=4, brightness=0.5)
+        white = panel.emitted_luminance(np.full((4, 4), 255.0, dtype=np.float32))
+        assert panel.peak_luminance == panel.gamma_curve.peak_luminance * 0.5
+        assert np.allclose(white, panel.peak_luminance)
+
 
 def _two_frame_timeline(response_time_s=0.0):
     frames = np.stack(

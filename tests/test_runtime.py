@@ -63,19 +63,6 @@ class TestSpawnRng:
         b = spawn_rng(3, 6).standard_normal(8)
         assert not np.array_equal(a, b)
 
-    def test_chunk_item_rng_matches_direct_spawn(self):
-        chunk = plan_chunks(10, n_chunks=2, seed=11)[1]
-        item = chunk.start
-        assert np.array_equal(
-            chunk.item_rng(item).standard_normal(4),
-            spawn_rng(11, item).standard_normal(4),
-        )
-
-    def test_item_outside_chunk_rejected(self):
-        chunk = plan_chunks(10, n_chunks=2, seed=11)[0]
-        with pytest.raises(ValueError):
-            chunk.item_rng(chunk.stop)
-
 
 # ----------------------------------------------------------------------
 # Engine

@@ -9,6 +9,7 @@ import pytest
 
 from repro.analysis.experiments import ExperimentScale
 from repro.camera.geometry import PerspectiveView
+from repro.display.panel import DisplayPanel
 from repro.display.scheduler import DisplayTimeline
 from repro.serve import (
     BroadcastSession,
@@ -225,6 +226,13 @@ class TestBroadcastSession:
                 QUICK.config(), QUICK.video("gray"), b"x", panel=small_panel
             )
 
+    def test_rejects_panel_at_another_refresh_rate(self):
+        # The sender's check: a 60 Hz panel cannot play a 120 Hz config.
+        video = QUICK.video("gray")
+        panel = DisplayPanel(width=video.width, height=video.height, refresh_hz=60.0)
+        with pytest.raises(ValueError, match="refresh"):
+            BroadcastSession(QUICK.config(), video, b"x", panel=panel)
+
     def test_prepare_validates_horizon_and_closed_state(self):
         session = BroadcastSession(
             QUICK.config(), QUICK.video("gray"), deterministic_payload(16)
@@ -315,6 +323,63 @@ class TestFleet:
         assert metrics["serve.render_cache.misses"]["value"] == 0
         assert metrics["serve.render_cache.hits"]["value"] == parallel.report.render_reads
         assert quick_session.render_cache_misses == renders_before
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_render_and_observe_span_per_capture(self, quick_session, workers):
+        # Fleet receivers run the link's receive chain, spans included.
+        fleet = run_fleet(
+            quick_session,
+            parse_cohorts(FLEET_SPEC, seed=1),
+            base_camera=QUICK.camera(),
+            seed=1,
+            workers=workers,
+        )
+        metrics = fleet.telemetry.metrics
+        captures = sum(
+            metric["value"]
+            for name, metric in metrics.items()
+            if name.startswith("serve.cohort.") and name.endswith(".captures")
+        )
+        spans = fleet.telemetry.span_counts()
+        assert captures == sum(r.n_captures for r in fleet.results) > 0
+        assert spans["render"] == spans["observe"] == captures
+        assert spans["decide"] == fleet.report.receivers
+
+    def test_drop_faulted_healed_receivers_keep_their_results(self, quick_session):
+        # Pinned before fleet receivers shared the link's receive chain:
+        # the drops land (25 and 23 data frames) and healing decodes.
+        cohorts = parse_cohorts(
+            "lossy:n=2,join_spread=0.6,dwell=2.5,faults=drop:p=0.3+burst=2", seed=1
+        )
+        fleet = run_fleet(quick_session, cohorts, base_camera=QUICK.camera(), seed=1)
+        common = {
+            "cohort": "lossy",
+            "delivered": True,
+            "n_captures": 75,
+            "symbols_consumed": 3,
+            "packets_rejected": 0,
+            "resyncs": 0,
+        }
+        assert [r.as_dict() for r in fleet.results] == [
+            {
+                **common,
+                "receiver_id": 0,
+                "join_s": 0.058480222251164955,
+                "n_data_frames": 25,
+                "join_offset": 1,
+                "time_to_deliver_s": 0.3415197777488351,
+                "goodput_kbps": 1.4991811114861457,
+            },
+            {
+                **common,
+                "receiver_id": 1,
+                "join_s": 0.3965128747808392,
+                "n_data_frames": 23,
+                "join_offset": 4,
+                "time_to_deliver_s": 0.30348712521916077,
+                "goodput_kbps": 1.6870567396566276,
+            },
+        ]
 
     def test_mid_cycle_joiner_bootstraps(self, quick_session):
         cohorts = parse_cohorts("late:n=1,join=1.1,dwell=2.0", seed=2)
