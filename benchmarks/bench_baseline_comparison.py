@@ -77,7 +77,7 @@ def lsb_result():
         panel, ArrayVideoSource(carrier[None].repeat(8, axis=0), fps=120.0)
     )
     camera = SCALE.camera()
-    capture = camera.capture_frame(timeline, 0, rng=rng)
+    capture = camera.capture_frame(timeline, 0, noise=camera.draw_noise(rng))
     upsampled = ndimage.zoom(
         capture.pixels,
         (SCALE.video_height / camera.height, SCALE.video_width / camera.width),

@@ -43,7 +43,9 @@ def test_speed_block_noise_map(benchmark, sender):
     config = sender.config
     camera = SCALE.camera()
     decoder = InFrameDecoder(config, sender.geometry, camera.height, camera.width)
-    capture = camera.capture_frame(sender.timeline(), 1, rng=np.random.default_rng(0))
+    capture = camera.capture_frame(
+        sender.timeline(), 1, noise=camera.draw_noise(np.random.default_rng(0))
+    )
 
     noise = benchmark(decoder.block_noise_map, capture.pixels)
     assert noise.shape == (config.block_rows, config.block_cols)
@@ -92,7 +94,7 @@ def test_speed_camera_capture(benchmark, sender):
     counter = iter(range(10**9))
 
     def capture():
-        return camera.capture_frame(timeline, next(counter) % 8, rng=rng)
+        return camera.capture_frame(timeline, next(counter) % 8, noise=camera.draw_noise(rng))
 
     frame = benchmark(capture)
     assert frame.pixels.shape == (camera.height, camera.width)

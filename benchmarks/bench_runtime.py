@@ -39,18 +39,11 @@ import numpy as np
 from repro.analysis.experiments import ExperimentScale
 from repro.core.pipeline import run_link
 from repro.obs.live import LiveCollector, install_live
+from repro.runtime import usable_cpus
 
 #: The acceptance workload: 64 gray content frames at benchmark scale.
 STANDARD_FRAMES = 64
 STANDARD_WORKER_COUNTS = (1, 2, 4)
-
-
-def usable_cpus() -> int:
-    """CPUs this process may schedule on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def sweep_runtime(

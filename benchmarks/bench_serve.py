@@ -40,6 +40,7 @@ import time
 
 from repro.analysis.experiments import ExperimentScale
 from repro.display.scheduler import DisplayTimeline
+from repro.runtime import usable_cpus
 from repro.serve import (
     BroadcastSession,
     deterministic_payload,
@@ -108,6 +109,7 @@ def measure_fleet(
             "payload_bytes": payload_bytes,
             "seed": seed,
             "workers": workers,
+            "usable_cpus": usable_cpus(),
             "n_receivers": n_receivers,
             "dwell_s": dwell_s,
             "k": session.k,
@@ -143,7 +145,8 @@ def format_report(record: dict) -> str:
             f"serve fan-out: {record['n_receivers']} receivers, "
             f"{record['payload_bytes']} B payload, "
             f"cycle {record['cycle_packets']} packets "
-            f"({record['period_frames']} frames, {record['cycle_s']:.2f} s)",
+            f"({record['period_frames']} frames, {record['cycle_s']:.2f} s), "
+            f"{record['usable_cpus']} usable CPUs",
             f"  fleet wall clock   {fleet['elapsed_s']:9.2f} s  "
             f"(delivery {fleet['delivery_rate'] * 100:.0f}%)",
             f"  fields rendered    {fleet['renders']:9d}     "

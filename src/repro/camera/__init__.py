@@ -16,18 +16,20 @@ impairment the paper names:
   1920x1080 panel to the 1280x720 capture (:mod:`repro.camera.capture`).
 """
 
-from repro.camera.capture import CameraModel, CapturedFrame
+from repro.camera.capture import CameraModel, CapturedFrame, CaptureNoise
 from repro.camera.geometry import PerspectiveView, homography_from_points, warp_image
 from repro.camera.optics import OpticsModel
 from repro.camera.rolling_shutter import RollingShutter
-from repro.camera.sensor import SensorModel
+from repro.camera.sensor import SensorModel, SensorNoise
 
 __all__ = [
     "CameraModel",
     "CapturedFrame",
+    "CaptureNoise",
     "OpticsModel",
     "RollingShutter",
     "SensorModel",
+    "SensorNoise",
     "PerspectiveView",
     "homography_from_points",
     "warp_image",

@@ -13,6 +13,15 @@ the desk width) and produces timestamped 8-bit frames.  Per camera frame:
    1920x1080 panel in the paper's setup);
 5. the sensor adds shot/read noise and quantises to 8 bits.
 
+Everything random about a capture -- its start-time jitter and the
+sensor's shot and read planes -- comes from :meth:`CameraModel.draw_noise`,
+the one consumer of the capture's generator, as a :class:`CaptureNoise`
+that :meth:`CameraModel.capture_frame` then applies.  The draws depend on
+the generator and the capture shape alone, never on the scene, so the
+receive chain (:meth:`repro.core.pipeline.InFrameReceiver.capture`)
+draws capture ``i + 1`` on a second thread while capture ``i`` renders,
+with no bit changed.
+
 Steps 3 and 4 are linear, separable and fixed per geometry, so each is a
 pair of banded sparse operators built once and cached
 (:mod:`repro.camera.operators`): the lens is ``Gr @ B @ Gc.T`` times a
@@ -42,7 +51,7 @@ from repro.camera.geometry import PerspectiveView, warp_image
 from repro.camera.operators import apply_separable, resample_operators
 from repro.camera.optics import OpticsModel
 from repro.camera.rolling_shutter import RollingShutter
-from repro.camera.sensor import SensorModel
+from repro.camera.sensor import SensorModel, SensorNoise
 from repro.display.panel import DisplayPanel
 
 #: Legal ``CameraModel.screen_fill`` range.
@@ -89,6 +98,18 @@ class CapturedFrame:
     index: int
     start_time_s: float
     mid_exposure_s: float
+
+
+@dataclass(frozen=True)
+class CaptureNoise:
+    """Everything random about one capture, drawn before it renders.
+
+    ``jitter_s`` offsets the capture's start time (None when the camera
+    has no timing jitter); ``sensor`` holds its exposure's noise planes.
+    """
+
+    jitter_s: float | None
+    sensor: SensorNoise
 
 
 @dataclass(frozen=True)
@@ -202,17 +223,33 @@ class CameraModel:
     # ------------------------------------------------------------------
     # Capture pipeline
     # ------------------------------------------------------------------
+    def draw_noise(self, rng: np.random.Generator) -> CaptureNoise:
+        """Draw one capture's noise from *rng*, the only draws it takes.
+
+        In order: the timing jitter when ``timing_jitter_s > 0``, then the
+        sensor's shot and read planes at the capture shape.
+        """
+        jitter = (
+            float(rng.normal(0.0, self.timing_jitter_s))
+            if self.timing_jitter_s > 0.0
+            else None
+        )
+        return CaptureNoise(jitter, self.sensor.draw_noise(rng, (self.height, self.width)))
+
     def capture_frame(
         self,
         timeline: TimelineLike,
         index: int,
-        rng: np.random.Generator | None = None,
+        noise: CaptureNoise | None = None,
     ) -> CapturedFrame:
-        """Capture camera frame *index* from the display timeline."""
+        """Capture camera frame *index* from the display timeline.
+
+        *noise* comes from :meth:`draw_noise`; None is the noise-free
+        (expected-value) capture at the nominal start time.
+        """
         start = self.frame_start(index)
-        if rng is not None and self.timing_jitter_s > 0.0:
-            start += float(rng.normal(0.0, self.timing_jitter_s))
-            start = max(start, 0.0)
+        if noise is not None and noise.jitter_s is not None:
+            start = max(start + noise.jitter_s, 0.0)
         shutter = self.shutter()
         weights = shutter.display_frame_weights(
             start, timeline.panel.frame_interval_s, timeline.n_frames
@@ -252,7 +289,9 @@ class CameraModel:
                 (self.height, self.width), np.float32(self.background_luminance)
             )
             scene[row0:row1, col0:col1] = screen_image
-        pixels = self.sensor.expose(scene, self.exposure_s, rng=rng)
+        pixels = self.sensor.expose(
+            scene, self.exposure_s, noise=None if noise is None else noise.sensor
+        )
         mid = start + self.readout_s / 2.0 + self.exposure_s / 2.0
         return CapturedFrame(
             pixels=pixels, index=index, start_time_s=start, mid_exposure_s=mid
@@ -264,9 +303,14 @@ class CameraModel:
         n_frames: int,
         rng: np.random.Generator | None = None,
     ) -> list[CapturedFrame]:
-        """Capture camera frames ``0 .. n_frames - 1``."""
+        """Capture camera frames ``0 .. n_frames - 1``, drawing each from *rng* in turn."""
         check_positive_int(n_frames, "n_frames")
-        return [self.capture_frame(timeline, i, rng=rng) for i in range(n_frames)]
+        return [
+            self.capture_frame(
+                timeline, i, noise=None if rng is None else self.draw_noise(rng)
+            )
+            for i in range(n_frames)
+        ]
 
     def frames_covering(self, timeline: TimelineLike) -> int:
         """How many camera frames fit inside the display stream's duration."""

@@ -8,6 +8,12 @@ times exposure time) into an 8-bit value:
 3. read noise: additive Gaussian in electrons;
 4. normalisation by full-well capacity, camera gamma, 8-bit quantisation.
 
+The noise of steps 2 and 3 is a pair of standard-normal planes
+(:class:`SensorNoise`) that :meth:`SensorModel.draw_noise` draws from a
+generator and :meth:`SensorModel.expose` scales and applies.  The planes
+depend on the generator and the image shape alone, never on the scene,
+so a caller can draw them before the scene exists.
+
 ``calibrated_for`` picks the sensitivity so that a chosen reference
 luminance lands at a chosen digital level -- a stand-in for auto-exposure.
 """
@@ -19,6 +25,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro._util import check_in_range, check_positive
+
+
+@dataclass(frozen=True)
+class SensorNoise:
+    """One exposure's standard-normal noise planes, float32, drawn before it.
+
+    ``shot`` is scaled by ``sqrt(electrons)`` and ``read`` by the read
+    noise in electrons; ``read`` is None for a sensor without read noise.
+    """
+
+    shot: np.ndarray
+    read: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -52,11 +70,25 @@ class SensorModel:
         check_in_range(self.read_noise_electrons, "read_noise_electrons", 0.0, 1e4)
         check_in_range(self.response_gamma, "response_gamma", 0.1, 1.0)
 
+    def draw_noise(self, rng: np.random.Generator, shape: tuple[int, int]) -> SensorNoise:
+        """Draw one exposure's noise planes of *shape* from *rng*.
+
+        The shot plane first, then the read plane when the sensor has read
+        noise; each is a float64 ``standard_normal`` draw cast to float32.
+        """
+        shot = rng.standard_normal(shape).astype(np.float32)
+        read = (
+            rng.standard_normal(shape).astype(np.float32)
+            if self.read_noise_electrons > 0.0
+            else None
+        )
+        return SensorNoise(shot, read)
+
     def expose(
         self,
         luminance: np.ndarray,
         exposure_s: float,
-        rng: np.random.Generator | None = None,
+        noise: SensorNoise | None = None,
     ) -> np.ndarray:
         """Convert a mean-luminance image into an 8-bit capture.
 
@@ -66,20 +98,24 @@ class SensorModel:
             Mean scene luminance over the exposure window (cd/m^2).
         exposure_s:
             Exposure time in seconds.
-        rng:
-            Noise generator; pass None for a noise-free (expected-value)
-            capture, which the tests use to isolate other effects.
+        noise:
+            Noise planes from :meth:`draw_noise` at *luminance*'s shape;
+            pass None for a noise-free (expected-value) capture, which the
+            tests use to isolate other effects.
         """
         check_positive(exposure_s, "exposure_s")
         electrons = np.asarray(luminance, dtype=np.float32) * np.float32(
             self.sensitivity * exposure_s
         )
-        if rng is not None:
-            shot = rng.standard_normal(electrons.shape).astype(np.float32)
-            electrons = electrons + shot * np.sqrt(np.maximum(electrons, 0.0))
-            if self.read_noise_electrons > 0.0:
-                read = rng.standard_normal(electrons.shape).astype(np.float32)
-                electrons = electrons + np.float32(self.read_noise_electrons) * read
+        if noise is not None:
+            if noise.shot.shape != electrons.shape:
+                raise ValueError(
+                    f"noise planes {noise.shot.shape} do not match the image "
+                    f"{electrons.shape}"
+                )
+            electrons = electrons + noise.shot * np.sqrt(np.maximum(electrons, 0.0))
+            if noise.read is not None:
+                electrons = electrons + np.float32(self.read_noise_electrons) * noise.read
         normalized = np.clip(electrons / np.float32(self.full_well), 0.0, 1.0)
         encoded = normalized ** np.float32(self.response_gamma)
         return np.round(encoded * 255.0).astype(np.float32)

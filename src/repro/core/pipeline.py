@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterable
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace as dataclass_replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.camera.capture import CameraModel, CapturedFrame, TimelineLike
+from repro.camera.capture import CameraModel, CapturedFrame, CaptureNoise, TimelineLike
 from repro.core.config import InFrameConfig
 from repro.core.decoder import (
     BlockObservation,
@@ -130,6 +131,15 @@ class InFrameSender:
         return None
 
 
+def _await_noise(drawn: Future[CaptureNoise]) -> CaptureNoise:
+    """Wait for a capture's noise draws.
+
+    A named frame of its own, so the sampling profiler buckets this wait
+    as ``render``, the span it runs in.
+    """
+    return drawn.result()
+
+
 @dataclass(frozen=True)
 class Reception:
     """A stream as :meth:`InFrameReceiver.decide` left it (captures after stream faults)."""
@@ -201,6 +211,12 @@ class InFrameReceiver:
         camera films through *faults*' clock and pixel faults.  The
         captures come back when *keep* is set or a stream fault needs
         them, and as an empty list otherwise.
+
+        The draws need only the generator and the capture shape, so frame
+        ``i + 1``'s are made on a second thread while frame ``i`` renders
+        and is observed; the wait for a frame's draws is part of its
+        ``render`` span.  That thread holds one frame's planes ahead and
+        ends with the call.
         """
         source: CameraModel | FaultInjectedCamera = self.camera
         if faults is not None and faults.perturbs_captures:
@@ -208,19 +224,30 @@ class InFrameReceiver:
 
             source = inject.FaultInjectedCamera(self.camera, faults)
         keep = keep or (faults is not None and faults.perturbs_stream)
+
+        def draw(i: int) -> CaptureNoise:
+            return self.camera.draw_noise(spawn_rng(seed, *key, i))
+
+        order = list(indices)
         captures: list[CapturedFrame] = []
         observations: list[BlockObservation] = []
-        for i in indices:
-            rng = spawn_rng(seed, *key, i)
-            with tracer.span("render", capture=i):
-                capture = source.capture_frame(timeline, i, rng=rng)
-            with tracer.span("observe", capture=i):
-                observation = self.decoder.observe(capture)
-            if telemetry is not None:
-                record_observation_telemetry(observation, telemetry)
-            if keep:
-                captures.append(capture)
-            observations.append(observation)
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="capture-noise") as drawer:
+            ahead = [drawer.submit(draw, i) for i in order[:1]]
+            for n, i in enumerate(order):
+                with tracer.span("render", capture=i):
+                    # Queue the next frame's draws, then take this frame's;
+                    # they are dropped as soon as the frame is exposed.
+                    ahead.extend(drawer.submit(draw, j) for j in order[n + 1 : n + 2])
+                    capture = source.capture_frame(
+                        timeline, i, noise=_await_noise(ahead.pop(0))
+                    )
+                with tracer.span("observe", capture=i):
+                    observation = self.decoder.observe(capture)
+                if telemetry is not None:
+                    record_observation_telemetry(observation, telemetry)
+                if keep:
+                    captures.append(capture)
+                observations.append(observation)
         return captures, observations
 
     def decide(  # checks: worker-scope

@@ -27,9 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from repro.camera.capture import CameraModel, CapturedFrame, TimelineLike
+from repro.camera.capture import CameraModel, CapturedFrame, CaptureNoise, TimelineLike
 from repro.core.decoder import BlockObservation
 from repro.faults.plan import CompiledFaults
 from repro.faults.report import InjectionLog
@@ -52,9 +50,13 @@ class FaultInjectedCamera:
         self,
         timeline: TimelineLike,
         index: int,
-        rng: np.random.Generator | None = None,
+        noise: CaptureNoise | None = None,
     ) -> CapturedFrame:
-        """Capture frame *index* at its faulted true time, nominally stamped."""
+        """Capture frame *index* at its faulted true time, nominally stamped.
+
+        The shift moves only the clock, so *noise* is the wrapped camera's
+        :meth:`~repro.camera.capture.CameraModel.draw_noise`.
+        """
         offset = self.compiled.capture_time_offset(index)
         if offset != 0.0:
             shifted = replace(
@@ -62,7 +64,7 @@ class FaultInjectedCamera:
             )
         else:
             shifted = self.camera
-        capture = shifted.capture_frame(timeline, index, rng=rng)
+        capture = shifted.capture_frame(timeline, index, noise=noise)
         pixels = self.compiled.perturb_pixels(
             index, capture.mid_exposure_s - offset, capture.pixels
         )

@@ -4,13 +4,15 @@ The stage spans of :mod:`repro.obs.trace` answer "how long did each
 stage take" (``RuntimeReport.stages``); they cannot answer "where
 *inside* render is the time going" without instrumenting every
 function.  This sampler answers that statistically: a daemon thread
-captures the target thread's Python stack every few milliseconds,
-aggregates identical stacks, and buckets every sample by the innermost
-pipeline stage on the stack.  The buckets carry the span names, so the
-sampled split and the timed split line up.  One profile shows both the
-stage split and the hot call paths, exportable as collapsed stacks for
-any flamegraph renderer (``stackcollapse`` format: one
-``frame;frame;frame count`` line per unique stack).
+captures the target thread's Python stack every few milliseconds --
+and the stack of any other thread that is running a pipeline stage,
+such as the receive chain's noise draws -- aggregates identical stacks,
+and buckets every sample by the innermost pipeline stage on the stack.
+The buckets carry the span names, so the sampled split and the timed
+split line up.  One profile shows both the stage split and the hot call
+paths, exportable as collapsed stacks for any flamegraph renderer
+(``stackcollapse`` format: one ``frame;frame;frame count`` line per
+unique stack).
 
 Sampling is exec-scoped by nature (which samples land depends on
 scheduling, never on the work), so the profiler lives entirely outside
@@ -45,6 +47,8 @@ STAGE_FUNCTIONS: Mapping[str, str] = {
     # link pipeline stages
     "repro.camera.capture:capture_frame": "render",
     "repro.faults.inject:capture_frame": "render",
+    "repro.camera.capture:draw_noise": "render",
+    "repro.core.pipeline:_await_noise": "render",  # the wait for drawn noise
     "repro.core.decoder:observe": "observe",
     "repro.core.decoder:decide_observations": "decide",
     "repro.core.decoder:decide_observations_healed": "decide",
@@ -160,7 +164,10 @@ class SamplingProfiler:
 
     A daemon thread reads the stack of the thread that calls
     :meth:`start` out of :func:`sys._current_frames`, so it works from
-    any thread and never interrupts the target.
+    any thread and never interrupts the target.  Other threads are
+    sampled too while a pipeline stage is on their stack: the receive
+    chain draws each capture's noise on a helper thread, and those draws
+    are render work the target thread no longer does itself.
 
     Parameters
     ----------
@@ -185,19 +192,17 @@ class SamplingProfiler:
     # ------------------------------------------------------------------
     # Sample capture
     # ------------------------------------------------------------------
-    def _record_frame(self, frame: types.FrameType | None) -> None:
-        if frame is None:
-            return
-        stack = _frame_labels(frame)
-        if not stack:
-            return
-        self._stacks[stack] = self._stacks.get(stack, 0) + 1
-        self._samples += 1
-
     def _sample_thread_loop(self, target_id: int) -> None:
+        own_id = threading.get_ident()
         while not self._stop.is_set():
-            frame = sys._current_frames().get(target_id)
-            self._record_frame(frame)
+            for thread_id, frame in sys._current_frames().items():
+                if thread_id == own_id:
+                    continue
+                stack = _frame_labels(frame)
+                # Another thread counts only while it runs a pipeline stage.
+                if stack and (thread_id == target_id or stage_of(stack) != "other"):
+                    self._stacks[stack] = self._stacks.get(stack, 0) + 1
+                    self._samples += 1
             self._stop.wait(self.interval_s)
 
     # ------------------------------------------------------------------

@@ -23,6 +23,7 @@ from repro.runtime.engine import (
     ExecutionEngine,
     default_workers,
     resolve_start_method,
+    usable_cpus,
 )
 from repro.runtime.link_exec import LinkExecution, execute_link_captures
 from repro.runtime.profiler import RuntimeReport
@@ -39,4 +40,5 @@ __all__ = [
     "plan_chunks",
     "resolve_start_method",
     "spawn_rng",
+    "usable_cpus",
 ]

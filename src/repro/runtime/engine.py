@@ -59,9 +59,21 @@ AbandonFn = Callable[[int, str], None]
 GateFn = Callable[[], bool]
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one.
+
+    A process pinned to 2 of 64 CPUs (``taskset``, a container cpuset)
+    has 2, whatever ``os.cpu_count()`` says.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform (macOS, Windows)
+        return os.cpu_count() or 1
+
+
 def default_workers() -> int:
-    """A sensible worker count for this machine (CPUs, capped at 8)."""
-    return max(1, min(os.cpu_count() or 1, 8))
+    """A sensible worker count for this process (usable CPUs, capped at 8)."""
+    return max(1, min(usable_cpus(), 8))
 
 
 def resolve_start_method() -> str | None:

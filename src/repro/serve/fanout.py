@@ -70,7 +70,12 @@ class _FleetContext:
 def _simulate_receiver(
     spec: ReceiverSpec, ctx: _FleetContext, telemetry: Telemetry
 ) -> ReceiverResult:
-    """One receiver's whole life: join, watch, decode, collect, leave."""
+    """One receiver's whole life: join, watch, decode, collect, leave.
+
+    Its spans land on *telemetry*'s tracer; its cohort metrics are
+    recorded from the result by the caller, which also covers a receiver
+    that left before its first capture.
+    """
     session = ctx.session
     config = session.config
     camera = spec.camera(ctx.base_camera)
@@ -149,7 +154,7 @@ def _simulate_receiver(
         if time_to_deliver is not None and time_to_deliver > 0.0
         else None
     )
-    result = ReceiverResult(
+    return ReceiverResult(
         receiver_id=spec.receiver_id,
         cohort=spec.cohort,
         join_s=spec.join_s,
@@ -163,8 +168,6 @@ def _simulate_receiver(
         time_to_deliver_s=time_to_deliver,
         goodput_kbps=goodput,
     )
-    record_receiver_telemetry(result, telemetry)
-    return result
 
 
 @dataclass(frozen=True)
@@ -188,6 +191,8 @@ def _simulate_fleet_chunk(  # checks: worker-scope
         results = tuple(
             _simulate_receiver(ctx.specs[item], ctx, telemetry) for item in chunk.items
         )
+        for result in results:
+            record_receiver_telemetry(result, telemetry)
     cache_hits = ctx.timeline.hits - hits0
     telemetry.metrics.counter("serve.render_cache.hits", scope=EXEC).inc(cache_hits)
     telemetry.metrics.counter("serve.render_cache.misses", scope=EXEC).inc(

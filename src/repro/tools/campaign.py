@@ -79,7 +79,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="worker processes for unit execution "
-        "(default: one per CPU, at most 8)",
+        "(default: one per usable CPU, at most 8)",
     )
     parser.add_argument(
         "--heartbeat-s", type=float, default=1.0, metavar="SECONDS",

@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="run sweep cells on this many worker processes "
-        "(default: one per CPU, at most 8)",
+        "(default: one per usable CPU, at most 8)",
     )
     add_telemetry_argument(parser)
     add_fault_arguments(parser)

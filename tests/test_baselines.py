@@ -102,7 +102,9 @@ class TestQRRegion:
         panel = DisplayPanel(width=320, height=240, refresh_hz=120.0)
         camera = CameraModel(width=214, height=160, exposure_s=1 / 500)
         timeline = DisplayTimeline(panel, scheme)
-        capture = camera.capture_frame(timeline, 1, rng=np.random.default_rng(0))
+        capture = camera.capture_frame(
+            timeline, 1, noise=camera.draw_noise(np.random.default_rng(0))
+        )
         decoded = scheme.decode_capture(capture, (160, 214))
         truth = scheme.barcode(scheme.barcode_index(4))
         accuracy = float((decoded == truth).mean())
@@ -165,7 +167,9 @@ class TestLSBStego:
         timeline = DisplayTimeline(
             panel, ArrayVideoSource(carrier[None].repeat(8, axis=0), fps=120.0)
         )
-        capture = small_camera.capture_frame(timeline, 0, rng=np.random.default_rng(3))
+        capture = small_camera.capture_frame(
+            timeline, 0, noise=small_camera.draw_noise(np.random.default_rng(3))
+        )
         # Upsample capture back to display geometry for extraction.
         from scipy import ndimage
 
@@ -203,12 +207,12 @@ class TestHueShift:
         timeline = DisplayTimeline(panel, scheme)
         camera = CameraModel(width=75, height=54, exposure_s=1 / 500, readout_s=0.0,
                              timing_jitter_s=0.0)
-        plus = camera.capture_frame(timeline, 0, rng=None)
+        plus = camera.capture_frame(timeline, 0)
         # Second capture half a display frame later in the minus phase.
         from dataclasses import replace
 
         camera_b = replace(camera, clock_offset_s=1 / 120)
-        minus = camera_b.capture_frame(timeline, 0, rng=None)
+        minus = camera_b.capture_frame(timeline, 0)
         signed = scheme.decode_pair(plus, minus, (54, 75))
         truth = scheme.schedule.bits(0)
         decoded = signed > 0

@@ -71,9 +71,13 @@ class TestSensor:
     def test_noise_scales_with_signal(self):
         sensor = SensorModel().calibrated_for(300.0, 1 / 500)
         rng = np.random.default_rng(0)
-        dim = sensor.expose(np.full((64, 64), 5.0, np.float32), 1 / 500, rng=rng)
+        dim = sensor.expose(
+            np.full((64, 64), 5.0, np.float32), 1 / 500, noise=sensor.draw_noise(rng, (64, 64))
+        )
         rng = np.random.default_rng(0)
-        bright = sensor.expose(np.full((64, 64), 150.0, np.float32), 1 / 500, rng=rng)
+        bright = sensor.expose(
+            np.full((64, 64), 150.0, np.float32), 1 / 500, noise=sensor.draw_noise(rng, (64, 64))
+        )
         # Shot-noise-limited: electron noise grows with sqrt(signal), but
         # the gamma response compresses highlights, so *relative* count
         # noise falls while absolute electron noise rises.
@@ -84,9 +88,15 @@ class TestSensor:
     def test_seeded_noise_reproducible(self):
         sensor = SensorModel()
         image = np.full((16, 16), 80.0, np.float32)
-        a = sensor.expose(image, 1 / 500, rng=np.random.default_rng(7))
-        b = sensor.expose(image, 1 / 500, rng=np.random.default_rng(7))
+        a = sensor.expose(image, 1 / 500, sensor.draw_noise(np.random.default_rng(7), (16, 16)))
+        b = sensor.expose(image, 1 / 500, sensor.draw_noise(np.random.default_rng(7), (16, 16)))
         assert np.array_equal(a, b)
+
+    def test_rejects_noise_of_another_shape(self):
+        sensor = SensorModel()
+        noise = sensor.draw_noise(np.random.default_rng(7), (1, 16))
+        with pytest.raises(ValueError, match="noise planes"):
+            sensor.expose(np.full((16, 16), 80.0, np.float32), 1 / 500, noise)
 
     def test_snr_increases_with_luminance(self):
         sensor = SensorModel()
@@ -158,28 +168,28 @@ class TestCameraModel:
 
     def test_capture_shape_and_range(self):
         camera = CameraModel(width=20, height=15, timing_jitter_s=0.0)
-        capture = camera.capture_frame(_timeline(), 0, rng=None)
+        capture = camera.capture_frame(_timeline(), 0)
         assert capture.pixels.shape == (15, 20)
         assert capture.pixels.min() >= 0 and capture.pixels.max() <= 255
 
     def test_capture_is_deterministic_with_seed(self):
         camera = CameraModel(width=20, height=15)
         tl = _timeline()
-        a = camera.capture_frame(tl, 1, rng=np.random.default_rng(5)).pixels
-        b = camera.capture_frame(tl, 1, rng=np.random.default_rng(5)).pixels
+        a = camera.capture_frame(tl, 1, noise=camera.draw_noise(np.random.default_rng(5))).pixels
+        b = camera.capture_frame(tl, 1, noise=camera.draw_noise(np.random.default_rng(5))).pixels
         assert np.array_equal(a, b)
 
     def test_auto_exposure_prevents_saturation(self):
         camera = CameraModel(width=20, height=15).auto_exposed(300.0)
         tl = _timeline(value=255.0)
-        capture = camera.capture_frame(tl, 0, rng=None)
+        capture = camera.capture_frame(tl, 0)
         assert float(capture.pixels.mean()) < 230.0
 
     def test_jitter_changes_start_time(self):
         camera = CameraModel(width=20, height=15, timing_jitter_s=2e-3)
         tl = _timeline()
-        a = camera.capture_frame(tl, 0, rng=np.random.default_rng(1))
-        b = camera.capture_frame(tl, 0, rng=np.random.default_rng(2))
+        a = camera.capture_frame(tl, 0, noise=camera.draw_noise(np.random.default_rng(1)))
+        b = camera.capture_frame(tl, 0, noise=camera.draw_noise(np.random.default_rng(2)))
         assert a.start_time_s != b.start_time_s
 
     def test_frames_covering(self):
@@ -226,7 +236,7 @@ class TestScreenFill:
             width=40, height=30, screen_fill=0.5, background_luminance=0.5,
             timing_jitter_s=0.0,
         )
-        capture = camera.capture_frame(_timeline(value=200.0), 0, rng=None)
+        capture = camera.capture_frame(_timeline(value=200.0), 0)
         r0, r1, c0, c1 = camera.screen_rect()
         corner = float(capture.pixels[0, 0])
         centre = float(capture.pixels[(r0 + r1) // 2, (c0 + c1) // 2])
@@ -236,8 +246,8 @@ class TestScreenFill:
         near = CameraModel(width=40, height=30, timing_jitter_s=0.0)
         far = CameraModel(width=40, height=30, screen_fill=0.5, timing_jitter_s=0.0)
         tl = _timeline(value=150.0)
-        near_px = near.capture_frame(tl, 0, rng=None).pixels
-        far_px = far.capture_frame(tl, 0, rng=None).pixels
+        near_px = near.capture_frame(tl, 0).pixels
+        far_px = far.capture_frame(tl, 0).pixels
         r0, r1, c0, c1 = far.screen_rect()
         # Flat content: the shrunken screen shows the same level.
         assert abs(float(far_px[r0:r1, c0:c1].mean()) - float(near_px.mean())) < 2.0

@@ -124,7 +124,7 @@ class TestTiltedCapture:
             width=80, height=60, view=view, background_luminance=0.0,
             timing_jitter_s=0.0,
         )
-        capture = camera.capture_frame(timeline, 0, rng=None)
+        capture = camera.capture_frame(timeline, 0)
         bright = capture.pixels > 50
         # Foreshortening: the bright columns' vertical extents differ
         # between the left and right edges of the quad.

@@ -142,7 +142,7 @@ class TestStreamInjection:
         timeline = small_sender.timeline()
         rng = np.random.default_rng(seed)
         captures = [
-            camera.capture_frame(timeline, i, rng=rng) for i in range(n)
+            camera.capture_frame(timeline, i, noise=camera.draw_noise(rng)) for i in range(n)
         ]
         observations = [decoder.observe(c) for c in captures]
         return captures, observations
@@ -182,11 +182,12 @@ class TestStreamInjection:
         compiled = plan.compile(
             n_captures=len(captures), fps=30.0, duration_s=0.4, refresh_hz=120.0
         )
-        camera = FaultInjectedCamera(
-            CameraModel(width=75, height=54), compiled
-        )
+        base = CameraModel(width=75, height=54)
+        camera = FaultInjectedCamera(base, compiled)
         timeline = small_sender.timeline()
-        frame = camera.capture_frame(timeline, 0, rng=np.random.default_rng(0))
+        frame = camera.capture_frame(
+            timeline, 0, noise=base.draw_noise(np.random.default_rng(0))
+        )
         assert float(frame.pixels.mean()) < 40.0
 
     def test_ambient_step_raises_capture_level(self, small_config, small_sender):
@@ -197,8 +198,8 @@ class TestStreamInjection:
         base = CameraModel(width=75, height=54)
         lit = FaultInjectedCamera(base, compiled)
         timeline = small_sender.timeline()
-        clean = base.capture_frame(timeline, 1, rng=np.random.default_rng(0))
-        raised = lit.capture_frame(timeline, 1, rng=np.random.default_rng(0))
+        clean = base.capture_frame(timeline, 1, noise=base.draw_noise(np.random.default_rng(0)))
+        raised = lit.capture_frame(timeline, 1, noise=base.draw_noise(np.random.default_rng(0)))
         assert float(raised.pixels.mean()) > float(clean.pixels.mean()) + 20.0
 
     def test_injected_camera_keeps_nominal_timestamps(
@@ -211,8 +212,10 @@ class TestStreamInjection:
         base = CameraModel(width=75, height=54)
         faulty = FaultInjectedCamera(base, compiled)
         timeline = small_sender.timeline()
-        clean = base.capture_frame(timeline, 2, rng=np.random.default_rng(1))
-        shifted = faulty.capture_frame(timeline, 2, rng=np.random.default_rng(1))
+        clean = base.capture_frame(timeline, 2, noise=base.draw_noise(np.random.default_rng(1)))
+        shifted = faulty.capture_frame(
+            timeline, 2, noise=base.draw_noise(np.random.default_rng(1))
+        )
         # The shifted capture reports the nominal clock but saw content
         # from 3 display frames later.
         assert shifted.mid_exposure_s == pytest.approx(clean.mid_exposure_s)

@@ -259,9 +259,11 @@ class TestSamplingProfiler:
             assert function in defined, label
         # The link-stage buckets are the span names RuntimeReport.stages
         # reports, and capture dominates a quick run's samples as it does
-        # its timed stages.
+        # its timed stages.  The run's render takes about 20 ms of 33, so
+        # it is sampled every 1 ms: at the default 5 ms it gets about six
+        # samples, one of them the profiler's own start.
         scale = ExperimentScale.quick()
-        profiler = SamplingProfiler()
+        profiler = SamplingProfiler(interval_s=0.001)
         with profiler:
             run = run_link(
                 scale.config(amplitude=20.0, tau=12), scale.video("gray"),

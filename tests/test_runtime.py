@@ -13,21 +13,34 @@ The load-bearing guarantees tested here:
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import os
 import select
 import signal
+import struct
 import subprocess
 import sys
+import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.analysis.experiments import ExperimentScale
-from repro.core.pipeline import run_link
+from repro.camera import CameraModel, PerspectiveView
+from repro.core.pipeline import InFrameReceiver, InFrameSender, run_link
+from repro.faults import FaultPlan
 from repro.obs import SpanRecord, SpanTracer, stage_totals
-from repro.runtime import ExecutionEngine, RuntimeReport, plan_chunks, spawn_rng
+from repro.runtime import (
+    ExecutionEngine,
+    RuntimeReport,
+    default_workers,
+    plan_chunks,
+    spawn_rng,
+    usable_cpus,
+)
 from repro.runtime.engine import resolve_start_method
 
 
@@ -389,3 +402,153 @@ class TestParallelDeterminism:
         assert report.frames == len(run.captures)
         assert report.frames_per_s > 0
         assert {"render", "observe", "decide", "score"} <= set(report.stages)
+
+
+# ----------------------------------------------------------------------
+# Capture noise drawn one capture ahead
+# ----------------------------------------------------------------------
+#: SHA-256 over the pixels, index and timestamps of every capture
+#: ``InFrameReceiver.capture`` returns for frames 1-5 (seed 7, key (3,)),
+#: pinned from the serial draw: drawing on a second thread changes no bit.
+_CAPTURE_DIGESTS = {
+    "quick": "f19c1e7e38783f3b3d400b35825c7385c103eca5640e5d8a12baef45f4e40613",
+    "no-jitter": "5c17b49fb9f21e714968b977698204b16617993e5e38ff6bbc3e5e6926a6cddd",
+    "no-read-noise": "78982f031f7d228dee51882e0c92f0741e10fa11e3b7ea71e5fd868c80d35150",
+    "yaw-20": "7e010aa4257fb7be47e1e99b7a9993b7dd8c63d005ce8f5722d7ccc243fd651a",
+    "clock-fault": "83b0c53c3ca67f7993c6fd817d4ba37808dfc7746267c8f714227209569ccba2",
+}
+#: The same digest of ``capture_sequence(timeline, 4, rng=default_rng(11))``.
+_SEQUENCE_DIGEST = "70edf5ebcdab22ef981d283f03313824aa7eeb7a43d6f6a1b8e364b943ef2baf"
+
+
+def _digest(captures) -> str:
+    digest = hashlib.sha256()
+    for capture in captures:
+        digest.update(np.ascontiguousarray(capture.pixels).tobytes())
+        digest.update(
+            struct.pack("<qdd", capture.index, capture.start_time_s, capture.mid_exposure_s)
+        )
+    return digest.hexdigest()
+
+
+class _FailingTimeline:
+    """A timeline whose display frames from *fail_from* on cannot be read."""
+
+    def __init__(self, inner, fail_from: int) -> None:
+        self.inner = inner
+        self.fail_from = fail_from
+        self.panel = inner.panel
+        self.n_frames = inner.n_frames
+        self.duration_s = inner.duration_s
+
+    def frame_average_luminance(self, index: int) -> np.ndarray:
+        if index >= self.fail_from:
+            raise RuntimeError(f"display frame {index} lost")
+        return self.inner.frame_average_luminance(index)
+
+
+class TestNoiseDrawnAhead:
+    @pytest.fixture(scope="class")
+    def link(self, quick_setup):
+        scale, config = quick_setup
+        sender = InFrameSender(config, scale.video("gray"))
+        camera = scale.camera().auto_exposed(sender.panel.peak_luminance)
+        return config, sender, camera
+
+    def _cameras(self, camera: CameraModel) -> dict[str, CameraModel]:
+        return {
+            "quick": camera,
+            "no-jitter": replace(camera, timing_jitter_s=0.0),
+            "no-read-noise": replace(
+                camera, sensor=replace(camera.sensor, read_noise_electrons=0.0)
+            ),
+            "yaw-20": replace(
+                camera, view=PerspectiveView.tilted(camera.height, camera.width, yaw_deg=20.0)
+            ),
+        }
+
+    @pytest.mark.parametrize("variant", ["quick", "no-jitter", "no-read-noise", "yaw-20"])
+    def test_captures_match_the_serial_draw(self, link, variant):
+        config, sender, camera = link
+        receiver = InFrameReceiver(config, sender.geometry, self._cameras(camera)[variant])
+        captures, _ = receiver.capture(sender.timeline(), range(1, 6), 7, (3,), SpanTracer())
+        assert _digest(captures) == _CAPTURE_DIGESTS[variant]
+
+    def test_clock_faulted_captures_match_the_serial_draw(self, link):
+        config, sender, camera = link
+        receiver = InFrameReceiver(config, sender.geometry, camera)
+        faults = receiver.compile_faults(
+            FaultPlan.parse("drift:ppm=400;flip:at=0.3,frames=2", seed=2), 6, 0.2
+        )
+        assert faults is not None and faults.perturbs_captures
+        captures, _ = receiver.capture(
+            sender.timeline(), range(1, 6), 7, (3,), SpanTracer(), faults=faults
+        )
+        assert _digest(captures) == _CAPTURE_DIGESTS["clock-fault"]
+
+    def test_capture_sequence_draws_frames_in_order(self, link):
+        _, sender, camera = link
+        captures = camera.capture_sequence(sender.timeline(), 4, rng=np.random.default_rng(11))
+        assert _digest(captures) == _SEQUENCE_DIGEST
+
+    def test_holds_one_capture_ahead(self, link, monkeypatch):
+        config, sender, camera = link
+        events: list[object] = []
+        draw, capture_frame = CameraModel.draw_noise, CameraModel.capture_frame
+
+        def counted_draw(self, rng):
+            events.append("draw")
+            return draw(self, rng)
+
+        def counted_capture(self, timeline, index, noise=None):
+            events.append(index)
+            return capture_frame(self, timeline, index, noise=noise)
+
+        monkeypatch.setattr(CameraModel, "draw_noise", counted_draw)
+        monkeypatch.setattr(CameraModel, "capture_frame", counted_capture)
+        receiver = InFrameReceiver(config, sender.geometry, camera)
+        receiver.capture(sender.timeline(), range(4), 7, (), SpanTracer(), keep=False)
+        assert events.count("draw") == 4
+        for at, event in enumerate(events):
+            if event != "draw":
+                # Capture i renders with at most draws 0..i+1 started.
+                assert events[:at].count("draw") <= event + 2
+
+    def test_no_thread_outlives_the_call(self, link):
+        config, sender, camera = link
+        receiver = InFrameReceiver(config, sender.geometry, camera)
+        before = threading.active_count()
+        receiver.capture(sender.timeline(), range(3), 7, (), SpanTracer())
+        assert threading.active_count() == before
+
+    def test_timeline_error_reaches_the_caller_and_no_thread_outlives_it(self, link):
+        config, sender, camera = link
+        receiver = InFrameReceiver(config, sender.geometry, camera)
+        # Capture 2 starts at 1/15 s, display frame 8 of the 120 Hz stream.
+        timeline = _FailingTimeline(sender.timeline(), fail_from=8)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="display frame 8 lost"):
+            receiver.capture(timeline, range(5), 7, (), SpanTracer())
+        assert threading.active_count() == before
+
+
+# ----------------------------------------------------------------------
+# CPU count
+# ----------------------------------------------------------------------
+class TestUsableCpus:
+    def test_counts_the_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert usable_cpus() == 3
+        assert default_workers() == 3
+
+    def test_falls_back_to_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert usable_cpus() == 6
+        assert default_workers() == 6
+
+    def test_default_workers_caps_at_eight(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        assert usable_cpus() == 64
+        assert default_workers() == 8

@@ -297,6 +297,21 @@ class TestFleet:
         assert metrics["serve.cohort.far.receivers"]["value"] == 2
         assert "serve.cohort.near.time_to_deliver_s" in metrics
 
+    def test_receivers_without_a_capture_are_counted(self, quick_session):
+        # A dwell shorter than one camera frame takes no capture; the
+        # receiver still reaches its cohort's metrics.
+        fleet = run_fleet(
+            quick_session,
+            parse_cohorts("brief:n=2,dwell=0.02|full:n=1,dwell=1.0", seed=1),
+            base_camera=QUICK.camera(),
+            seed=1,
+        )
+        assert {c.name: c.receivers for c in fleet.report.cohorts} == {"brief": 2, "full": 1}
+        metrics = fleet.telemetry.metrics
+        assert metrics["serve.cohort.brief.receivers"]["value"] == 2
+        assert metrics["serve.cohort.brief.captures"]["value"] == 0
+        assert metrics["serve.cohort.full.receivers"]["value"] == 1
+
     def test_workers_bit_identical_including_faulted_cohort(self, quick_session, fleet):
         parallel = run_fleet(
             quick_session,
