@@ -49,7 +49,7 @@ import time
 
 import repro
 from repro.campaign import CampaignJournal, CampaignMaster
-from repro.campaign.chaos import run_chaos_campaign
+from repro.campaign.chaos import ChaosScheduleError, run_chaos_campaign
 
 #: The benchmark campaign: swept parameter x fault plan x heal -- 8 units,
 #: half of them faulted (the determinism claim must include those).
@@ -361,12 +361,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     scale = args.scale or ("quick" if args.quick else "benchmark")
     if args.chaos:
-        record = measure_chaos(
-            scale=scale,
-            schedule=args.chaos_schedule,
-            workers=args.workers or 2,
-            workdir=args.chaos_dir,
-        )
+        try:
+            record = measure_chaos(
+                scale=scale,
+                schedule=args.chaos_schedule,
+                workers=args.workers or 2,
+                workdir=args.chaos_dir,
+            )
+        except ChaosScheduleError as exc:
+            parser.error(f"--chaos-schedule: {exc}")
         print(format_chaos_report(record))
         if args.out:
             with open(args.out, "w") as f:

@@ -7,11 +7,13 @@ the journal promises: the final :meth:`~repro.campaign.report.
 CampaignReport.report_json` must be byte-identical to a chaos-free run
 no matter which workers were killed, stalled, or torn mid-append.
 
-Faults come from a deterministic **schedule grammar**::
+Faults come from a deterministic **schedule grammar**: one event slot
+per ``;``, pairs separated by ``,`` (the slot rules every spec grammar
+shares are in docs/robustness.md §1)::
 
-    kill:unit=3;stall:unit=5,dur=2.0;tear:record=done
+    kill:unit=3;stall:unit=5,dur=2;tear:record=done
 
-one ``kind[:key=value[,key=value...]]`` event per ``;``-separated slot:
+The event kinds and their keys (:data:`CHAOS_KINDS`):
 
 ``kill:unit=N``
     SIGKILL the pool worker executing unit index *N* (its pid is learned
@@ -52,10 +54,11 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import cast
+from typing import Any, cast
 
+from repro._util.spec import Caster, Params, SlotGrammar, integer, number, split_slots
 from repro.campaign.journal import AppendTamper, CampaignJournal, JournalRecord
 from repro.campaign.supervise import HeartbeatFilter, JournalTail
 
@@ -91,45 +94,50 @@ class ChaosScheduleError(ValueError):
     """Raised for schedules that do not fit the grammar."""
 
 
+#: Each event kind's keys and their defaults; ``...`` marks a key the
+#: event must give.
+CHAOS_KINDS: dict[str, dict[str, object]] = {
+    "kill": {"unit": ...},
+    "stall": {"unit": ..., "dur": 2.0},
+    "drop_hb": {"unit": ..., "from": 0, "count": -1},
+    "delay_hb": {"unit": ..., "dur": ..., "from": 0, "count": -1},
+    "tear": {"record": ..., "unit": None, "at": 1},
+}
+
+#: The caster of every chaos key and the placeholder its errors name.
+_KEYS: dict[str, tuple[Caster, str]] = {
+    "unit": (integer, "N"),
+    "dur": (number, "S"),
+    "from": (integer, "F"),
+    "count": (integer, "C"),
+    "at": (integer, "K"),
+    "record": (str, "EVENT"),
+}
+
+_SLOTS = SlotGrammar(
+    "chaos event",
+    ChaosScheduleError,
+    {kind: {key: _KEYS[key][0] for key in keys} for kind, keys in CHAOS_KINDS.items()},
+)
+
+
 @dataclass(frozen=True)
 class ChaosEvent:
-    """One scheduled fault: a kind plus its ``key=value`` parameters."""
+    """One scheduled fault: a kind plus its typed ``key=value`` parameters."""
 
     kind: str
-    params: dict[str, str] = field(default_factory=dict)
+    params: Params = ()
+
+    def __getitem__(self, key: str) -> Any:
+        """The event's value for *key*, or its kind's default."""
+        for name, value in self.params:
+            if name == key:
+                return value
+        return CHAOS_KINDS[self.kind][key]
 
     def spec(self) -> str:
         """The event re-serialized in canonical grammar form."""
-        if not self.params:
-            return self.kind
-        body = ",".join(f"{key}={self.params[key]}" for key in self.params)
-        return f"{self.kind}:{body}"
-
-    def int_param(self, name: str, default: int | None = None) -> int | None:
-        raw = self.params.get(name)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ChaosScheduleError(
-                f"chaos event {self.spec()!r}: {name} must be an integer"
-            ) from exc
-
-    def float_param(self, name: str, default: float) -> float:
-        raw = self.params.get(name)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ChaosScheduleError(
-                f"chaos event {self.spec()!r}: {name} must be a number"
-            ) from exc
-
-    @property
-    def unit(self) -> int | None:
-        return self.int_param("unit")
+        return _SLOTS.format(self.kind, self.params)
 
 
 @dataclass(frozen=True)
@@ -161,36 +169,13 @@ class ChaosSchedule:
 def parse_chaos(text: str) -> ChaosSchedule:
     """Parse the schedule grammar; raises :class:`ChaosScheduleError`."""
     events: list[ChaosEvent] = []
-    for slot in text.split(";"):
-        slot = slot.strip()
-        if not slot:
-            continue
-        kind, _, body = slot.partition(":")
-        kind = kind.strip()
-        if kind not in EXTERNAL_KINDS + INTERNAL_KINDS:
-            raise ChaosScheduleError(
-                f"unknown chaos event kind {kind!r} in {slot!r} "
-                f"(expected one of {', '.join(EXTERNAL_KINDS + INTERNAL_KINDS)})"
-            )
-        params: dict[str, str] = {}
-        if body:
-            for pair in body.split(","):
-                key, eq, value = pair.partition("=")
-                if not eq or not key.strip() or not value.strip():
-                    raise ChaosScheduleError(
-                        f"malformed parameter {pair!r} in chaos event {slot!r} "
-                        "(expected key=value)"
-                    )
-                params[key.strip()] = value.strip()
-        event = ChaosEvent(kind=kind, params=params)
-        if kind in ("kill", "stall", "drop_hb", "delay_hb") and event.unit is None:
-            raise ChaosScheduleError(f"chaos event {slot!r} requires unit=N")
-        if kind == "delay_hb" and "dur" not in params:
-            raise ChaosScheduleError(f"chaos event {slot!r} requires dur=S")
-        if kind == "tear":
-            record = params.get("record")
-            if not record:
-                raise ChaosScheduleError(f"chaos event {slot!r} requires record=EVENT")
+    for slot in split_slots(text, ";"):
+        event = ChaosEvent(*_SLOTS.read(slot))
+        for key, default in CHAOS_KINDS[event.kind].items():
+            if default is ... and event[key] is ...:
+                raise ChaosScheduleError(
+                    f"chaos event {slot!r} requires {key}={_KEYS[key][1]}"
+                )
         events.append(event)
     return ChaosSchedule(events=tuple(events))
 
@@ -221,14 +206,12 @@ def heartbeat_filter_from_env(
     events = [e for e in schedule.internal() if e.kind in ("drop_hb", "delay_hb")]
     if not events:
         return None
-    remaining = {
-        id(event): cast(int, event.int_param("count", -1)) for event in events
-    }
+    remaining: dict[int, int] = {id(event): event["count"] for event in events}
 
     def chaos(unit_index: int, seq: int) -> tuple[bool, float]:
         emit, delay_s = True, 0.0
         for event in events:
-            if event.unit != unit_index or seq < cast(int, event.int_param("from", 0)):
+            if event["unit"] != unit_index or seq < event["from"]:
                 continue
             left = remaining[id(event)]
             if left == 0:
@@ -238,7 +221,7 @@ def heartbeat_filter_from_env(
             if event.kind == "drop_hb":
                 emit = False
             else:
-                delay_s += event.float_param("dur", 0.0)
+                delay_s += event["dur"]
         return emit, delay_s
 
     return chaos
@@ -277,22 +260,21 @@ def tamper_from_env(
     for event in schedule.internal():
         if event.kind != "tear":
             continue
-        record = event.params["record"]
-        if (record == "heartbeat") == (role == "worker"):
+        if (event["record"] == "heartbeat") == (role == "worker"):
             tears.append(event)
     if not tears:
         return None
     journal_path = Path(path)
-    countdown = {id(event): event.int_param("at", 1) or 1 for event in tears}
+    countdown: dict[int, int] = {id(event): event["at"] or 1 for event in tears}
 
     def tamper(record: JournalRecord, line: str) -> str | None:
         for event in tears:
-            if record.get("event") != event.params["record"]:
+            if record.get("event") != event["record"]:
                 continue
-            unit = event.unit
+            unit = event["unit"]
             if unit is not None and _record_unit_index(record) != unit:
                 continue
-            countdown[id(event)] = cast(int, countdown[id(event)]) - 1
+            countdown[id(event)] -= 1
             if countdown[id(event)] > 0:
                 continue
             torn = line[: max(1, (len(line) - 1) // 2)]
@@ -404,7 +386,7 @@ class _SignalInjector:
             if not isinstance(index, int) or not isinstance(pid, int):
                 continue
             for event in list(self.pending):
-                if event.unit != index:
+                if event["unit"] != index:
                     continue
                 self.pending.remove(event)
                 try:
@@ -412,7 +394,7 @@ class _SignalInjector:
                         os.kill(pid, signal.SIGKILL)
                         self.injected.append(f"kill unit={index} pid={pid}")
                     else:  # stall
-                        duration = event.float_param("dur", 2.0)
+                        duration = event["dur"]
                         os.kill(pid, signal.SIGSTOP)
                         self._conts.append((time.monotonic() + duration, pid))
                         self.injected.append(
@@ -520,8 +502,6 @@ def run_chaos_campaign(
             while proc.poll() is None:
                 injector.poll()
                 if time.monotonic() > deadline:
-                    proc.kill()
-                    proc.wait()
                     raise TimeoutError(
                         f"chaos campaign exceeded {_TIMEOUT_S}s (schedule "
                         f"{schedule.spec()!r})"
@@ -529,6 +509,9 @@ def run_chaos_campaign(
                 time.sleep(0.02)
         finally:
             injector.release_all()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
         return int(proc.returncode or 0)
 
     code = drive(

@@ -12,6 +12,10 @@ for example::
 
     parameter=tau:8,12,16|faults=none,drop:p=0.1,flip:at=0.2|heal=on,off
 
+A workload value is one slot whose pairs are joined by ``+``, since the
+axis owns ``,``; numbers print as every spec grammar prints them (the
+shared slot rules are in docs/robustness.md §1).
+
 Axes (all optional; a missing axis contributes its single default):
 
 =========== ==========================================================
@@ -56,7 +60,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro._util import stable_seed
-from repro.campaign.units import TRANSPORT_MODES, WORKLOADS, WorkUnit
+from repro._util.spec import SlotGrammar, format_number, integer, number
+from repro.campaign.units import TRANSPORT_MODES, WorkUnit
 from repro.faults.plan import (
     FaultPlan,
     FaultSpecError,
@@ -89,16 +94,29 @@ _AXIS_NAMES = ("workload", "video", "parameter", "faults", "heal")
 _VIDEOS = ("gray", "dark-gray", "video")
 _HEALS = ("on", "off", "auto")
 
-#: Workload parameter tables: name -> (allowed key -> caster).
-_WORKLOAD_PARAMS: dict[str, dict[str, type]] = {
-    "link": {},
-    "transport": {"rounds": int},
-    "fleet": {"n": int, "distance": float, "dwell": float},
-}
-
 
 class CampaignSpecError(ValueError):
     """Raised when a campaign spec string cannot be parsed."""
+
+
+def _transport_mode(text: str) -> str:
+    if text not in TRANSPORT_MODES:
+        raise ValueError(
+            f"unknown transport mode {text!r} (known: {', '.join(TRANSPORT_MODES)})"
+        )
+    return text
+
+
+_WORKLOAD = SlotGrammar(
+    "workload",
+    CampaignSpecError,
+    {
+        "link": {},
+        "transport": {"mode": _transport_mode, "rounds": integer},
+        "fleet": {"n": integer, "distance": number, "dwell": number},
+    },
+    sep="+",
+)
 
 
 def coerce_sweep_values(
@@ -162,61 +180,6 @@ class Axis:
         return f"{self.name}={','.join(self.values)}"
 
 
-def _canonical_number(value: float | int) -> str:
-    """A value label that round-trips through the grammar (``8``, ``0.5``)."""
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:g}"
-
-
-def _parse_workload_value(text: str) -> str:
-    """Validate one workload value; returns its canonical label."""
-    base, _, body = text.partition(":")
-    base = base.strip()
-    if base not in WORKLOADS:
-        raise CampaignSpecError(
-            f"unknown workload {base!r} (known: {', '.join(WORKLOADS)})"
-        )
-    if not body.strip():
-        return base
-    allowed = _WORKLOAD_PARAMS[base]
-    parts: list[str] = []
-    seen: set[str] = set()
-    for pair in body.split("+"):
-        key, eq, value = pair.partition("=")
-        key = key.strip()
-        if not eq:
-            raise CampaignSpecError(
-                f"malformed workload parameter {pair!r} (expected key=value)"
-            )
-        if base == "transport" and key == "mode":
-            mode = value.strip()
-            if mode not in TRANSPORT_MODES:
-                raise CampaignSpecError(
-                    f"unknown transport mode {mode!r} "
-                    f"(known: {', '.join(TRANSPORT_MODES)})"
-                )
-            parts.append(f"mode={mode}")
-        elif key in allowed:
-            try:
-                number = allowed[key](value)
-            except (TypeError, ValueError):
-                raise CampaignSpecError(
-                    f"non-numeric value {value!r} for workload {base}.{key}"
-                ) from None
-            parts.append(f"{key}={_canonical_number(number)}")
-        else:
-            known = sorted([*allowed, "mode"] if base == "transport" else allowed)
-            raise CampaignSpecError(
-                f"workload {base!r} has no parameter {key!r} "
-                f"(known: {', '.join(known)})"
-            )
-        if key in seen:
-            raise CampaignSpecError(f"workload {base!r} repeats parameter {key!r}")
-        seen.add(key)
-    return f"{base}:{'+'.join(parts)}"
-
-
 def _parse_faults_value(text: str) -> str:
     """Validate one faults value; returns its canonical embedded label."""
     if text == "none":
@@ -251,13 +214,13 @@ def _parse_axis(part: str) -> Axis:
         values = coerce_sweep_values(field, [v.strip() for v in csv.split(",")])
         return Axis(
             name=f"parameter:{field}",
-            values=tuple(_canonical_number(v) for v in values),
+            values=tuple(format_number(v) for v in values),
         )
     raw = [v.strip() for v in body.split(",") if v.strip()]
     if not raw:
         raise CampaignSpecError(f"axis {name!r} has no values")
     if name == "workload":
-        labels = tuple(_parse_workload_value(v) for v in raw)
+        labels = tuple(_WORKLOAD.format(*_WORKLOAD.read(v)) for v in raw)
     elif name == "video":
         for v in raw:
             if v not in _VIDEOS:
@@ -390,17 +353,8 @@ def _build_unit(
     payload_bytes: int,
 ) -> WorkUnit:
     """One axis assignment decoded into an executable work unit."""
-    workload_label = assignment["workload"]
-    base, _, body = workload_label.partition(":")
-    transport_mode = "fountain"
-    workload_params: list[tuple[str, float]] = []
-    if body:
-        for pair in body.split("+"):
-            wkey, _, value = pair.partition("=")
-            if base == "transport" and wkey == "mode":
-                transport_mode = value
-            else:
-                workload_params.append((wkey, float(value)))
+    base, params = _WORKLOAD.read(assignment["workload"])
+    transport_mode = dict(params).get("mode", "fountain")
     config_overrides: list[tuple[str, float]] = []
     camera_overrides: list[tuple[str, float]] = []
     replicates = 1
@@ -432,5 +386,5 @@ def _build_unit(
         heal={"on": True, "off": False, "auto": None}[heal_label],
         payload_bytes=payload_bytes,
         transport_mode=transport_mode,
-        workload_params=tuple(workload_params),
+        workload_params=tuple((k, float(v)) for k, v in params if k != "mode"),
     )

@@ -232,7 +232,7 @@ def _run_replicate(
         return _run_link_replicate(unit, scale, config, camera, faults, seed)
     if unit.workload == "transport":
         return _run_transport_replicate(unit, scale, config, camera, faults, seed)
-    return _run_fleet_replicate(unit, scale, config, camera, seed)
+    return _run_fleet_replicate(unit, scale, config, camera, faults, seed)
 
 
 def _run_link_replicate(
@@ -303,26 +303,27 @@ def _run_fleet_replicate(
     scale: ExperimentScale,
     config: InFrameConfig,
     camera: CameraModel,
+    faults: FaultPlan | None,
     seed: int,
 ) -> tuple[dict[str, float], RunTelemetry | None]:
-    from repro.faults.plan import encode_faults_value
-    from repro.serve.cohort import parse_cohorts
+    from repro.serve.cohort import CohortSpec
     from repro.serve.fanout import run_fleet
     from repro.serve.session import BroadcastSession, deterministic_payload
 
     params = {**_FLEET_DEFAULTS, **dict(unit.workload_params)}
-    spec = (
-        f"unit:n={int(params['n'])},join_spread=0.5,"
-        f"dwell={params['dwell']:g},distance={params['distance']:g}"
+    cohort = CohortSpec(
+        name="unit",
+        n=int(params["n"]),
+        join_spread_s=0.5,
+        dwell_s=params["dwell"],
+        distance=params["distance"],
+        # Every replicate's cohort plan keeps the unit's fault seed.
+        faults=None if faults is None else replace(faults, seed=unit.fault_seed),
+        heal=unit.heal,
     )
-    if unit.faults_spec:
-        spec += ",faults=" + encode_faults_value(unit.faults_spec)
-    if unit.heal is not None:
-        spec += f",heal={int(unit.heal)}"
-    cohorts = parse_cohorts(spec, seed=unit.fault_seed)
     payload = deterministic_payload(unit.payload_bytes, seed=seed)
     with BroadcastSession(config, scale.video(unit.video), payload) as session:
-        fleet = run_fleet(session, cohorts, base_camera=camera, seed=seed)
+        fleet = run_fleet(session, (cohort,), base_camera=camera, seed=seed)
     report = fleet.report
     row = {
         "receivers": float(report.receivers),

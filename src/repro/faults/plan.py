@@ -2,12 +2,9 @@
 
 A :class:`FaultPlan` is the reproducible unit of chaos: a seed plus a
 tuple of :class:`FaultSpec` entries, each naming one fault process and
-its parameters.  Plans come from the ``--faults`` CLI spec grammar::
-
-    SPEC  := fault (";" fault)*
-    fault := name (":" key "=" value ("," key "=" value)*)?
-
-for example::
+its parameters.  Plans come from the ``--faults`` CLI spec grammar: one
+fault slot per ``;``, pairs separated by ``,`` (the slot rules every
+spec grammar shares are in docs/robustness.md §1)::
 
     drop:p=0.10,burst=3;flip:at=0.35;exposure:at=0.55,gain=0.65;blackout:at=0.7,dur=0.5
 
@@ -57,6 +54,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro._util.spec import SlotGrammar, number, split_slots
 from repro.runtime.scheduler import spawn_rng
 
 #: Known fault kinds and their (parameter, default) tables.
@@ -89,6 +87,14 @@ class FaultSpecError(ValueError):
     """Raised when a ``--faults`` spec string cannot be parsed."""
 
 
+#: The fault slot grammar: every parameter of every kind is a number.
+_SLOTS = SlotGrammar(
+    "fault",
+    FaultSpecError,
+    {kind: dict.fromkeys(params, number) for kind, params in FAULT_KINDS.items()},
+)
+
+
 def encode_faults_value(native: str) -> str:
     """A native faults spec in the embedded (``/``/``+``) grammar."""
     return native.replace(";", "/").replace(",", "+")
@@ -99,19 +105,6 @@ def decode_faults_value(embedded: str) -> str:
     return embedded.replace("/", ";").replace("+", ",")
 
 
-def _format_value(value: float) -> str:
-    """*value* as spec text that parses back to the same float.
-
-    The short ``:g`` form is kept when it is exact; otherwise the shortest
-    round-trip form.  Neither may carry an exponent ``+``, which the
-    embedded grammar reads as a separator (``float("2e06")`` parses).
-    """
-    text = f"{value:g}"
-    if "+" not in text and float(text) == value:
-        return text
-    return repr(value).replace("+", "")
-
-
 @dataclass(frozen=True)
 class FaultSpec:
     """One named fault process with its parameter overrides."""
@@ -120,17 +113,7 @@ class FaultSpec:
     params: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise FaultSpecError(
-                f"unknown fault {self.kind!r} (known: {', '.join(sorted(FAULT_KINDS))})"
-            )
-        known = FAULT_KINDS[self.kind]
-        for key, _ in self.params:
-            if key not in known:
-                raise FaultSpecError(
-                    f"fault {self.kind!r} has no parameter {key!r} "
-                    f"(known: {', '.join(sorted(known))})"
-                )
+        _SLOTS.check(self.kind, self.params)
 
     def __getitem__(self, key: str) -> float:
         for name, value in self.params:
@@ -140,10 +123,7 @@ class FaultSpec:
 
     def spec(self) -> str:
         """The spec-grammar form of this fault."""
-        if not self.params:
-            return self.kind
-        body = ",".join(f"{k}={_format_value(v)}" for k, v in self.params)
-        return f"{self.kind}:{body}"
+        return _SLOTS.format(self.kind, self.params)
 
 
 @dataclass(frozen=True)
@@ -166,35 +146,14 @@ class FaultPlan:
     def parse(spec: str, seed: int = 0) -> "FaultPlan":
         """Parse the ``--faults`` grammar into a plan.
 
-        Raises :class:`FaultSpecError` on unknown faults or parameters,
-        malformed ``key=value`` pairs, or non-numeric values.
+        Raises :class:`FaultSpecError` on an unknown fault or parameter,
+        a repeated parameter, a malformed ``key=value`` pair or a
+        non-numeric value.
         """
-        faults: list[FaultSpec] = []
-        for part in spec.split(";"):
-            part = part.strip()
-            if not part:
-                continue
-            name, _, body = part.partition(":")
-            name = name.strip()
-            params: list[tuple[str, float]] = []
-            if body.strip():
-                for pair in body.split(","):
-                    key, eq, value = pair.partition("=")
-                    if not eq:
-                        raise FaultSpecError(
-                            f"malformed parameter {pair!r} in fault {name!r} "
-                            "(expected key=value)"
-                        )
-                    try:
-                        params.append((key.strip(), float(value)))
-                    except ValueError as exc:
-                        raise FaultSpecError(
-                            f"non-numeric value {value!r} for {name}.{key.strip()}"
-                        ) from exc
-            faults.append(FaultSpec(kind=name, params=tuple(params)))
+        faults = tuple(FaultSpec(*_SLOTS.read(slot)) for slot in split_slots(spec, ";"))
         if not faults:
             raise FaultSpecError("fault spec is empty")
-        return FaultPlan(seed=seed, faults=tuple(faults))
+        return FaultPlan(seed=seed, faults=faults)
 
     def spec(self) -> str:
         """The round-trippable spec string of this plan."""

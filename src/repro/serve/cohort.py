@@ -1,18 +1,13 @@
 """Cohort specs: who is watching the broadcast, in one grammar string.
 
 A fleet is described the way ``--faults`` describes chaos: a compact,
-round-trippable spec.  Cohorts are separated by ``|``, each one a name
-plus ``key=value`` parameters::
-
-    SPEC   := cohort ("|" cohort)*
-    cohort := name (":" param ("," param)*)?
-    param  := key "=" value
-
-for example::
+round-trippable spec of one cohort slot per ``|``, each a free name plus
+``,``-separated ``key=value`` parameters (the slot rules every spec
+grammar shares are in docs/robustness.md §1)::
 
     lobby:n=24,join_spread=1.0|far:n=8,distance=1.6,join_spread=1.0,faults=drop:p=0.15
 
-Parameters (all numeric; times in seconds):
+Parameters (times in seconds; every key but ``faults`` is a number):
 
 ================= ======================================================
 key               meaning
@@ -50,24 +45,37 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro._util.spec import Caster, SlotGrammar, number, split_slots
 from repro.camera.capture import CameraModel
-from repro.faults.plan import FaultPlan, FaultSpecError, decode_faults_value
+from repro.faults.plan import FaultPlan, decode_faults_value
 from repro.runtime.scheduler import spawn_rng
 
-#: Known cohort parameters and their defaults (``None`` = inherit).
-COHORT_KEYS: dict[str, float | None] = {
-    "n": 1.0,
-    "fps": None,
-    "exposure": None,
-    "offset": 0.0,
-    "offset_spread": 0.0,
-    "drift_ppm": 0.0,
-    "drift_spread_ppm": 0.0,
-    "distance": 1.0,
-    "join": 0.0,
-    "join_spread": 0.0,
-    "dwell": None,
-    "heal": None,
+#: Every cohort key and the caster that reads its value; the defaults
+#: are :class:`CohortSpec`'s.
+COHORT_KEYS: dict[str, Caster] = {
+    "n": lambda text: int(number(text)),
+    "fps": number,
+    "exposure": number,
+    "offset": number,
+    "offset_spread": number,
+    "drift_ppm": number,
+    "drift_spread_ppm": number,
+    "distance": number,
+    "join": number,
+    "join_spread": number,
+    "dwell": number,
+    "heal": lambda text: bool(number(text)),
+    "faults": lambda text: FaultPlan.parse(decode_faults_value(text)),
+}
+
+#: The :class:`CohortSpec` field a key sets, where the names differ.
+_FIELDS = {
+    "exposure": "exposure_s",
+    "offset": "offset_s",
+    "offset_spread": "offset_spread_s",
+    "join": "join_s",
+    "join_spread": "join_spread_s",
+    "dwell": "dwell_s",
 }
 
 #: Spawn-key namespace of the per-receiver parameter draws.
@@ -76,6 +84,9 @@ _KEY_COHORT = 0xC0407
 
 class CohortSpecError(ValueError):
     """Raised when a cohort spec string cannot be parsed."""
+
+
+_SLOTS = SlotGrammar("cohort", CohortSpecError)
 
 
 @dataclass(frozen=True)
@@ -158,99 +169,30 @@ class ReceiverSpec:
         )
 
 
-def _parse_params(name: str, body: str) -> dict[str, object]:
-    """The ``key=value`` pairs of one cohort, validated against the table."""
-    params: dict[str, object] = {}
-    if not body.strip():
-        return params
-    for pair in body.split(","):
-        key, eq, value = pair.partition("=")
-        key = key.strip()
-        if not eq:
-            raise CohortSpecError(
-                f"malformed parameter {pair!r} in cohort {name!r} (expected key=value)"
-            )
-        if key == "faults":
-            params[key] = value.strip()
-            continue
-        if key not in COHORT_KEYS:
-            known = ", ".join(sorted([*COHORT_KEYS, "faults"]))
-            raise CohortSpecError(
-                f"cohort {name!r} has no parameter {key!r} (known: {known})"
-            )
-        if key in params:
-            raise CohortSpecError(f"cohort {name!r} repeats parameter {key!r}")
-        try:
-            params[key] = float(value)
-        except ValueError as exc:
-            raise CohortSpecError(
-                f"non-numeric value {value!r} for {name}.{key}"
-            ) from exc
-    return params
-
-
-def _cohort_faults(name: str, embedded: str, seed: int) -> FaultPlan:
-    """Translate the embedded fault grammar back and parse it."""
-    try:
-        return FaultPlan.parse(decode_faults_value(embedded), seed=seed)
-    except FaultSpecError as exc:
-        raise CohortSpecError(f"cohort {name!r}: faults: {exc}") from exc
-
-
 def parse_cohorts(spec: str, seed: int = 0) -> tuple[CohortSpec, ...]:
     """Parse a fleet spec string into cohort specs.
 
-    Raises :class:`CohortSpecError` on unknown keys, malformed pairs,
-    duplicate cohort names, or an empty spec.  *seed* seeds every
-    cohort's fault plan (receivers then derive their own).
+    Raises :class:`CohortSpecError` on unknown or repeated keys, malformed
+    pairs, unreadable values, duplicate cohort names, or an empty spec.
+    *seed* seeds every cohort's fault plan (receivers then derive their
+    own).
     """
     cohorts: list[CohortSpec] = []
-    seen: set[str] = set()
-    for part in spec.split("|"):
-        part = part.strip()
-        if not part:
-            continue
-        name, _, body = part.partition(":")
-        name = name.strip()
+    for slot in split_slots(spec, "|"):
+        name, params = _SLOTS.read(slot, COHORT_KEYS)
         if not name or any(c in name for c in "=, \t"):
             raise CohortSpecError(
                 f"malformed cohort name {name!r} (did you forget the 'name:' prefix?)"
             )
-        params = _parse_params(name, body)
-        if name in seen:
+        if any(cohort.name == name for cohort in cohorts):
             raise CohortSpecError(f"duplicate cohort name {name!r}")
-        seen.add(name)
-        heal_raw = params.get("heal")
-        faults_raw = params.get("faults")
-        cohorts.append(
-            CohortSpec(
-                name=name,
-                n=int(float(params.get("n", 1.0))),  # type: ignore[arg-type]
-                fps=_opt_float(params.get("fps")),
-                exposure_s=_opt_float(params.get("exposure")),
-                offset_s=float(params.get("offset", 0.0)),  # type: ignore[arg-type]
-                offset_spread_s=float(params.get("offset_spread", 0.0)),  # type: ignore[arg-type]
-                drift_ppm=float(params.get("drift_ppm", 0.0)),  # type: ignore[arg-type]
-                drift_spread_ppm=float(params.get("drift_spread_ppm", 0.0)),  # type: ignore[arg-type]
-                distance=float(params.get("distance", 1.0)),  # type: ignore[arg-type]
-                join_s=float(params.get("join", 0.0)),  # type: ignore[arg-type]
-                join_spread_s=float(params.get("join_spread", 0.0)),  # type: ignore[arg-type]
-                dwell_s=_opt_float(params.get("dwell")),
-                faults=(
-                    _cohort_faults(name, str(faults_raw), seed)
-                    if faults_raw is not None
-                    else None
-                ),
-                heal=None if heal_raw is None else bool(float(heal_raw)),  # type: ignore[arg-type]
-            )
-        )
+        fields = {_FIELDS.get(key, key): value for key, value in params}
+        if "faults" in fields:
+            fields["faults"] = replace(fields["faults"], seed=seed)
+        cohorts.append(CohortSpec(name=name, **fields))
     if not cohorts:
         raise CohortSpecError("cohort spec is empty")
     return tuple(cohorts)
-
-
-def _opt_float(value: object | None) -> float | None:
-    return None if value is None else float(value)  # type: ignore[arg-type]
 
 
 def compile_receivers(

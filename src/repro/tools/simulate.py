@@ -19,7 +19,7 @@ from dataclasses import replace
 
 from repro.analysis.experiments import ExperimentScale
 from repro.core.pipeline import run_link
-from repro.faults import FaultPlan
+from repro.faults import FAULT_KINDS, FaultPlan
 from repro.obs import (
     LiveCollector,
     RunTelemetry,
@@ -141,8 +141,7 @@ def add_fault_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="SPEC",
         default=None,
         help="inject deterministic faults, e.g. 'drop:p=0.1;flip:at=0.5' "
-        "(kinds: drop dup reorder flip drift jitter exposure ambient "
-        "blackout corrupt truncate)",
+        f"(kinds: {' '.join(FAULT_KINDS)})",
     )
     group.add_argument(
         "--no-heal",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 
+from repro._util.spec import format_number
 from repro.analysis.reporting import format_table
 from repro.campaign import (
     SWEEPABLE,
@@ -25,7 +26,12 @@ from repro.campaign import (
 )
 from repro.faults.plan import encode_faults_value
 from repro.obs import RunTelemetry
-from repro.tools.simulate import add_fault_arguments, add_telemetry_argument, write_telemetry
+from repro.tools.simulate import (
+    add_fault_arguments,
+    add_telemetry_argument,
+    parse_fault_plan,
+    write_telemetry,
+)
 
 __all__ = ["SWEEPABLE", "build_parser", "build_spec", "main"]
 
@@ -77,7 +83,7 @@ def build_spec(
     parse-time validation the campaign grammar itself applies.
     """
     coerced = coerce_sweep_values(parameter, values)
-    csv = ",".join(str(v) if isinstance(v, int) else f"{v:g}" for v in coerced)
+    csv = ",".join(format_number(v) for v in coerced)
     axes = [f"parameter={parameter}:{csv}", f"video={video}"]
     if faults:
         axes.append(f"faults={encode_faults_value(faults)}")
@@ -110,12 +116,13 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    plan, _ = parse_fault_plan(parser, args)
     try:
         spec = build_spec(
             args.parameter,
             args.values,
             video=args.video,
-            faults=args.faults,
+            faults=plan.spec() if plan is not None else None,
             no_heal=args.no_heal,
         )
     except CampaignSpecError as exc:

@@ -5,8 +5,10 @@ import multiprocessing
 import os
 import shutil
 import signal
+import subprocess
 import threading
 import time
+import types
 
 import pytest
 
@@ -31,6 +33,7 @@ from repro.campaign import (
     journal_status,
     parse_chaos,
     report_from_journal,
+    run_chaos_campaign,
 )
 from repro.campaign.chaos import (
     CHAOS_ENV,
@@ -120,6 +123,17 @@ class TestCampaignSpec:
     def test_seeds_axis_sets_replicates(self):
         units = CampaignSpec.parse("parameter=seeds:2").expand(scale="quick")
         assert units[0].replicates == 2
+
+    def test_numbers_keep_every_digit(self):
+        # 1/600 s has 17 significant digits; 1e6 prints '1e+06' under :g,
+        # and '+' joins a workload value's pairs.
+        spec = CampaignSpec.parse(
+            "workload=fleet:dwell=1000000|parameter=exposure_s:0.0016666666666666668"
+        )
+        assert CampaignSpec.parse(spec.spec()) == spec
+        (unit,) = spec.expand(scale="quick")
+        assert unit.camera_overrides == (("exposure_s", 1 / 600),)
+        assert unit.workload_params == (("dwell", 1e6),)
 
 
 class TestCoerceSweepValues:
@@ -1086,7 +1100,7 @@ class TestLiveQueueIsTheReplay:
 
 class TestChaosGrammar:
     def test_parse_round_trip(self):
-        text = "kill:unit=3;stall:unit=5,dur=2.0;tear:record=done"
+        text = "kill:unit=3;stall:unit=5,dur=2;tear:record=done"
         schedule = parse_chaos(text)
         assert schedule.spec() == text
         assert [e.kind for e in schedule.external()] == ["kill", "stall"]
@@ -1109,6 +1123,16 @@ class TestChaosGrammar:
             parse_chaos("tear")
         with pytest.raises(ChaosScheduleError, match="key=value"):
             parse_chaos("kill:unit")
+
+    def test_repeated_unknown_and_unreadable_keys_rejected(self):
+        for text, message in (
+            ("stall:unit=1,dur=2,dur=3", "repeats parameter 'dur'"),
+            ("kill:unit=1,unit=2", "repeats parameter 'unit'"),
+            ("kill:unit=1,untypo=3", "has no parameter 'untypo'"),
+            ("stall:unit=1,dur=abc", "non-numeric value 'abc'"),
+        ):
+            with pytest.raises(ChaosScheduleError, match=message):
+                parse_chaos(text)
 
     def test_heartbeat_filter_drop_budget(self):
         chaos = heartbeat_filter_from_env(
@@ -1137,6 +1161,29 @@ class TestChaosGrammar:
         env = {CHAOS_ENV: "tear:record=done"}
         assert tamper_from_env(tmp_path / "j", "worker", env) is None
         assert tamper_from_env(tmp_path / "j", "master", env) is not None
+
+
+class TestChaosHarness:
+    def test_campaign_is_reaped_when_the_drive_loop_raises(self, monkeypatch, tmp_path):
+        children = []
+
+        class Recorded(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                children.append(self)
+
+        def fail(self):
+            raise RuntimeError("injector failed")
+
+        monkeypatch.setattr(
+            "repro.campaign.chaos.subprocess",
+            types.SimpleNamespace(Popen=Recorded, DEVNULL=subprocess.DEVNULL),
+        )
+        monkeypatch.setattr("repro.campaign.chaos._SignalInjector.poll", fail)
+        with pytest.raises(RuntimeError, match="injector failed"):
+            run_chaos_campaign("parameter=tau:8", "kill:unit=0", tmp_path, workers=1)
+        (child,) = children
+        assert child.returncode is not None  # killed and waited for
 
 
 class TestDrain:

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.camera.capture import CameraModel, CapturedFrame
-from repro.campaign import CampaignSpec
+from repro.campaign import CampaignSpec, ChaosSchedule, parse_chaos
+from repro.campaign.chaos import CHAOS_KINDS, ChaosEvent
+from repro.campaign.units import TRANSPORT_MODES
 from repro.core.decoder import HealingReport, InFrameDecoder
 from repro.core.pipeline import InFrameSender, run_link, run_transport_link
 from repro.faults import (
@@ -58,14 +60,23 @@ class TestFaultPlanParsing:
         with pytest.raises(ValueError):
             FaultPlan.parse("", seed=0)
 
+    def test_repeated_param_rejected(self):
+        with pytest.raises(ValueError, match="repeats parameter 'p'"):
+            FaultPlan.parse("drop:p=0.1,p=0.9", seed=0)
+
     @given(st.data())
     @settings(max_examples=50, deadline=None)
     def test_embedded_spec_round_trips_through_cohort_and_campaign(self, data):
+        # Magnitudes up to 1e12, most with more than six significant digits:
+        # every grammar must print each number so that it reads back exactly.
+        real = st.floats(-1e12, 1e12, allow_nan=False)
+        positive = st.floats(0.0, 1e12, exclude_min=True)
+        whole = st.integers(-(10**12), 10**12)
         faults = []
         kinds = data.draw(st.lists(st.sampled_from(sorted(FAULT_KINDS)), min_size=1, max_size=4))
         for kind in kinds:
             keys = data.draw(st.lists(st.sampled_from(sorted(FAULT_KINDS[kind])), unique=True))
-            values = [data.draw(st.floats(-1e12, 1e12, allow_nan=False)) for _ in keys]
+            values = [data.draw(real) for _ in keys]
             faults.append(FaultSpec(kind=kind, params=tuple(zip(keys, values))))
         plan = FaultPlan(faults=tuple(faults))
         native = plan.spec()
@@ -75,6 +86,41 @@ class TestFaultPlanParsing:
         assert FaultPlan.parse(native) == plan
         assert cohort.faults.spec() == native
         assert FaultPlan.parse(unit.faults_spec).spec() == native
+
+        chaos_values = {
+            "unit": whole, "from": whole, "count": whole, "at": whole, "dur": real,
+            "record": st.sampled_from(["done", "leased", "heartbeat"]),
+        }
+        events = []
+        for kind in data.draw(st.lists(st.sampled_from(sorted(CHAOS_KINDS)), max_size=4)):
+            keys = [
+                key for key, default in CHAOS_KINDS[kind].items()
+                if default is ... or data.draw(st.booleans())
+            ]
+            params = tuple((key, data.draw(chaos_values[key])) for key in keys)
+            events.append(ChaosEvent(kind, params))
+        schedule = ChaosSchedule(events=tuple(events))
+        assert parse_chaos(schedule.spec()) == schedule
+
+        # repr() of a float below 1e16 has no exponent '+', so it fits a
+        # '+'-joined workload value.
+        n, rounds = data.draw(whole), data.draw(whole)
+        distance, dwell, exposure = (data.draw(positive) for _ in range(3))
+        amplitude = data.draw(real)
+        mode = data.draw(st.sampled_from(TRANSPORT_MODES))
+        campaign = CampaignSpec.parse(
+            f"workload=fleet:n={n}+distance={distance!r}+dwell={dwell!r},"
+            f"transport:mode={mode}+rounds={rounds}"
+            f"|parameter=amplitude:{amplitude!r}|parameter=exposure_s:{exposure!r}"
+        )
+        assert CampaignSpec.parse(campaign.spec()) == campaign
+        fleet, transport = campaign.expand(scale="quick")
+        assert fleet.workload_params == (("n", n), ("distance", distance), ("dwell", dwell))
+        assert (transport.transport_mode, transport.workload_params) == (
+            mode, (("rounds", rounds),)
+        )
+        assert fleet.config_overrides == (("amplitude", amplitude),)
+        assert fleet.camera_overrides == (("exposure_s", exposure),)
 
     def test_compile_is_deterministic(self):
         kwargs = dict(n_captures=24, fps=30.0, duration_s=0.8, refresh_hz=120.0)

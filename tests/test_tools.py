@@ -348,6 +348,18 @@ class TestSweepCLI:
         assert code == 2
         assert "must be > 0" in capsys.readouterr().out
 
+    def test_bad_faults_spec_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            sweep.main(["--parameter", "tau", "--values", "8", "--faults", "drop:q=1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: --faults: fault 'drop' has no parameter 'q'" in err
+        assert "Traceback" not in err
+
+    def test_spec_keeps_every_digit(self):
+        spec = sweep.build_spec("exposure_s", ["0.0016666666666666668", "1e6"])
+        assert spec.startswith("parameter=exposure_s:0.0016666666666666668,1000000.0|")
+
 
 class TestTelemetryCLI:
     """The --telemetry-out / repro.tools.report loop."""
