@@ -5,8 +5,7 @@ The full-tree lint (``python -m repro.tools.check``) scans only
 the determinism analyzer on realistic-looking code.  Run it through the
 checker to see every rule fire with its taint trace::
 
-    python -m repro.tools.check examples/determinism_antipatterns.py \
-        --no-baseline --explain DET002
+    python -m repro.tools.check examples/determinism_antipatterns.py --explain DET002
 
 Each block below breaks the bit-identity contract (results are pure
 functions of unit identity, byte-identical at any worker count) in one

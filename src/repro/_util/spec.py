@@ -8,12 +8,13 @@ schedules and campaign workload values are lists of *slots*::
 ``SEP`` is ``,``, or ``+`` inside a campaign workload value, whose outer
 grammar owns ``,``.  Each grammar brings its slot separator, its error
 class and, per slot name, a key table mapping each key to the caster
-that reads its value.  docs/robustness.md §1 states the rules once for
-every grammar.
+that reads its value and refuses one out of its range (:func:`finite`).
+docs/robustness.md §1 states the rules once for every grammar.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
@@ -32,6 +33,23 @@ def number(text: str) -> float:
         return float(text)
     except ValueError:
         raise ValueError(f"non-numeric value {text!r}") from None
+
+
+def finite(lo: float = -math.inf, hi: float = math.inf) -> Caster:
+    """A caster reading a finite number in ``[lo, hi]``; NaN and infinities fail."""
+    expected = "a finite number"
+    if math.isfinite(hi):
+        expected += f" in [{lo:g}, {hi:g}]"
+    elif math.isfinite(lo):
+        expected += f" >= {lo:g}"
+
+    def read(text: str) -> float:
+        value = number(text)
+        if not (math.isfinite(value) and lo <= value <= hi):
+            raise ValueError(f"value {text!r} is not {expected}")
+        return value
+
+    return read
 
 
 def integer(text: str) -> int:
@@ -87,8 +105,14 @@ class SlotGrammar:
             )
         return table
 
-    def check(self, name: str, params: Params, keys: KeyTable | None = None) -> None:
-        """Reject an unknown name, an unknown key or a repeated key."""
+    def check(self, name: str, params: Params, keys: KeyTable | None = None) -> Params:
+        """*params* with each value read by its key's caster.
+
+        Rejects an unknown name, an unknown or repeated key, and a value
+        its caster refuses.  A value that is not text is read from the
+        slot text :meth:`format` prints for it, so a slot built in code
+        obeys the rules a parsed one does.
+        """
         table = self.keys(name) if keys is None else keys
         seen: set[str] = set()
         for key, _ in params:
@@ -100,6 +124,14 @@ class SlotGrammar:
             if key in seen:
                 raise self.error(f"{self.noun} {name!r} repeats parameter {key!r}")
             seen.add(key)
+        read: list[tuple[str, Any]] = []
+        for key, value in params:
+            text = value if isinstance(value, str) else format_number(value)
+            try:
+                read.append((key, table[key](text)))
+            except (ValueError, OverflowError) as exc:
+                raise self.error(f"{name}.{key}: {exc}") from exc
+        return tuple(read)
 
     def read(self, slot: str, keys: KeyTable | None = None) -> tuple[str, Params]:
         """One slot's name and its pairs, each value read by its key's caster."""
@@ -117,14 +149,7 @@ class SlotGrammar:
                         "(expected key=value)"
                     )
                 pairs.append((key, text))
-        self.check(name, tuple(pairs), table)
-        params: list[tuple[str, Any]] = []
-        for key, text in pairs:
-            try:
-                params.append((key, table[key](text)))
-            except (ValueError, OverflowError) as exc:
-                raise self.error(f"{name}.{key}: {exc}") from exc
-        return name, tuple(params)
+        return name, self.check(name, tuple(pairs), table)
 
     def format(self, name: str, params: Params) -> str:
         """The slot text of *name* and its pairs, numbers via :func:`format_number`."""

@@ -15,14 +15,15 @@ Layout:
   records from a set of :class:`Rule` objects;
 * :mod:`repro.checks.rules` -- the rule catalogue (RNG discipline, dtype
   safety, resource lifecycle, public-API typing);
-* :mod:`repro.checks.baseline` -- accepted pre-existing findings, so new
-  violations fail while legacy ones burn down;
 * ``python -m repro.tools.check`` -- the command-line front end.
+
+Every finding fails the run unless a ``# checks: ignore[RULE] reason``
+pragma on its line names its rule; that scoped pragma is the only
+waiver.
 """
 
 from __future__ import annotations
 
-from repro.checks.baseline import Baseline, BaselineDiff
 from repro.checks.engine import (
     CheckReport,
     FileContext,
@@ -35,8 +36,6 @@ from repro.checks.engine import (
 from repro.checks.rules import all_rules
 
 __all__ = [
-    "Baseline",
-    "BaselineDiff",
     "CheckReport",
     "FileContext",
     "Finding",

@@ -3,15 +3,13 @@
 A :class:`Rule` sees one parsed file at a time through a
 :class:`FileContext` and yields :class:`Finding` records.  The engine
 handles everything rule authors should not have to: file discovery,
-parsing, per-rule path scoping (:meth:`Rule.applies_to`), and inline
-suppression pragmas of the form::
+parsing, per-rule path scoping (:meth:`Rule.applies_to`), and the one
+waiver a finding has, the inline suppression pragma::
 
     risky_line()  # checks: ignore[DT002] frame proven in-range upstream
-    other_line()  # checks: ignore
 
-A bare ``ignore`` silences every rule on that line; the bracketed form
-silences only the listed rule ids.  Suppressions are deliberately
-per-line so a waiver cannot outlive the code it excused.
+It silences only the listed rule ids, and only on its own line, so a
+waiver names what it excuses and cannot outlive the code it excused.
 
 Rules that need more than one node at a time -- the determinism family
 -- ask the context for :attr:`FileContext.analysis`, a lazily built
@@ -35,7 +33,7 @@ if TYPE_CHECKING:  # circular at runtime: analysis builds on engine types
 #: Directory names never scanned, wherever they appear.
 _SKIP_DIRS = {"__pycache__", ".git", ".venv", "venv", "build", "dist", ".eggs"}
 
-_PRAGMA_RE = re.compile(r"#\s*checks:\s*ignore(?:\[(?P<rules>[A-Za-z0-9_,\s]+)\])?")
+_PRAGMA_RE = re.compile(r"#\s*checks:\s*ignore\[(?P<rules>[A-Za-z0-9_,\s]+)\]")
 
 
 @dataclass(frozen=True)
@@ -46,7 +44,7 @@ class Finding:
     source-to-sink steps a taint rule recorded (``--explain`` prints
     them; SARIF exports them as a code flow).  It is deliberately *not*
     part of the fingerprint: a path reroute through a new helper must
-    not churn baselines.
+    not change the finding's identity.
     """
 
     rule: str
@@ -54,12 +52,11 @@ class Finding:
     line: int
     col: int
     message: str
-    severity: str = "error"
     trace: tuple[str, ...] = ()
 
     @property
     def fingerprint(self) -> str:
-        """Stable identity used by the baseline (line numbers shift; this must not)."""
+        """Stable identity SARIF carries (line numbers shift; this must not)."""
         return f"{self.rule}::{self.path}::{self.message}"
 
     def format(self) -> str:
@@ -76,7 +73,7 @@ class FileContext:
         self.source = source
         self.tree = tree
         self.lines = source.splitlines()
-        self._suppressions: dict[int, frozenset[str] | None] | None = None
+        self._suppressions: dict[int, frozenset[str]] | None = None
         self._analysis: "ModuleAnalysis | None" = None
 
     @property
@@ -93,27 +90,18 @@ class FileContext:
         return self._analysis
 
     def suppressed(self, finding: Finding) -> bool:
-        """Whether an inline ``# checks: ignore`` pragma covers *finding*."""
-        table = self._suppression_table()
-        if finding.line not in table:
-            return False
-        rules = table[finding.line]
-        return rules is None or finding.rule in rules
+        """Whether a ``# checks: ignore[...]`` pragma on its line names *finding*'s rule."""
+        return finding.rule in self._suppression_table().get(finding.line, ())
 
-    def _suppression_table(self) -> dict[int, frozenset[str] | None]:
+    def _suppression_table(self) -> dict[int, frozenset[str]]:
         table = self._suppressions
         if table is None:
             table = {}
             for number, text in enumerate(self.lines, start=1):
                 match = _PRAGMA_RE.search(text)
-                if match is None:
-                    continue
-                listed = match.group("rules")
-                if listed is None:
-                    table[number] = None  # bare ignore: every rule
-                else:
+                if match is not None:
                     table[number] = frozenset(
-                        part.strip() for part in listed.split(",") if part.strip()
+                        part.strip() for part in match.group("rules").split(",")
                     )
             self._suppressions = table
         return table
@@ -123,7 +111,7 @@ class Rule:
     """Base class for a single check.
 
     Subclasses set :attr:`rule_id` (the stable ``ABC123``-style identifier
-    reported to users and stored in baselines) and implement
+    reported to users and named by suppression pragmas) and implement
     :meth:`check`.  Override :meth:`applies_to` to scope a rule to part
     of the tree.
     """
@@ -145,7 +133,6 @@ class Rule:
         context: FileContext,
         node: ast.AST,
         message: str,
-        severity: str = "error",
         trace: Sequence[str] = (),
     ) -> Finding:
         """Build a :class:`Finding` anchored at *node*."""
@@ -155,7 +142,6 @@ class Rule:
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0) + 1,
             message=message,
-            severity=severity,
             trace=tuple(trace),
         )
 
@@ -214,7 +200,7 @@ def run_checks(
     """Run *rules* over every Python file under *paths*.
 
     *root* anchors the relative paths stored in findings (and therefore
-    baseline fingerprints); by default it is discovered from the first
+    their fingerprints); by default it is discovered from the first
     path via :func:`find_project_root`.
     """
     resolved = [Path(p).resolve() for p in paths]

@@ -28,8 +28,6 @@ SARIF_SCHEMA = (
 #: Trace steps are ``path:line: text`` (see ``FlowAnalyzer.step``).
 _STEP_RE = re.compile(r"^(?P<path>[^:]+):(?P<line>\d+): (?P<text>.*)$")
 
-_LEVELS = {"error": "error", "warning": "warning", "note": "note"}
-
 
 def _location(path: str, line: int, col: int | None = None) -> dict[str, object]:
     region: dict[str, object] = {"startLine": line}
@@ -61,7 +59,7 @@ def _code_flow(finding: Finding) -> dict[str, object]:
 def _result(finding: Finding) -> dict[str, object]:
     result: dict[str, object] = {
         "ruleId": finding.rule,
-        "level": _LEVELS.get(finding.severity, "error"),
+        "level": "error",
         "message": {"text": finding.message},
         "locations": [_location(finding.path, finding.line, finding.col)],
         "partialFingerprints": {"reproChecks/v1": finding.fingerprint},

@@ -16,7 +16,9 @@ and ``+`` for ``,`` (:func:`encode_faults_value`,
     drop:p=0.1+burst=3/flip:at=0.35
 
 Faults and their parameters (``at`` values are fractions of the capture
-stream's duration, so a spec is scale-independent):
+stream's duration, so a spec is scale-independent).  Every value is a
+finite number; ``p`` is in [0, 1] and ``std``, ``dur``, ``burst``,
+``span``, ``frames`` and ``gain`` are ``>= 0``:
 
 ========== =======================================================================
 name       parameters
@@ -54,7 +56,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro._util.spec import SlotGrammar, number, split_slots
+from repro._util.spec import Caster, SlotGrammar, finite, split_slots
 from repro.runtime.scheduler import spawn_rng
 
 #: Known fault kinds and their (parameter, default) tables.
@@ -87,11 +89,20 @@ class FaultSpecError(ValueError):
     """Raised when a ``--faults`` spec string cannot be parsed."""
 
 
-#: The fault slot grammar: every parameter of every kind is a number.
+#: The casters of the range-limited parameters; any other parameter reads
+#: as any finite number.
+_CASTERS: dict[str, Caster] = {
+    "p": finite(0.0, 1.0),
+    **dict.fromkeys(("std", "dur", "burst", "span", "frames", "gain"), finite(0.0)),
+}
+
 _SLOTS = SlotGrammar(
     "fault",
     FaultSpecError,
-    {kind: dict.fromkeys(params, number) for kind, params in FAULT_KINDS.items()},
+    {
+        kind: {key: _CASTERS.get(key, finite()) for key in params}
+        for kind, params in FAULT_KINDS.items()
+    },
 )
 
 
@@ -147,8 +158,8 @@ class FaultPlan:
         """Parse the ``--faults`` grammar into a plan.
 
         Raises :class:`FaultSpecError` on an unknown fault or parameter,
-        a repeated parameter, a malformed ``key=value`` pair or a
-        non-numeric value.
+        a repeated parameter, a malformed ``key=value`` pair, or a value
+        that is not a finite number in its key's range.
         """
         faults = tuple(FaultSpec(*_SLOTS.read(slot)) for slot in split_slots(spec, ";"))
         if not faults:

@@ -2,16 +2,16 @@
 
 Example::
 
-    python -m repro.tools.check                     # lint src/repro against the baseline
-    python -m repro.tools.check --json | jq .new    # machine-readable report
-    python -m repro.tools.check --update-baseline   # accept the current findings
-    python -m repro.tools.check tests/fixtures/checks/rng_violations.py --no-baseline
+    python -m repro.tools.check                     # lint src/repro
+    python -m repro.tools.check --json              # machine-readable report
+    python -m repro.tools.check tests/fixtures/checks/rng_violations.py
     python -m repro.tools.check --explain DET002    # findings + their taint paths
     python -m repro.tools.check --changed-only      # only files git says changed
     python -m repro.tools.check --sarif out.sarif   # SARIF 2.1.0 for CI annotations
 
-Exit status: 0 when no new findings (stale baseline entries still print
-as warnings), 1 when new findings or parse errors exist, 2 on bad usage.
+Every finding fails the run unless a ``# checks: ignore[RULE] reason``
+pragma on its line names its rule.  Exit status: 0 when clean, 1 when
+findings or parse errors exist, 2 on bad usage.
 """
 
 from __future__ import annotations
@@ -23,10 +23,8 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
-from repro.checks import Baseline, Finding, all_rules, find_project_root, run_checks
+from repro.checks import Finding, all_rules, find_project_root, run_checks
 from repro.checks.sarif import sarif_dumps
-
-_BASELINE_NAME = "checks-baseline.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,27 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit a JSON report instead of human-readable lines",
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help=f"baseline file (default: <project root>/{_BASELINE_NAME})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline: every finding is new",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="write the current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--fail-on-stale",
-        action="store_true",
-        help="treat stale baseline entries as a failure (CI hygiene)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
@@ -83,8 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--changed-only",
         action="store_true",
         help="check only files git reports as changed (vs --diff-base); "
-        "falls back to the full tree outside a git repo; implies stale "
-        "baseline entries are ignored (partial scans cannot judge them)",
+        "falls back to the full tree outside a git repo",
     )
     parser.add_argument(
         "--diff-base",
@@ -98,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         metavar="PATH",
         default=None,
-        help="also write new findings as a SARIF 2.1.0 report to PATH",
+        help="also write the findings as a SARIF 2.1.0 report to PATH",
     )
     return parser
 
@@ -155,15 +131,13 @@ def _default_paths(root: Path) -> list[Path]:
     return [src if src.is_dir() else root]
 
 
-def _finding_payload(finding: Finding, baselined: bool) -> dict[str, object]:
+def _finding_payload(finding: Finding) -> dict[str, object]:
     return {
         "rule": finding.rule,
         "path": finding.path,
         "line": finding.line,
         "col": finding.col,
-        "severity": finding.severity,
         "message": finding.message,
-        "baselined": baselined,
         "trace": list(finding.trace),
     }
 
@@ -179,6 +153,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"{rule.rule_id}  {rule.description}")
         return 0
 
+    known = [rule.rule_id for rule in rules]
+    if args.explain is not None and args.explain not in known:
+        parser.error(
+            f"--explain: unknown rule {args.explain!r} (known: {', '.join(known)})"
+        )
+
     if args.paths:
         paths = [Path(p) for p in args.paths]
         missing = [p for p in paths if not p.exists()]
@@ -189,7 +169,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         root = find_project_root(Path.cwd())
         paths = _default_paths(root)
 
-    partial_scan = False
     if args.changed_only:
         changed = _git_changed_files(root, args.diff_base)
         if changed is None:
@@ -200,33 +179,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
         else:
             paths = _scope_changed(changed, paths)
-            partial_scan = True
             if not paths:
                 print("0 changed file(s) under the scan roots: nothing to check")
                 return 0
 
     report = run_checks(paths, rules, root=root)
     findings = report.all_findings
-
-    baseline_path = args.baseline if args.baseline is not None else root / _BASELINE_NAME
-    baseline = Baseline() if args.no_baseline else Baseline.load(baseline_path)
-
-    if args.update_baseline:
-        baseline.save(baseline_path, findings)
-        if not args.json:
-            print(
-                f"baseline updated: {len(findings)} finding(s) accepted "
-                f"-> {baseline_path}"
-            )
-        return 0
-
-    diff = baseline.diff(findings)
-    failed = bool(diff.new) or (
-        args.fail_on_stale and not partial_scan and bool(diff.stale)
-    )
+    exit_code = 1 if findings else 0
 
     if args.sarif is not None:
-        args.sarif.write_text(sarif_dumps(diff.new, rules), encoding="utf-8")
+        args.sarif.write_text(sarif_dumps(findings, rules), encoding="utf-8")
 
     if args.explain is not None:
         matching = [f for f in findings if f.rule == args.explain]
@@ -238,40 +200,22 @@ def main(argv: Sequence[str] | None = None) -> int:
             else:
                 print("    (no dataflow trace recorded for this finding)")
         print(f"{len(matching)} finding(s) for {args.explain}")
-        return 1 if failed else 0
+        return exit_code
 
     if args.json:
-        accepted_ids = {id(f) for f in diff.accepted}
         payload = {
             "root": str(report.root),
             "files_checked": report.files_checked,
-            "findings": [
-                _finding_payload(f, id(f) in accepted_ids) for f in findings
-            ],
-            "new": [_finding_payload(f, False) for f in diff.new],
-            "baselined": len(diff.accepted),
-            "stale": diff.stale,
-            "exit_code": 1 if failed else 0,
+            "findings": [_finding_payload(f) for f in findings],
+            "exit_code": exit_code,
         }
         print(json.dumps(payload, indent=2))
-        return 1 if failed else 0
+        return exit_code
 
-    for finding in diff.new:
+    for finding in findings:
         print(finding.format())
-    for finding in diff.accepted:
-        print(f"{finding.format()} (baselined)")
-    if not partial_scan:
-        for fingerprint in diff.stale:
-            print(
-                f"stale baseline entry (remove it): {fingerprint}", file=sys.stderr
-            )
-    summary = (
-        f"{report.files_checked} file(s) checked: {len(diff.new)} new, "
-        f"{len(diff.accepted)} baselined, "
-        f"{0 if partial_scan else len(diff.stale)} stale"
-    )
-    print(summary)
-    return 1 if failed else 0
+    print(f"{report.files_checked} file(s) checked: {len(findings)} finding(s)")
+    return exit_code
 
 
 if __name__ == "__main__":

@@ -105,13 +105,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.payload_bytes < 1:
         parser.error(f"--payload-bytes must be >= 1, got {args.payload_bytes}")
+    if not args.dwell > 0.0:
+        parser.error(f"--dwell must be > 0, got {args.dwell:g}")
     try:
         cohorts = parse_cohorts(args.cohorts, seed=args.seed)
     except CohortSpecError as exc:
         parser.error(f"--cohorts: {exc}")
 
     scale = getattr(ExperimentScale, args.scale)()
-    config = scale.config(amplitude=args.delta)
+    try:
+        config = scale.config(amplitude=args.delta)
+    except ValueError as exc:
+        parser.error(str(exc))
     payload = deterministic_payload(args.payload_bytes, seed=args.seed)
     base_camera = scale.camera()
     wall0 = time.perf_counter()

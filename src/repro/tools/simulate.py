@@ -28,6 +28,17 @@ from repro.obs import (
 )
 
 
+def _positive_seconds(text: str) -> float:
+    """An argparse type: a number of seconds that is > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"non-numeric value {text!r}") from None
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def add_live_arguments(parser: argparse.ArgumentParser) -> None:
     """The shared live-telemetry / sampling-profiler option group.
 
@@ -44,7 +55,7 @@ def add_live_arguments(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--snapshot-interval",
-        type=float,
+        type=_positive_seconds,
         default=1.0,
         metavar="SECONDS",
         help="live snapshot cadence (default: 1.0)",
@@ -80,10 +91,6 @@ class LiveSession:
         self.profiler: SamplingProfiler | None = None
         self._flamegraph_out: str | None = getattr(args, "flamegraph_out", None)
         if getattr(args, "snapshot_out", None) is not None:
-            if args.snapshot_interval <= 0.0:
-                raise ValueError(
-                    f"--snapshot-interval must be > 0, got {args.snapshot_interval}"
-                )
             self.collector = LiveCollector(
                 interval_s=args.snapshot_interval, snapshot_path=args.snapshot_out
             )
@@ -229,10 +236,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     faults, heal = parse_fault_plan(parser, args)
     scale = getattr(ExperimentScale, args.scale)()
-    config = scale.config(amplitude=args.delta, tau=args.tau)
-    camera = scale.camera()
-    if args.screen_fill < 1.0:
-        camera = replace(camera, screen_fill=args.screen_fill)
+    try:
+        config = scale.config(amplitude=args.delta, tau=args.tau)
+        camera = scale.camera()
+        if args.screen_fill < 1.0:
+            camera = replace(camera, screen_fill=args.screen_fill)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     if not args.json:
         print(

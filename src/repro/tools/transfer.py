@@ -152,7 +152,10 @@ def main(argv: list[str] | None = None) -> int:
         payload = rng.integers(0, 256, max(1, args.bytes), dtype=np.uint8).tobytes()
 
     scale = getattr(ExperimentScale, args.scale)()
-    config = scale.config(amplitude=args.delta, tau=args.tau)
+    try:
+        config = scale.config(amplitude=args.delta, tau=args.tau)
+    except ValueError as exc:
+        parser.error(str(exc))
     video = scale.video(args.video)
     modes = _MODES if args.mode == "all" else (args.mode,)
 

@@ -3,7 +3,7 @@
 The checker itself is exercised through the public CLI
 (``python -m repro.tools.check``), the same entry point CI gates on, so
 these tests pin the contract users actually depend on: exit codes, rule
-ids, JSON shape, the baseline workflow and inline suppressions.
+ids, JSON shape and the one waiver, the scoped inline suppression.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.checks import Baseline, all_rules, find_project_root, run_checks
+from repro.checks import all_rules, find_project_root, run_checks
 from repro.checks.analysis import ModuleAnalysis
 from repro.tools.check import main
 
@@ -51,6 +51,16 @@ class TestRuleCatalogue:
         for rule in all_rules():
             assert rule.rule_id in out
 
+    @pytest.mark.parametrize("rule", ["NOPE", "det002"])
+    def test_explain_unknown_rule_is_a_usage_error(self, capsys, rule):
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(FIXTURES / "det002_workunit_violations.py"), "--explain", rule])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unknown rule {rule!r}" in err
+        for known in all_rules():
+            assert known.rule_id in err
+
 
 class TestCleanFixtures:
     @pytest.mark.parametrize(
@@ -67,7 +77,7 @@ class TestCleanFixtures:
         ],
     )
     def test_clean_fixture_has_no_findings(self, capsys, name):
-        code, payload = run_cli(capsys, str(FIXTURES / name), "--no-baseline")
+        code, payload = run_cli(capsys, str(FIXTURES / name))
         assert code == 0
         assert payload["findings"] == []
         assert payload["files_checked"] == 1
@@ -104,7 +114,7 @@ class TestViolatingFixtures:
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_violating_fixture_fails_with_expected_rules(self, capsys, name):
-        code, payload = run_cli(capsys, str(FIXTURES / name), "--no-baseline")
+        code, payload = run_cli(capsys, str(FIXTURES / name))
         assert code == 1
         assert rule_ids(payload) == self.CASES[name]
         assert payload["exit_code"] == 1
@@ -115,7 +125,7 @@ class TestViolatingFixtures:
             assert finding["message"]
 
     def test_whole_fixture_dir_reports_every_rule(self, capsys):
-        code, payload = run_cli(capsys, str(FIXTURES), "--no-baseline")
+        code, payload = run_cli(capsys, str(FIXTURES))
         assert code == 1
         expected = set().union(*self.CASES.values())
         assert rule_ids(payload) == expected
@@ -131,7 +141,7 @@ class TestInlineSuppression:
             "def f() -> np.random.Generator:\n"
             "    return np.random.default_rng()  # checks: ignore[RNG003] fixture\n"
         )
-        code, payload = run_cli(capsys, str(target), "--no-baseline")
+        code, payload = run_cli(capsys, str(target))
         assert code == 0
         assert payload["findings"] == []
 
@@ -144,83 +154,43 @@ class TestInlineSuppression:
             "def f() -> np.random.Generator:\n"
             "    return np.random.default_rng()  # checks: ignore[DT001]\n"
         )
-        code, payload = run_cli(capsys, str(target), "--no-baseline")
+        code, payload = run_cli(capsys, str(target))
+        assert code == 1
+        assert rule_ids(payload) == {"RNG003"}
+
+    def test_bare_pragma_does_not_silence(self, tmp_path, capsys):
+        target = tmp_path / "suppressed.py"
+        target.write_text(
+            "import numpy as np\n"
+            "\n"
+            "\n"
+            "def f() -> np.random.Generator:\n"
+            "    return np.random.default_rng()  # checks: ignore\n"
+        )
+        code, payload = run_cli(capsys, str(target))
         assert code == 1
         assert rule_ids(payload) == {"RNG003"}
 
 
-class TestBaselineWorkflow:
-    def _violating_file(self, tmp_path: Path) -> Path:
-        target = tmp_path / "legacy.py"
-        target.write_text((FIXTURES / "dtype_violations.py").read_text())
-        return target
-
-    def test_update_baseline_then_rerun_passes(self, tmp_path, capsys):
-        target = self._violating_file(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main([str(target), "--baseline", str(baseline), "--update-baseline"]) == 0
-        capsys.readouterr()
-        code, payload = run_cli(capsys, str(target), "--baseline", str(baseline))
-        assert code == 0
-        assert payload["new"] == []
-        assert payload["baselined"] == 2
-        assert all(f["baselined"] for f in payload["findings"])
-
-    def test_new_violation_fails_despite_baseline(self, tmp_path, capsys):
-        target = self._violating_file(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        main([str(target), "--baseline", str(baseline), "--update-baseline"])
-        capsys.readouterr()
-        target.write_text(
-            target.read_text()
-            + "\n\ndef fresh(frame: np.ndarray) -> np.ndarray:\n"
-            + "    return (frame * 2).astype(np.uint8)\n"
-        )
-        code, payload = run_cli(capsys, str(target), "--baseline", str(baseline))
+class TestJsonReport:
+    def test_report_has_exactly_its_keys(self, capsys):
+        code, payload = run_cli(capsys, str(FIXTURES / "dtype_violations.py"))
         assert code == 1
-        assert len(payload["new"]) == 1
-        assert payload["new"][0]["rule"] == "DT002"
-
-    def test_stale_entries_warn_and_fail_on_request(self, tmp_path, capsys):
-        target = self._violating_file(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        main([str(target), "--baseline", str(baseline), "--update-baseline"])
-        capsys.readouterr()
-        target.write_text("\n")  # every legacy finding fixed
-        code, payload = run_cli(capsys, str(target), "--baseline", str(baseline))
-        assert code == 0
-        assert len(payload["stale"]) == 2
-        assert (
-            main([str(target), "--baseline", str(baseline), "--fail-on-stale"]) == 1
-        )
-
-    def test_baseline_rejects_unknown_version(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text(json.dumps({"version": 99, "entries": []}))
-        with pytest.raises(ValueError, match="unsupported baseline version"):
-            Baseline.load(bad)
+        assert set(payload) == {"root", "files_checked", "findings", "exit_code"}
+        assert set(payload["findings"][0]) == {
+            "rule", "path", "line", "col", "message", "trace"
+        }
 
 
 class TestProjectTree:
-    """The PR tree itself must be clean and its shipped baseline consistent."""
+    """The tree itself must be clean: no finding outside a scoped pragma."""
 
     def test_project_scan_is_clean(self, capsys, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
         code, payload = run_cli(capsys)
         assert code == 0
-        assert payload["new"] == []
+        assert payload["findings"] == []
         assert payload["files_checked"] > 70
-
-    def test_shipped_baseline_has_no_stale_entries(self, capsys, monkeypatch):
-        monkeypatch.chdir(REPO_ROOT)
-        code, payload = run_cli(capsys, "--fail-on-stale")
-        assert code == 0
-        assert payload["stale"] == []
-
-    def test_shipped_baseline_loads(self):
-        baseline = Baseline.load(REPO_ROOT / "checks-baseline.json")
-        # The tree is fully clean today; the baseline may only shrink.
-        assert baseline.fingerprints == set()
 
     def test_find_project_root(self):
         assert find_project_root(FIXTURES) == REPO_ROOT
@@ -232,7 +202,7 @@ class TestProjectTree:
         assert {f.rule for f in report.findings} >= {"RNG001", "RNG002", "RNG003"}
         for finding in report.findings:
             assert finding.path.startswith("tests/fixtures/checks/")
-            # Fingerprints are line-free so baselines survive reflows.
+            # Fingerprints are line-free so SARIF's identity survives reflows.
             assert finding.fingerprint == f"{finding.rule}::{finding.path}::{finding.message}"
 
 
@@ -315,14 +285,7 @@ class TestModuleAnalysis:
 
 class TestDeterminismDataflow:
     def test_explain_prints_source_to_sink_path_det001(self, capsys):
-        code = main(
-            [
-                str(FIXTURES / "det001_violations.py"),
-                "--no-baseline",
-                "--explain",
-                "DET001",
-            ]
-        )
+        code = main([str(FIXTURES / "det001_violations.py"), "--explain", "DET001"])
         out = capsys.readouterr().out
         assert code == 1
         assert "3 finding(s) for DET001" in out
@@ -331,12 +294,7 @@ class TestDeterminismDataflow:
 
     def test_explain_prints_interprocedural_path_det002(self, capsys):
         code = main(
-            [
-                str(FIXTURES / "det002_workunit_violations.py"),
-                "--no-baseline",
-                "--explain",
-                "DET002",
-            ]
+            [str(FIXTURES / "det002_workunit_violations.py"), "--explain", "DET002"]
         )
         out = capsys.readouterr().out
         assert code == 1
@@ -346,16 +304,12 @@ class TestDeterminismDataflow:
         assert "flows into a UnitResult(...) result" in out
 
     def test_interprocedural_dict_view_detected(self, capsys):
-        code, payload = run_cli(
-            capsys, str(FIXTURES / "det_flow_violations.py"), "--no-baseline"
-        )
+        code, payload = run_cli(capsys, str(FIXTURES / "det_flow_violations.py"))
         assert code == 1
         assert [f["rule"] for f in payload["findings"]] == ["DET003"]
 
     def test_json_payload_carries_trace(self, capsys):
-        code, payload = run_cli(
-            capsys, str(FIXTURES / "det002_violations.py"), "--no-baseline"
-        )
+        code, payload = run_cli(capsys, str(FIXTURES / "det002_violations.py"))
         assert code == 1
         assert payload["findings"]
         assert all(f["trace"] for f in payload["findings"])
@@ -365,12 +319,7 @@ class TestSarifExport:
     def test_sarif_document_shape(self, tmp_path, capsys):
         out = tmp_path / "out.sarif"
         code = main(
-            [
-                str(FIXTURES / "det002_workunit_violations.py"),
-                "--no-baseline",
-                "--sarif",
-                str(out),
-            ]
+            [str(FIXTURES / "det002_workunit_violations.py"), "--sarif", str(out)]
         )
         capsys.readouterr()
         assert code == 1
@@ -389,9 +338,7 @@ class TestSarifExport:
 
     def test_sarif_empty_when_clean(self, tmp_path, capsys):
         out = tmp_path / "clean.sarif"
-        code = main(
-            [str(FIXTURES / "det_clean.py"), "--no-baseline", "--sarif", str(out)]
-        )
+        code = main([str(FIXTURES / "det_clean.py"), "--sarif", str(out)])
         capsys.readouterr()
         assert code == 0
         doc = json.loads(out.read_text())
@@ -427,7 +374,7 @@ class TestChangedOnly:
         bad = tmp_path / "bad.py"
         bad.write_text((FIXTURES / "dtype_violations.py").read_text())
         monkeypatch.chdir(tmp_path)
-        code, payload = run_cli(capsys, "--changed-only", "--no-baseline")
+        code, payload = run_cli(capsys, "--changed-only")
         assert code == 1
         assert payload["files_checked"] == 1
         assert {f["path"] for f in payload["findings"]} == {"bad.py"}
@@ -435,7 +382,7 @@ class TestChangedOnly:
     def test_changed_only_with_no_changes_passes(self, tmp_path, capsys, monkeypatch):
         self._init_repo(tmp_path)
         monkeypatch.chdir(tmp_path)
-        code = main(["--changed-only", "--no-baseline"])
+        code = main(["--changed-only"])
         out = capsys.readouterr().out
         assert code == 0
         assert "nothing to check" in out
@@ -444,7 +391,7 @@ class TestChangedOnly:
         (tmp_path / "pyproject.toml").write_text("[project]\nname='x'\nversion='0'\n")
         (tmp_path / "mod.py").write_text("def ok() -> int:\n    return 1\n")
         monkeypatch.chdir(tmp_path)
-        code = main(["--changed-only", "--no-baseline", "--json"])
+        code = main(["--changed-only", "--json"])
         captured = capsys.readouterr()
         payload = json.loads(captured.out)
         assert code == 0
@@ -456,6 +403,6 @@ class TestParseErrors:
     def test_syntax_error_is_a_failing_finding(self, tmp_path, capsys):
         bad = tmp_path / "broken.py"
         bad.write_text("def broken(:\n")
-        code, payload = run_cli(capsys, str(bad), "--no-baseline")
+        code, payload = run_cli(capsys, str(bad))
         assert code == 1
         assert rule_ids(payload) == {"PARSE"}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.camera.capture import CameraModel, CapturedFrame
-from repro.campaign import CampaignSpec, ChaosSchedule, parse_chaos
+from repro.campaign import CampaignSpec, CampaignSpecError, ChaosSchedule, parse_chaos
 from repro.campaign.chaos import CHAOS_KINDS, ChaosEvent
 from repro.campaign.units import TRANSPORT_MODES
 from repro.core.decoder import HealingReport, InFrameDecoder
@@ -20,13 +21,14 @@ from repro.faults import (
     FaultInjectedCamera,
     FaultPlan,
     FaultSpec,
+    FaultSpecError,
     InjectionLog,
     PacketFaults,
     apply_stream_faults,
 )
 from repro.faults.plan import encode_faults_value
 from repro.faults.report import DegradationReport
-from repro.serve import parse_cohorts
+from repro.serve import CohortSpecError, parse_cohorts
 from repro.transport.arq import ArqReceiver, ArqSender
 from repro.transport.packet import PacketType, build_packet
 from repro.video.synthetic import pure_color_video
@@ -55,6 +57,23 @@ class TestFaultPlanParsing:
     def test_unknown_param_rejected(self):
         with pytest.raises(ValueError, match="has no parameter"):
             FaultPlan.parse("drop:q=0.5", seed=0)
+        # A value outside its key's range is refused like an unknown key,
+        # whether it is parsed, built in code or nested in another grammar.
+        for spec, message in (
+            ("jitter:std=-0.001", "jitter.std: value '-0.001' is not a finite number >= 0"),
+            ("drop:p=nan", "drop.p: value 'nan' is not a finite number in [0, 1]"),
+            ("blackout:dur=-1", "blackout.dur: value '-1' is not a finite number >= 0"),
+            ("drop:burst=inf", "drop.burst: value 'inf' is not a finite number >= 0"),
+            ("drop:p=1.5", "drop.p: value '1.5' is not a finite number in [0, 1]"),
+        ):
+            with pytest.raises(FaultSpecError, match=re.escape(message)):
+                FaultPlan.parse(spec, seed=0)
+            with pytest.raises(CohortSpecError, match=re.escape(message)):
+                parse_cohorts(f"c:faults={encode_faults_value(spec)}", seed=0)
+            with pytest.raises(CampaignSpecError, match=re.escape(message)):
+                CampaignSpec.parse(f"faults={encode_faults_value(spec)}")
+        with pytest.raises(FaultSpecError, match=re.escape("drop.p: value '1.5'")):
+            FaultSpec("drop", (("p", 1.5),))
 
     def test_empty_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -72,11 +91,18 @@ class TestFaultPlanParsing:
         real = st.floats(-1e12, 1e12, allow_nan=False)
         positive = st.floats(0.0, 1e12, exclude_min=True)
         whole = st.integers(-(10**12), 10**12)
+        # Each fault key draws from the range its caster accepts.
+        fault_values = {
+            "p": st.floats(0.0, 1.0),
+            **dict.fromkeys(
+                ("std", "dur", "burst", "span", "frames", "gain"), st.floats(0.0, 1e12)
+            ),
+        }
         faults = []
         kinds = data.draw(st.lists(st.sampled_from(sorted(FAULT_KINDS)), min_size=1, max_size=4))
         for kind in kinds:
             keys = data.draw(st.lists(st.sampled_from(sorted(FAULT_KINDS[kind])), unique=True))
-            values = [data.draw(real) for _ in keys]
+            values = [data.draw(fault_values.get(key, real)) for key in keys]
             faults.append(FaultSpec(kind=kind, params=tuple(zip(keys, values))))
         plan = FaultPlan(faults=tuple(faults))
         native = plan.spec()

@@ -10,7 +10,7 @@ import pytest
 from repro.camera.capture import CameraModel
 from repro.display.gamma import GammaCurve
 from repro.display.panel import DisplayPanel
-from repro.tools import budget, flicker, report, serve, simulate, sweep, transfer
+from repro.tools import budget, campaign, flicker, report, serve, simulate, sweep, transfer
 
 
 class TestSimulateCLI:
@@ -150,6 +150,47 @@ class TestTransferCLI:
             transfer.main(["--file", "/no/such/payload.bin"])
         assert excinfo.value.code == 2
         assert "payload.bin" in capsys.readouterr().err
+
+
+#: Live-telemetry flags with a cadence no collector can keep.
+_ZERO_INTERVAL = ["--snapshot-out", "live.jsonl", "--snapshot-interval", "0"]
+
+
+class TestBadValuesAreUsageErrors:
+    """A bad value exits 2 with one ``error:`` line, before any run starts."""
+
+    @pytest.mark.parametrize(
+        ("tool", "argv", "message"),
+        [
+            (simulate, ["--tau", "0"], "tau must be >= 1, got 0"),
+            (simulate, ["--delta", "-5"], "amplitude must be in [0.0, 127.0]"),
+            (simulate, ["--screen-fill", "0"], "screen_fill must be in [0.05, 1.0]"),
+            (simulate, ["--faults", "drop:p=nan"], "--faults: drop.p: value 'nan'"),
+            (simulate, _ZERO_INTERVAL, "--snapshot-interval: must be > 0"),
+            (transfer, ["--delta", "-5"], "amplitude must be in [0.0, 127.0]"),
+            (transfer, _ZERO_INTERVAL, "--snapshot-interval: must be > 0"),
+            (serve, ["--delta", "-5"], "amplitude must be in [0.0, 127.0]"),
+            (serve, ["--dwell", "-1"], "--dwell must be > 0, got -1"),
+            (serve, _ZERO_INTERVAL, "--snapshot-interval: must be > 0"),
+            (
+                campaign,
+                ["run", "--spec", "parameter=tau:8", "--journal", "c.jsonl", *_ZERO_INTERVAL],
+                "--snapshot-interval: must be > 0",
+            ),
+        ],
+        ids=[
+            "simulate-tau", "simulate-delta", "simulate-screen-fill", "simulate-faults",
+            "simulate-interval", "transfer-delta", "transfer-interval", "serve-delta",
+            "serve-dwell", "serve-interval", "campaign-interval",
+        ],
+    )
+    def test_bad_value_exits_2(self, capsys, monkeypatch, tmp_path, tool, argv, message):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            tool.main([*argv, "--scale", "quick"])
+        assert excinfo.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and message in errors[0], errors
 
 
 class TestBudgetCLI:
